@@ -322,12 +322,15 @@ def _run_kdv_scattering(p):
     _require_power_of_two(p["M"])
     f = kdv.soliton_field(p["kappa"], L_domain=p["L_domain"], M=p["M"])
     seg_steps = max(1, round(p["t_final"] / ((p["n_times"] - 1) * p["dt"])))
-    a0 = kdv.schrodinger_a(kdv.line_window(f), p["k_probe"])
+
+    def probe(field):
+        return kdv.scattering_a(kdv.line_window(field), [p["k_probe"]])[0]
+
+    a0 = probe(f)
     drift = 0.0
     for _ in range(p["n_times"] - 1):
         f = kdv.kdv_evolve(f, p["dt"], seg_steps)
-        a_t = kdv.schrodinger_a(kdv.line_window(f), p["k_probe"])
-        drift = max(drift, abs(a_t - a0))
+        drift = max(drift, abs(probe(f) - a0))
 
     pot = kdv.sample_potential(_sech2_callable(p["kappa"]))
     k_grid = np.linspace(p["k_min"], p["k_max"], p["n_k"])
@@ -577,7 +580,12 @@ def _source_revision():
 
 
 def run_experiment(cfg, output_dir=None, seed_override=None, strict=False):
-    """Execute one validated config; returns (report dict, exit code)."""
+    """Execute one validated config; returns (report dict, exit code).
+
+    A numerical failure (``HamlabError``) still writes report.json, with
+    ``overall_pass`` false and the error's type, message and fields under
+    ``error``, and is then re-raised.
+    """
     name = cfg["experiment"]
     entry = EXPERIMENTS[name]
     params = _defaults(name)
@@ -594,14 +602,18 @@ def run_experiment(cfg, output_dir=None, seed_override=None, strict=False):
     os.makedirs(exp_dir, exist_ok=True)
 
     start = time.perf_counter()
+    error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        checks, artifacts = entry["runner"](params)
+        try:
+            checks, artifacts = entry["runner"](params)
+        except HamlabError as exc:
+            error, checks, artifacts = exc, [], {}
     wall = time.perf_counter() - start
     warn_msgs = notes + [str(w.message) for w in caught]
     if strict:
         checks.append(_check("no-warnings", len(warn_msgs), 0, not warn_msgs))
-    overall = all(c["pass"] for c in checks)
+    overall = error is None and all(c["pass"] for c in checks)
 
     for fname, (header, rows) in artifacts.items():
         write_csv(os.path.join(exp_dir, fname), header, rows)
@@ -617,7 +629,15 @@ def run_experiment(cfg, output_dir=None, seed_override=None, strict=False):
         "wall_time_s": wall,
         "overall_pass": overall,
     }
+    if error is not None:
+        # the numbers an error carries (last stable time, step, residual)
+        fields = {
+            k: v for k, v in vars(error).items() if isinstance(v, (bool, int, float, str))
+        }
+        report["error"] = {"type": type(error).__name__, "message": str(error), **fields}
     write_json(os.path.join(exp_dir, "report.json"), report)
+    if error is not None:
+        raise error
     return report, (0 if overall else 1)
 
 

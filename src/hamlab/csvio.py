@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from typing import Iterable, Sequence
 
 
@@ -24,10 +25,17 @@ def format_value(v) -> str:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # a temp name unique to this process and thread, so concurrent writers
+    # of one path never share it; open() keeps the usual umask file mode
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -71,14 +71,17 @@ class SingularPointError(HamlabError):
 class BlowUpError(HamlabError):
     """Time stepping produced non-finite values.
 
-    ``last_time`` is the time of the last finite state.
+    ``last_time`` is the time of the last finite state; ``step`` counts
+    from 1 within the ``kdv_evolve`` call that began at ``start_time``.
     """
 
-    def __init__(self, last_time, step):
+    def __init__(self, last_time, step, start_time):
         self.last_time = last_time
         self.step = step
+        self.start_time = start_time
         super().__init__(
-            f"solution blew up at step {step}; last stable time t={last_time:.6g}"
+            f"solution blew up at step {step} of the kdv_evolve call that began at "
+            f"t={start_time:.6g}; last stable time t={last_time:.6g}"
         )
 
 

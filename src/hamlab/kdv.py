@@ -22,7 +22,12 @@ Conserved quantities come from two independent routes:
    n(k) = (2k/pi) ln |a(k)|^2 on the continuous spectrum and N_l = k_l^2 at
    the bound states ik_l, and the Hamiltonian can be assembled from them as
    H = -(32/5) sum_l N_l^(5/2) + 8 int k^3 n(k) dk, cross-checked against
-   the direct functional int (u_x^2/2 + u^3) dx.
+   the direct functional int (u_x^2/2 + u^3) dx.  Production code gets
+   a(k) for a whole k array from one vectorised sixth-order Magnus sweep
+   over the window (``scattering_a``), and bound states from a sweep over
+   a kappa grid refined by Brent's method; the adaptive DOP853 integration
+   of one k at a time (``schrodinger_a``) is kept as the independent
+   oracle the tests compare it with.
 
 Evolution is periodic while scattering theory lives on the line; the bridge
 is a window extraction that recenters the periodic field and demands decay
@@ -39,6 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from .errors import BlowUpError, ConvergenceError, DecayError
 
@@ -184,7 +190,7 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
             d = dt * nonlinear(E2 * vhat + E * c)
             vhat = E2 * vhat + (E2 * a + 2.0 * E * (b + c) + d) / 6.0
             if not np.all(np.isfinite(vhat)):
-                raise BlowUpError(f.t + step * dt, step + 1)
+                raise BlowUpError(f.t + step * dt, step + 1, f.t)
     return PeriodicField(np.fft.irfft(vhat, M), f.L_domain, f.t + n_steps * dt)
 
 
@@ -307,7 +313,7 @@ class LinePotential:
 
     ``fn``, when given, is the exact profile and is what the scattering
     integrator evaluates; otherwise a cubic spline of the samples stands
-    in.  Zero extension applies outside the window either way.
+    in, extended by zero outside the window.
     """
 
     x: np.ndarray
@@ -335,18 +341,14 @@ class LinePotential:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
 
-    def evaluate(self) -> Callable[[float], float]:
+    def evaluate(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Vectorised u(x): ``fn`` when given, else the cubic spline of the
+        samples extended by zero outside the window."""
         if self.fn is not None:
             return self.fn
         spline = CubicSpline(self.x, self.u)
-        lo, hi = float(self.x[0]), float(self.x[-1])
-
-        def ev(xq):
-            if xq < lo or xq > hi:
-                return 0.0
-            return float(spline(xq))
-
-        return ev
+        lo, hi = self.x[0], self.x[-1]
+        return lambda xq: np.where((xq >= lo) & (xq <= hi), spline(xq), 0.0)
 
 
 def sample_potential(
@@ -375,12 +377,7 @@ def line_window(f: PeriodicField, decay_tol: float = 1e-10) -> LinePotential:
     return LinePotential(x, u, decay_tol)
 
 
-def schrodinger_a(
-    pot: LinePotential,
-    k: complex,
-    rtol: float = 1e-12,
-    atol: float = 1e-30,
-) -> complex:
+def schrodinger_a(pot: LinePotential, k: complex) -> complex:
     """Transmission-related coefficient a(k) of -phi'' + u phi = k^2 phi.
 
     The Jost solution is launched as exp(-ikx) at the left window edge and
@@ -390,7 +387,11 @@ def schrodinger_a(
         a(k) = (phi + i phi' / k) / 2 * exp(ikx_right).
 
     Works on the positive imaginary axis too (k = i kappa), where a is
-    real and its zeros are the bound states.
+    real and its zeros are the bound states.  There the launch value
+    exp(kappa x_left) is tiny, so the absolute tolerance is scaled by it.
+
+    This is the oracle route, one DOP853 solve per k; production code
+    calls :func:`scattering_a`.
     """
     k = complex(k)
     if k == 0:
@@ -409,12 +410,118 @@ def schrodinger_a(
     x_l, x_r = float(pot.x[0]), float(pot.x[-1])
     phi0 = np.exp(-1j * k * x_l)
     y0 = [phi0.real, phi0.imag, (-1j * k * phi0).real, (-1j * k * phi0).imag]
-    sol = solve_ivp(rhs, (x_l, x_r), y0, method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(
+        rhs, (x_l, x_r), y0, method="DOP853", rtol=1e-12, atol=1e-18 * abs(phi0)
+    )
     if not sol.success:
         raise ConvergenceError(f"Jost integration failed at k={k}: {sol.message}")
     phi = sol.y[0, -1] + 1j * sol.y[1, -1]
     dphi = sol.y[2, -1] + 1j * sol.y[3, -1]
     return complex(0.5 * (phi + 1j * dphi / k) * np.exp(1j * k * x_r))
+
+
+# Sixth-order Magnus integrator (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+# 2009) on three Gauss-Legendre nodes per cell.  The cell width keeps
+# h <= _MAX_CELL and |k| h <= _MAX_PHASE; cells are grouped _CHUNK_CELLS at a
+# time (a power of two, for the pairwise product) so the working set stays
+# a few arrays of _CHUNK_CELLS x len(k).
+_GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
+_MAX_CELL = 0.01
+_MAX_PHASE = 0.2
+_CHUNK_CELLS = 64
+
+
+def _magnus_cells(h, q1, q2, q3):
+    """exp(Omega) of each cell for A = [[0, 1], [q, 0]], q sampled at the
+    Gauss nodes; returns the entries (E00, E01, E10, E11).
+
+    With a1 = h A2, a2 = (sqrt(15) h / 3)(A3 - A1) and
+    a3 = (10 h / 3)(A3 - 2 A2 + A1), the sixth-order Magnus exponent is
+    Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240 with
+    C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1] / 60.  Here a2 and a3 are
+    [[0, 0], [d, 0]] matrices, and the commutators are expanded by hand.
+    Omega is traceless and real, so with s^2 = -det(Omega) the exponential
+    is cosh(s) I + sinh(s)/s Omega (cos/sin when s^2 < 0).
+    """
+    d2 = (math.sqrt(15.0) * h / 3.0) * (q3 - q1)
+    d3 = (10.0 * h / 3.0) * (q3 - 2.0 * q2 + q1)
+    h2, h3 = h * h, h * h * h
+    w0 = (-20.0 * h * d2 + (4.0 / 3.0) * h3 * q2 * d2 + h2 * d2 * d3 / 30.0) / 240.0
+    w1 = h + (h3 * d2 * d2 / 15.0 - (4.0 / 3.0) * h2 * d3) / 240.0
+    w2 = h * q2 + d3 / 12.0 + (
+        (4.0 / 3.0) * h2 * q2 * d3
+        + h * d3 * d3 / 15.0
+        - 2.0 * h * d2 * d2
+        + h3 * q2 * d2 * d2 / 15.0
+    ) / 240.0
+    s2 = w0 * w0 + w1 * w2
+    s = np.sqrt(np.abs(s2))
+    grow = s2 > 0.0
+    c = np.where(grow, np.cosh(s), np.cos(s))
+    sh = np.where(grow, np.sinh(s), np.sin(s)) / np.where(s > 0.0, s, 1.0)
+    sh = np.where(s > 0.0, sh, 1.0)
+    return c + sh * w0, sh * w1, sh * w2, c - sh * w0
+
+
+def _chunk_propagator(e00, e01, e10, e11):
+    """Ordered product E_{n-1} ... E_1 E_0 over axis 0 by pairwise halving."""
+    while e00.shape[0] > 1:
+        l00, l01, l10, l11 = e00[1::2], e01[1::2], e10[1::2], e11[1::2]
+        r00, r01, r10, r11 = e00[0::2], e01[0::2], e10[0::2], e11[0::2]
+        e00, e01 = l00 * r00 + l01 * r10, l00 * r01 + l01 * r11
+        e10, e11 = l10 * r00 + l11 * r10, l10 * r01 + l11 * r11
+    return e00[0], e01[0], e10[0], e11[0]
+
+
+def scattering_a(pot: LinePotential, ks) -> np.ndarray:
+    """a(k) for every k of a 1-d array, in one sweep over the window.
+
+    Each k must be real or on the positive imaginary axis, so that
+    A = [[0, 1], [u - k^2, 0]] is real.  A sixth-order Magnus step on three
+    Gauss nodes per cell gives each cell's 2x2 propagator in closed form;
+    the propagators of a chunk of cells are multiplied together and applied
+    to the running (phi, phi') vector, launched as exp(-ikx) at the left
+    edge.  The full-window product is never formed: on the imaginary axis
+    it overflows long before the vector does.  a(k) is read off at the
+    right edge as in :func:`schrodinger_a`, the DOP853 oracle route.
+    """
+    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+    if ks.ndim != 1 or ks.size == 0:
+        raise ValueError("ks must be a nonempty 1-d array")
+    if np.any(ks == 0):
+        raise ValueError("k must be nonzero")
+    if np.any(ks.imag < 0):
+        raise ValueError("need Im k >= 0")
+    if np.any((ks.real != 0) & (ks.imag != 0)):
+        raise ValueError("k must be real or on the positive imaginary axis")
+    ksq = (ks * ks).real
+
+    x_l, x_r = float(pot.x[0]), float(pot.x[-1])
+    h_max = min(_MAX_CELL, _MAX_PHASE / float(np.max(np.abs(ks))))
+    n_chunks = math.ceil((x_r - x_l) / (h_max * _CHUNK_CELLS))
+    n_cells = n_chunks * _CHUNK_CELLS
+    h = (x_r - x_l) / n_cells
+    u_of = pot.evaluate()
+    cell_nodes = np.arange(_CHUNK_CELLS)[:, None] + _GAUSS_NODES
+
+    phi0 = np.exp(-1j * ks * x_l)
+    phi, dphi = phi0, -1j * ks * phi0
+    # deep on the imaginary axis the launch value underflows or phi
+    # overflows; the range check below, not a numpy warning, reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_cells, _CHUNK_CELLS):
+            u = np.asarray(u_of(x_l + h * (start + cell_nodes)), dtype=float)
+            q1, q2, q3 = (u[:, j, None] - ksq for j in range(3))
+            p00, p01, p10, p11 = _chunk_propagator(*_magnus_cells(h, q1, q2, q3))
+            phi, dphi = p00 * phi + p01 * dphi, p10 * phi + p11 * dphi
+        a = 0.5 * (phi + 1j * dphi / ks) * np.exp(1j * ks * x_r)
+    lost = ~np.isfinite(a) | (np.abs(phi0) < np.finfo(float).tiny)
+    if np.any(lost):
+        raise ConvergenceError(
+            f"Jost sweep left the floating-point range at k={ks[lost][0]}; "
+            "use a narrower window"
+        )
+    return a
 
 
 def analytic_soliton_a(k: complex, kappas: Sequence[float]) -> complex:
@@ -436,24 +543,21 @@ def bound_states(
 ) -> np.ndarray:
     """Zeros of a(i kappa) for kappa in (0, k_max]: the bound-state wavenumbers.
 
-    a restricted to the imaginary axis is real; the scan brackets its sign
-    changes and bisection refines each to ``tol``.  A scan sample landing
-    numerically on a zero is retried on a slightly widened bracket; if the
-    retry also degenerates the search reports failure.
+    a restricted to the imaginary axis is real; one :func:`scattering_a`
+    sweep samples it on the scan grid, and Brent's method refines each
+    sign change to ``tol``.  A scan sample landing numerically on a zero is
+    retried on a slightly widened bracket; if the retry also degenerates
+    the search reports failure.
     """
     if k_max <= k_min:
         return np.array([])
 
-    def A(kappa, rtol=1e-12):
-        return schrodinger_a(pot, 1j * kappa, rtol=rtol).real
+    def A(kappa):
+        return float(scattering_a(pot, [1j * kappa])[0].real)
 
-    # the scan only needs signs, so it runs at a looser tolerance
     grid = np.arange(k_min, k_max + scan_step / 2.0, scan_step)
-    vals = np.array([A(kap, rtol=1e-9) for kap in grid])
+    vals = scattering_a(pot, 1j * grid).real
     scale = max(1.0, float(np.max(np.abs(vals))))
-    # near-zero loose samples are re-measured tightly so their signs hold
-    for i in np.flatnonzero(np.abs(vals) < 1e-7 * scale):
-        vals[i] = A(grid[i])
     floor = 1e-13 * scale
     for i in np.flatnonzero(np.abs(vals) < floor):
         shifted = min(grid[i] + scan_step / 7.0, k_max)
@@ -464,22 +568,11 @@ def bound_states(
                 f"scan sample at kappa={grid[i]:.6g} sits on a zero of a(i kappa) "
                 "even after widening; refine scan_step"
             )
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            lo, hi = grid[i], grid[i + 1]
-            flo = vals[i]
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fm = A(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
+    roots = [
+        brentq(A, grid[i], grid[i + 1], xtol=tol)
+        for i in range(len(grid) - 1)
+        if vals[i] * vals[i + 1] < 0
+    ]
     return np.array(roots)
 
 
@@ -531,9 +624,7 @@ def scattering_data(
 ) -> ScatteringData:
     """Sample a(k) on the given positive grid and locate the bound states."""
     k_grid = np.asarray(k_grid, dtype=float)
-    a = np.array([schrodinger_a(pot, k) for k in k_grid])
-    bk = bound_states(pot, k_max_bound)
-    return ScatteringData(k_grid, a, bk)
+    return ScatteringData(k_grid, scattering_a(pot, k_grid), bound_states(pot, k_max_bound))
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ def test_criterion_6_scattering_invariance():
     f0 = kdv.soliton_field(1.0)
     f_half = kdv.kdv_evolve(f0, 1e-4, 5000)
     f_one = kdv.kdv_evolve(f_half, 1e-4, 5000)
-    values = [kdv.schrodinger_a(kdv.line_window(f), 1.3) for f in (f0, f_half, f_one)]
+    values = [kdv.scattering_a(kdv.line_window(f), [1.3])[0] for f in (f0, f_half, f_one)]
     a_drift = float(max(abs(v - values[0]) for v in values))
 
     pot = kdv.sample_potential(lambda x: -2.0 / np.cosh(x) ** 2)
@@ -234,10 +234,17 @@ def test_criterion_8_oracle_equivalence():
         exponents.append(math.log(r1 / r2) / math.log(9.0 / 6.0))
     exp_err = max(abs(e - o) for e, o in zip(exponents, (4, 6)))
 
-    ok = diff < fd_tol and delta_err < fd_tol and exp_err < 0.2
+    # Magnus Jost sweep against the DOP853 oracle, on and off the real axis
+    pot = kdv.sample_potential(lambda x: -2.0 / np.cosh(x) ** 2)
+    ks = np.array([0.3, 1.3, 2.5, 0.5j, 2.0j])
+    oracle = np.array([kdv.schrodinger_a(pot, k) for k in ks])
+    jost_diff = float(np.max(np.abs(kdv.scattering_a(pot, ks) - oracle)))
+
+    ok = diff < fd_tol and delta_err < fd_tol and exp_err < 0.2 and jost_diff < 1e-9
     detail = (
         f"fd-vs-analytic bracket diff={diff:.2e} (tol {fd_tol:.0e}), "
         f"[q1,p1] error={delta_err:.2e}, residual exponents="
-        f"({exponents[0]:.3f}, {exponents[1]:.3f}) for orders (4, 6)"
+        f"({exponents[0]:.3f}, {exponents[1]:.3f}) for orders (4, 6), "
+        f"Magnus vs DOP853 a(k) diff={jost_diff:.2e} (tol 1e-09)"
     )
     assert _verdict(8, "dual-route oracle equivalence", ok, detail), detail

@@ -152,6 +152,16 @@ class TestRunPaths:
         )
         assert code == 3
         assert "BlowUpError" in capsys.readouterr().err
+        report = load_report(tmp_path, "kdv-conservation")
+        assert report["overall_pass"] is False
+        assert report["checks"] == []
+        error = report["error"]
+        assert error["type"] == "BlowUpError"
+        assert error["start_time"] == 0.0
+        assert error["step"] >= 1
+        assert error["last_time"] == pytest.approx(0.05 * (error["step"] - 1))
+        assert "kdv_evolve call that began at t=0" in error["message"]
+        assert any("stability guard" in w for w in report["warnings"])
 
     def test_strict_turns_warning_into_failure(self, tmp_path):
         payload = {

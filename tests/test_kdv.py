@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hamlab.errors import BlowUpError, DecayError
+from hamlab.errors import BlowUpError, ConvergenceError, DecayError
 from hamlab.kdv import (
     ActionSpectrum,
     LinePotential,
@@ -33,6 +33,7 @@ from hamlab.kdv import (
     riccati_densities,
     riccati_residual,
     sample_potential,
+    scattering_a,
     scattering_data,
     schrodinger_a,
     soliton,
@@ -121,13 +122,15 @@ class TestKdvEvolve:
         assert m0 == m1
 
     def test_blow_up_reports_last_stable_time(self):
-        f = soliton_field(1.0)
+        f = PeriodicField(soliton_field(1.0).u, t=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(BlowUpError) as exc:
                 kdv_evolve(f, 2e-2, 2000)
         assert exc.value.step >= 1
-        assert 0.0 <= exc.value.last_time < 2e-2 * 2000
+        assert exc.value.start_time == 0.5
+        assert exc.value.last_time == pytest.approx(0.5 + 2e-2 * (exc.value.step - 1))
+        assert "kdv_evolve call that began at t=0.5;" in str(exc.value)
 
     def test_oversized_step_warns(self):
         f = soliton_field(1.0)
@@ -305,6 +308,9 @@ class TestLinePotential:
         ev = samples.evaluate()
         assert ev(21.0) == 0.0
         assert ev(0.0) == pytest.approx(-2.0, abs=1e-9)
+        values = ev(np.array([-25.0, 0.0, 21.0]))
+        assert values[0] == 0.0 and values[2] == 0.0
+        assert values[1] == pytest.approx(-2.0, abs=1e-9)
 
     def test_monotone_grid_required(self):
         x = np.zeros(32)
@@ -338,6 +344,12 @@ class TestSchrodingerA:
         assert a.imag == pytest.approx(0.0, abs=1e-12)
         assert a.real == pytest.approx(-1.0 / 3.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kappa", [3.0, 4.0, 6.0])
+    def test_deep_imaginary_axis(self, sech_pot, kappa):
+        # the launch value exp(-20 kappa) is far below any fixed atol
+        a = schrodinger_a(sech_pot, 1j * kappa)
+        assert abs(a - (kappa - 1.0) / (kappa + 1.0)) < 1e-9
+
     def test_k_validation(self, sech_pot):
         with pytest.raises(ValueError):
             schrodinger_a(sech_pot, 0.0)
@@ -345,11 +357,70 @@ class TestSchrodingerA:
             schrodinger_a(sech_pot, -0.5j)
 
 
+class TestScatteringA:
+    """The Magnus sweep against the closed form and the DOP853 oracle."""
+
+    def test_soliton_real_axis(self, sech_pot):
+        ks = np.linspace(0.05, 4.0, 60)
+        exact = np.array([analytic_soliton_a(k, [1.0]) for k in ks])
+        assert np.max(np.abs(scattering_a(sech_pot, ks) - exact)) < 1e-11
+
+    def test_soliton_imaginary_axis(self, sech_pot):
+        kappas = np.array([0.3, 0.5, 0.99, 1.01, 1.5, 3.0, 6.0])
+        a = scattering_a(sech_pot, 1j * kappas)
+        assert np.all(a.imag == 0.0)
+        assert np.max(np.abs(a.real - (kappas - 1.0) / (kappas + 1.0))) < 1e-11
+
+    @pytest.mark.parametrize("k", [10.0, 20.0, 20j])
+    def test_far_from_origin(self, sech_pot, k):
+        # at kappa = 20 a product of all cell propagators would overflow
+        a = scattering_a(sech_pot, [k])[0]
+        assert np.isfinite(a)
+        assert abs(a - analytic_soliton_a(k, [1.0])) < 1e-11
+
+    def test_two_well_matches_oracle(self):
+        fn_a, fn_b = sech2_potential(1.0, -10.0), sech2_potential(0.5, 10.0)
+        pot = sample_potential(lambda x: fn_a(x) + fn_b(x), half_width=40.0)
+        ks = np.array([0.2, 0.8, 1.7, 3.0, 0.3j, 0.75j, 1.2j])
+        oracle = np.array([schrodinger_a(pot, k) for k in ks])
+        assert np.max(np.abs(scattering_a(pot, ks) - oracle)) < 1e-9
+
+    def test_spline_window_matches_oracle(self):
+        w = line_window(soliton_field(1.0))
+        ks = np.array([0.4, 1.3, 2.5, 0.5j, 1.5j])
+        oracle = np.array([schrodinger_a(w, k) for k in ks])
+        assert np.max(np.abs(scattering_a(w, ks) - oracle)) < 1e-8
+
+    def test_free_potential_gives_unity(self):
+        zero = LinePotential(np.linspace(-20.0, 20.0, 64), np.zeros(64))
+        assert np.max(np.abs(scattering_a(zero, [0.1, 1.3, 7.0, 0.4j]) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("x", [(-40.0, 40.0), (-40.0, 0.0), (0.0, 40.0)])
+    def test_out_of_range_raises(self, x):
+        # exp(20 x) underflows at the left edge or overflows at the right one
+        grid = np.linspace(x[0], x[1], 64)
+        pot = LinePotential(grid, np.zeros(64))
+        with pytest.raises(ConvergenceError, match="floating-point range"):
+            scattering_a(pot, [1.0, 20j])
+
+    @pytest.mark.parametrize("ks", [[], [0.0], [-0.5j], [1.0 + 1.0j], [[1.0]]])
+    def test_k_validation(self, sech_pot, ks):
+        with pytest.raises(ValueError):
+            scattering_a(sech_pot, np.array(ks, dtype=complex))
+
+
 class TestBoundStates:
     def test_soliton_bound_state(self, sech_pot):
         bk = bound_states(sech_pot, 3.0)
         assert bk.size == 1
         assert bk[0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_scan_deep_into_imaginary_axis(self, sech_pot):
+        # a(i kappa) -> 1 far from the root; the scan must not mistake a
+        # lost launch value for a zero
+        bk = bound_states(sech_pot, 6.0)
+        assert bk.size == 1
+        assert bk[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_two_well_superposition(self):
         fn_a, fn_b = sech2_potential(1.0, -10.0), sech2_potential(0.5, 10.0)
