@@ -4,11 +4,12 @@ States live in a finite truncation of a countably-infinite canonical system:
 ``N`` coordinate/momentum pairs plus time.  On top of that this module
 provides
 
- - finite-difference Poisson brackets and involution matrices,
+ - finite-difference Poisson brackets and involution matrices, which
+   differentiate each observable once per call,
  - the completeness diagnostic for a family of first integrals: the Jacobian
    of the integrals with respect to the momenta, its singular values, and a
    numerical-rank verdict ("complete at truncation N"),
- - recovery of the momenta from recorded integral values by damped Newton
+ - recovery of the momenta from given integral values by damped Newton
    iteration on that Jacobian,
  - symplectic time stepping (Stormer-Verlet for separable Hamiltonians,
    implicit midpoint otherwise) and conserved-quantity drift monitoring.
@@ -22,7 +23,7 @@ bitwise deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -109,9 +110,6 @@ class Observable:
     grad_q: Optional[Callable[[CanonicalState], np.ndarray]] = None
     grad_p: Optional[Callable[[CanonicalState], np.ndarray]] = None
 
-    def __call__(self, s: CanonicalState) -> float:
-        return float(self.fn(s))
-
 
 def _as_observable(f) -> Observable:
     if isinstance(f, Observable):
@@ -122,11 +120,9 @@ def _as_observable(f) -> Observable:
 
 @dataclass(frozen=True)
 class ObservableSet:
-    """An ordered family of first-integral candidates, with optional recorded
-    values ``alpha`` (one per observable)."""
+    """An ordered family of first-integral candidates with distinct names."""
 
     observables: Sequence[Observable]
-    alpha: Optional[np.ndarray] = None
 
     def __post_init__(self):
         obs = tuple(_as_observable(f) for f in self.observables)
@@ -134,12 +130,6 @@ class ObservableSet:
         if len(set(names)) != len(names):
             raise ValueError(f"observable names must be distinct, got {names}")
         object.__setattr__(self, "observables", obs)
-        if self.alpha is not None:
-            a = _as_vector(self.alpha, "alpha")
-            if a.size != len(obs):
-                raise ValueError("alpha length must match observable count")
-            a.setflags(write=False)
-            object.__setattr__(self, "alpha", a)
 
     def __len__(self) -> int:
         return len(self.observables)
@@ -157,10 +147,6 @@ class ObservableSet:
         for i, o in enumerate(self.observables):
             out[i] = _checked_eval(o, s)
         return out
-
-    def with_alpha_from(self, s: CanonicalState) -> "ObservableSet":
-        """Record the current values as the alpha vector."""
-        return ObservableSet(self.observables, self.evaluate(s))
 
     def without(self, *names: str) -> "ObservableSet":
         """Drop the named observables (used for incompleteness demos)."""
@@ -272,14 +258,6 @@ class CompletenessReport:
     complete: bool
     rank_tol: float
 
-    @property
-    def n_observables(self) -> int:
-        return self.jacobian.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.jacobian.shape[1]
-
 
 def _checked_eval(obs: Observable, s: CanonicalState) -> float:
     v = obs.fn(s)
@@ -320,6 +298,18 @@ def _observable_gradient(obs: Observable, s: CanonicalState, h: float, wrt: str)
     return g
 
 
+def _gradients(observables: Sequence[Observable], s: CanonicalState, h: float, wrt: str) -> np.ndarray:
+    """Central-difference gradients with respect to q or p, one row per
+    observable: the one gradient path of the bracket, the involution matrix
+    and the completeness Jacobian."""
+    if h <= 0:
+        raise ValueError("fd step h must be positive")
+    G = np.empty((len(observables), s.dim))
+    for i, o in enumerate(observables):
+        G[i, :] = _observable_gradient(o, s, h, wrt)
+    return G
+
+
 def poisson_bracket(f, g, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> float:
     """Poisson bracket [f, g] at ``s`` via central-difference gradients.
 
@@ -327,13 +317,9 @@ def poisson_bracket(f, g, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> floa
     fixed index-ordered dot product with an IEEE subtraction makes the result
     exactly antisymmetric under swapping f and g.
     """
-    if h <= 0:
-        raise ValueError("fd step h must be positive")
-    fo, go = _as_observable(f), _as_observable(g)
-    fq = _observable_gradient(fo, s, h, "q")
-    fp = _observable_gradient(fo, s, h, "p")
-    gq = _observable_gradient(go, s, h, "q")
-    gp = _observable_gradient(go, s, h, "p")
+    pair = (_as_observable(f), _as_observable(g))
+    fq, gq = _gradients(pair, s, h, "q")
+    fp, gp = _gradients(pair, s, h, "p")
     return float(np.dot(fq, gp) - np.dot(fp, gq))
 
 
@@ -352,14 +338,18 @@ def poisson_bracket_analytic(f: Observable, g: Observable, s: CanonicalState) ->
 def involution_matrix(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Matrix of pairwise Poisson brackets B[i, j] = [f_i, f_j].
 
-    Each unordered pair is computed once and negated for the transpose
-    entry, so B is exactly antisymmetric with a zero diagonal.
+    Each observable is differentiated once.  Each unordered pair takes the
+    same index-ordered dot products as :func:`poisson_bracket` (so B[i, j]
+    equals it bit for bit) and is negated for the transpose entry, so B is
+    exactly antisymmetric with a zero diagonal.
     """
+    Q = _gradients(obs.observables, s, h, "q")
+    P = _gradients(obs.observables, s, h, "p")
     n = len(obs)
     B = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            b = poisson_bracket(obs.observables[i], obs.observables[j], s, h)
+            b = float(np.dot(Q[i], P[j]) - np.dot(P[i], Q[j]))
             B[i, j] = b
             B[j, i] = -b
     return B
@@ -367,12 +357,7 @@ def involution_matrix(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_
 
 def completeness_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Jacobian J[i, j] = d f_i / d p_j at ``s`` by central differences."""
-    if h <= 0:
-        raise ValueError("fd step h must be positive")
-    J = np.empty((len(obs), s.dim))
-    for i, o in enumerate(obs.observables):
-        J[i, :] = _observable_gradient(o, s, h, "p")
-    return J
+    return _gradients(obs.observables, s, h, "p")
 
 
 def completeness_report(J: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> CompletenessReport:
@@ -426,6 +411,8 @@ def recover_momenta(
     ``(p, info)`` where info records iterations and the final residual.
     """
     alpha = _as_vector(alpha, "alpha")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("alpha must be finite")
     q = _as_vector(q, "q")
     p = _as_vector(p_guess, "p_guess").copy()
     if not np.all(np.isfinite(p)):
@@ -463,7 +450,7 @@ def recover_momenta(
             p_new = p + lam * step
             r_new = residual(p_new)
             rnorm_new = float(np.max(np.abs(r_new)))
-            if rnorm_new < rnorm or not np.isfinite(rnorm):
+            if rnorm_new < rnorm:
                 break
             lam *= 0.5
         else:

@@ -37,7 +37,6 @@ from .errors import HamlabError
 
 DEFAULTS_VERSION = 1
 
-_TOL = {"type": "number", "exclusiveMinimum": 0}
 _POS_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 _SEED = {"type": "integer", "minimum": 0}
@@ -199,9 +198,10 @@ def _make_gseries_field(seed, sign):
         return fn
 
     u_fn = bumps(3, -0.8, 0.8, 1.0)
-    # single-signed velocity bumps pin the sign of p_0 = int v dx for any seed
-    v_fn = bumps(3, 0.2, 0.9, sign)
-    return line.sample_line_field(u_fn, v_fn)
+    # v = x * (bumps of one sign) makes x v single-signed, which pins the
+    # sign of p_0 = int x v dx for any seed
+    v_bumps = bumps(3, 0.2, 0.9, sign)
+    return line.sample_line_field(u_fn, lambda x: x * v_bumps(x))
 
 
 def _run_line_gseries(p):
@@ -318,6 +318,23 @@ def _sech2_callable(kappa):
     return lambda x: -2.0 * kappa**2 / np.cosh(kappa * np.asarray(x)) ** 2
 
 
+def _scattering_artifacts(sd, spec):
+    """scattering.csv (a(k) and n(k)) and bound.csv (k_l and N_l = k_l^2)."""
+    return {
+        "scattering.csv": (
+            ("k", "re_a", "im_a", "n_k"),
+            [
+                (float(k), float(a.real), float(a.imag), float(nk))
+                for k, a, nk in zip(sd.k_grid, sd.a, spec.n_of_k)
+            ],
+        ),
+        "bound.csv": (
+            ("l", "k_l", "N_l"),
+            [(i + 1, float(kl), float(Nl)) for i, (kl, Nl) in enumerate(zip(sd.bound_k, spec.N_l))],
+        ),
+    }
+
+
 def _run_kdv_scattering(p):
     _require_power_of_two(p["M"])
     f = kdv.soliton_field(p["kappa"], L_domain=p["L_domain"], M=p["M"])
@@ -343,20 +360,7 @@ def _run_kdv_scattering(p):
     ]
     if sd.bound_k.size == 1:
         checks.append(_bounded("bound-state-error", abs(sd.bound_k[0] - p["kappa"]), p["bound_tol"]))
-    artifacts = {
-        "scattering.csv": (
-            ("k", "re_a", "im_a", "n_k"),
-            [
-                (float(k), float(a.real), float(a.imag), float(nk))
-                for k, a, nk in zip(sd.k_grid, sd.a, spec.n_of_k)
-            ],
-        ),
-        "bound.csv": (
-            ("l", "k_l", "N_l"),
-            [(i + 1, float(kl), float(kl**2)) for i, kl in enumerate(sd.bound_k)],
-        ),
-    }
-    return checks, artifacts
+    return checks, _scattering_artifacts(sd, spec)
 
 
 def _run_kdv_action_hamiltonian(p):
@@ -378,20 +382,7 @@ def _run_kdv_action_hamiltonian(p):
         _bounded("direct-vs-closed-form", rel(H_dir, H_closed), p["rel_tol"]),
         _bounded("actions-vs-direct", rel(H_act, H_dir), p["rel_tol"]),
     ]
-    artifacts = {
-        "scattering.csv": (
-            ("k", "re_a", "im_a", "n_k"),
-            [
-                (float(k), float(a.real), float(a.imag), float(nk))
-                for k, a, nk in zip(sd.k_grid, sd.a, spec.n_of_k)
-            ],
-        ),
-        "bound.csv": (
-            ("l", "k_l", "N_l"),
-            [(i + 1, float(kl), float(Nl)) for i, (kl, Nl) in enumerate(zip(sd.bound_k, spec.N_l))],
-        ),
-    }
-    return checks, artifacts
+    return checks, _scattering_artifacts(sd, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +401,8 @@ EXPERIMENTS = {
             "seed": (2024, _SEED),
             "t_exact": (10.0, _POS_NUMBER),
             "exact_samples": (11, _POS_INT),
-            "exact_tol": (1e-12, _TOL),
-            "drift_tol": (1e-6, _TOL),
+            "exact_tol": (1e-12, _POS_NUMBER),
+            "drift_tol": (1e-6, _POS_NUMBER),
         },
     },
     "string-hj": {
@@ -423,7 +414,7 @@ EXPERIMENTS = {
             "seed": (7, _SEED),
             "t_final": (3.0, _POS_NUMBER),
             "samples": (121, _POS_INT),
-            "match_tol": (1e-10, _TOL),
+            "match_tol": (1e-10, _POS_NUMBER),
         },
     },
     "string-completeness": {
@@ -434,8 +425,8 @@ EXPERIMENTS = {
             "n_modes": (8, _POS_INT),
             "seed": (11, _SEED),
             "fd_step": (1e-5, _POS_NUMBER),
-            "rank_tol": (1e-8, _TOL),
-            "involution_tol": (1e-6, _TOL),
+            "rank_tol": (1e-8, _POS_NUMBER),
+            "involution_tol": (1e-6, _POS_NUMBER),
             "remove": ([], {"type": "array", "items": _POS_INT, "uniqueItems": True}),
         },
     },
@@ -447,8 +438,8 @@ EXPERIMENTS = {
             "order": (5, _POS_INT),
             "seed": (5, _SEED),
             "sign": (1, {"enum": [1, -1]}),
-            "roundtrip_tol": (1e-8, _TOL),
-            "oracle_tol": (1e-10, _TOL),
+            "roundtrip_tol": (1e-8, _POS_NUMBER),
+            "oracle_tol": (1e-10, _POS_NUMBER),
         },
     },
     "line-velocity-moments": {
@@ -460,8 +451,8 @@ EXPERIMENTS = {
             "t_final": (1.0, _POS_NUMBER),
             "steps": (4, _POS_INT),
             "spline_order": (2, {"enum": [2, 3]}),
-            "energy_tol": (1e-8, _TOL),
-            "moment_tol": (1e-10, _TOL),
+            "energy_tol": (1e-8, _POS_NUMBER),
+            "moment_tol": (1e-10, _POS_NUMBER),
         },
     },
     "kdv-conservation": {
@@ -475,9 +466,9 @@ EXPERIMENTS = {
             "dt": (1e-4, _POS_NUMBER),
             "t_final": (1.0, _POS_NUMBER),
             "n_samples": (11, {"type": "integer", "minimum": 2}),
-            "drift_tol": (1e-6, _TOL),
-            "even_tol": (1e-10, _TOL),
-            "mass_tol": (1e-13, _TOL),
+            "drift_tol": (1e-6, _POS_NUMBER),
+            "even_tol": (1e-10, _POS_NUMBER),
+            "mass_tol": (1e-13, _POS_NUMBER),
         },
     },
     "kdv-scattering": {
@@ -495,8 +486,8 @@ EXPERIMENTS = {
             "k_min": (0.2, _POS_NUMBER),
             "k_max": (3.0, _POS_NUMBER),
             "n_k": (15, _POS_INT),
-            "drift_tol": (1e-4, _TOL),
-            "bound_tol": (1e-8, _TOL),
+            "drift_tol": (1e-4, _POS_NUMBER),
+            "bound_tol": (1e-8, _POS_NUMBER),
         },
     },
     "kdv-action-hamiltonian": {
@@ -511,7 +502,7 @@ EXPERIMENTS = {
             "k_max_bound": (1.5, _POS_NUMBER),
             "L_domain": (40.0, _POS_NUMBER),
             "M": (512, _POS_INT),
-            "rel_tol": (1e-4, _TOL),
+            "rel_tol": (1e-4, _POS_NUMBER),
         },
     },
 }
@@ -688,10 +679,7 @@ def main(argv=None):
     except HamlabError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    exp_dir = os.path.join(
-        args.output_dir or cfg.get("output_dir") or "hamlab-out", cfg["experiment"]
-    )
-    _print_report(report, exp_dir)
+    _print_report(report, os.path.join(report["config"]["output_dir"], report["experiment"]))
     return code
 
 

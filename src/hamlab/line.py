@@ -29,8 +29,8 @@ v give exactly zero moments, not merely small ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.interpolate import make_interp_spline

@@ -129,10 +129,6 @@ class ModeState:
         """(q, p) = (a, a')."""
         return CanonicalState(self.a, self.adot, self.t)
 
-    @staticmethod
-    def from_canonical(s: CanonicalState) -> "ModeState":
-        return ModeState(s.q, s.p, s.t)
-
 
 @dataclass(frozen=True)
 class SeparationData:

@@ -276,6 +276,11 @@ class TestRecoverMomenta:
             recover_momenta(obs, alpha[1:], q, 1.1 * p_true)
         assert err.value.report.numerical_rank < n
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_alpha_rejected(self, bad):
+        with pytest.raises(ValueError, match="alpha"):
+            recover_momenta(quadratic_energies(2), [bad, 1.0], [0.3, 0.4], [1.0, 1.0])
+
     def test_divergence_reports_residual(self):
         obs = quadratic_energies(1)
         with pytest.raises(DivergenceError) as err:

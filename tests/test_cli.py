@@ -183,9 +183,17 @@ class TestRunPaths:
         assert len(report["warnings"]) == 1
 
     def test_line_gseries_both_signs(self, tmp_path):
-        assert run_cli(tmp_path, {"experiment": "line-gseries"}) == 0
-        code = run_cli(tmp_path, {"experiment": "line-gseries", "parameters": {"sign": -1}})
-        assert code == 0
+        # the generated field must give p_0 the configured sign for every seed
+        failed = [
+            (seed, sign)
+            for seed in range(20)
+            for sign in (1, -1)
+            if run_cli(
+                tmp_path, {"experiment": "line-gseries", "parameters": {"seed": seed, "sign": sign}}
+            )
+            != 0
+        ]
+        assert failed == []
 
     def test_seed_override_changes_artifacts(self, tmp_path):
         payload = {"experiment": "string-hj", "parameters": {"samples": 3}}
