@@ -14,10 +14,9 @@ provides
  - symplectic time stepping (Stormer-Verlet for separable Hamiltonians,
    implicit midpoint otherwise) and conserved-quantity drift monitoring.
 
-All value types are immutable after construction and every operation is a
-pure function of its inputs, so everything here is safe to call from
-concurrent workers.  Reductions run in index order, which keeps results
-bitwise deterministic.
+Every operation is a pure function of its inputs, so everything here is
+safe to call from concurrent workers.  Reductions run in index order,
+which keeps results bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._frozen import freeze
 from .errors import (
     CompletenessError,
     ConvergenceError,
@@ -44,14 +44,6 @@ DEFAULT_FD_STEP = 1e-5
 DEFAULT_RANK_TOL = 1e-8
 
 _NEWTON_MAX_HALVINGS = 30
-
-
-def _as_vector(x, name):
-    # Always copy so value types never alias (or freeze) caller arrays.
-    v = np.array(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d real vector, got shape {v.shape}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -71,18 +63,16 @@ class CanonicalState:
     t: float = 0.0
 
     def __post_init__(self):
-        q = _as_vector(self.q, "q")
-        p = _as_vector(self.p, "p")
+        q = freeze(self, "q", self.q)
+        p = freeze(self, "p", self.p)
+        if q.ndim != 1 or p.ndim != 1:
+            raise ValueError(f"q and p must be 1-d vectors, got shapes {q.shape}, {p.shape}")
         if q.size != p.size:
             raise ValueError(f"len(q)={q.size} != len(p)={p.size}")
         if q.size < 1:
             raise ValueError("state dimension must be >= 1")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p)) and math.isfinite(self.t)):
-            raise ValueError("state entries must be finite")
-        q.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        if not math.isfinite(self.t):
+            raise ValueError("t must be finite")
         object.__setattr__(self, "t", float(self.t))
 
     @property
@@ -222,7 +212,9 @@ class Trajectory:
     states: Sequence[CanonicalState]
 
     def __post_init__(self):
-        t = _as_vector(self.times, "times")
+        t = freeze(self, "times", self.times)
+        if t.ndim != 1:
+            raise ValueError(f"times must be a 1-d vector, got shape {t.shape}")
         states = tuple(self.states)
         if t.size != len(states):
             raise ValueError("times and states must have equal length")
@@ -233,8 +225,6 @@ class Trajectory:
         dims = {s.dim for s in states}
         if len(dims) > 1:
             raise ValueError(f"states have mixed dimensions: {sorted(dims)}")
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
@@ -257,6 +247,10 @@ class CompletenessReport:
     min_singular: float
     complete: bool
     rank_tol: float
+
+    def __post_init__(self):
+        freeze(self, "jacobian", self.jacobian)
+        freeze(self, "singular_values", self.singular_values)
 
 
 def _checked_eval(obs: Observable, s: CanonicalState) -> float:
@@ -410,19 +404,17 @@ def recover_momenta(
     Returns the recovered momentum vector; with ``full_output=True`` returns
     ``(p, info)`` where info records iterations and the final residual.
     """
-    alpha = _as_vector(alpha, "alpha")
-    if not np.all(np.isfinite(alpha)):
+    alpha = np.array(alpha, dtype=float)
+    if alpha.shape != (len(obs),):
+        raise ValueError(f"alpha must hold one value per observable, got shape {alpha.shape}")
+    if not np.isfinite(alpha).all():
         raise ValueError("alpha must be finite")
-    q = _as_vector(q, "q")
-    p = _as_vector(p_guess, "p_guess").copy()
-    if not np.all(np.isfinite(p)):
-        raise ValueError("p_guess must be finite")
-    if len(obs) != alpha.size:
-        raise ValueError("alpha length must match observable count")
+    guess = CanonicalState(q, p_guess, t)
+    q, p = guess.q, guess.p.copy()
     if len(obs) < q.size:
         # Fewer integrals than momenta can never pin p down; report it as an
         # incompleteness with the (rectangular) Jacobian at the guess.
-        J = completeness_jacobian(obs, CanonicalState(q, p, t), h)
+        J = completeness_jacobian(obs, guess, h)
         raise CompletenessError(
             completeness_report(J, rank_tol),
             f"{len(obs)} observables cannot determine {q.size} momenta",

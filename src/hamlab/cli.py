@@ -28,8 +28,10 @@ import sys
 import time
 import warnings
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
+from jsonschema.validators import extend
 
 from . import canonical, kdv, line, string
 from .csvio import write_csv, write_json
@@ -530,6 +532,15 @@ def _config_schema(experiment):
     }
 
 
+# JSON Schema counts 8.0 as an integer; the runners need a Python int
+_Validator = extend(
+    Draft202012Validator,
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -545,29 +556,38 @@ def load_config(path):
     name = cfg.get("experiment")
     if name not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {sorted(EXPERIMENTS)}; got {name!r}")
-    try:
-        jsonschema.validate(cfg, _config_schema(name))
-    except jsonschema.ValidationError as exc:
+    # the schemas are ours and fixed, so they are not re-checked per run
+    # (tests check them against the metaschema once)
+    exc = best_match(_Validator(_config_schema(name)).iter_errors(cfg))
+    if exc is not None:
         field = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"field {field}: {exc.message}")
     return cfg
 
 
+_revision = None
+
+
 def _source_revision():
-    here = os.path.dirname(os.path.abspath(__file__))
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=here,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return "unknown"
+    """Short git revision of the loaded source, looked up once per process:
+    the code a process runs cannot change under it."""
+    global _revision
+    if _revision is None:
+        _revision = "unknown"
+        here = os.path.dirname(os.path.abspath(__file__))
+        try:
+            out = subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"],
+                cwd=here,
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+            if out.returncode == 0:
+                _revision = out.stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            pass
+    return _revision
 
 
 def run_experiment(cfg, output_dir=None, seed_override=None, strict=False):
@@ -600,6 +620,9 @@ def run_experiment(cfg, output_dir=None, seed_override=None, strict=False):
             checks, artifacts = entry["runner"](params)
         except HamlabError as exc:
             error, checks, artifacts = exc, [], {}
+        except ValueError as exc:
+            # the package's usage-error type: the parameters are at fault
+            raise ConfigError(str(exc)) from exc
     wall = time.perf_counter() - start
     warn_msgs = notes + [str(w.message) for w in caught]
     if strict:

@@ -46,6 +46,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from ._frozen import freeze
 from .errors import BlowUpError, ConvergenceError, DecayError
 
 DEFAULT_DOMAIN = 40.0
@@ -53,6 +54,8 @@ DEFAULT_MODES = 512
 DEFAULT_DT = 1e-4
 # real-axis stability radius of the classical RK4 scheme
 _RK4_STABILITY = 2.8
+# a line window's edge samples must stay below this
+_DECAY_TOL = 1e-10
 
 
 def kdv_grid(L_domain: float = DEFAULT_DOMAIN, M: int = DEFAULT_MODES) -> np.ndarray:
@@ -69,18 +72,14 @@ class PeriodicField:
     t: float = 0.0
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=float)
+        u = freeze(self, "u", self.u)
         if u.ndim != 1 or u.size < 8:
             raise ValueError("u must be a 1-d array with at least 8 samples")
         M = u.size
         if M & (M - 1) != 0:
             raise ValueError(f"grid size {M} must be a power of two")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("field samples must be finite")
         if self.L_domain <= 0:
             raise ValueError("L_domain must be positive")
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
         object.__setattr__(self, "L_domain", float(self.L_domain))
         object.__setattr__(self, "t", float(self.t))
 
@@ -196,21 +195,17 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
 
 @dataclass(frozen=True)
 class RiccatiDensities:
-    """Grid densities chi_1 .. chi_order of the log-derivative expansion."""
+    """Grid densities chi_1 .. chi_order of the log-derivative expansion;
+    row m-1 of ``chi`` is chi_m."""
 
-    chi: Sequence[np.ndarray]
+    chi: np.ndarray
     order: int
     L_domain: float
 
     def __post_init__(self):
-        chi = tuple(np.asarray(c, dtype=float) for c in self.chi)
-        if len(chi) != self.order or self.order < 1:
-            raise ValueError("need exactly `order` densities, order >= 1")
-        for c in chi:
-            if not np.all(np.isfinite(c)):
-                raise ValueError("densities must be finite")
-            c.setflags(write=False)
-        object.__setattr__(self, "chi", chi)
+        chi = freeze(self, "chi", self.chi)
+        if self.order < 1 or chi.ndim != 2 or chi.shape[0] != self.order:
+            raise ValueError("chi must be an (order, M) array, order >= 1")
 
 
 def riccati_densities(f: PeriodicField, order: int) -> RiccatiDensities:
@@ -253,12 +248,8 @@ class ConservedIntegrals:
     even: np.ndarray
 
     def __post_init__(self):
-        I = np.array(self.I, dtype=float)
-        even = np.array(self.even, dtype=float)
-        I.setflags(write=False)
-        even.setflags(write=False)
-        object.__setattr__(self, "I", I)
-        object.__setattr__(self, "even", even)
+        freeze(self, "I", self.I)
+        freeze(self, "even", self.even)
 
 
 def conserved_integrals(d: RiccatiDensities) -> ConservedIntegrals:
@@ -311,35 +302,29 @@ def riccati_residual(f: PeriodicField, order: int, k_value: float) -> float:
 class LinePotential:
     """Potential samples on a uniform line window with decaying edges.
 
-    ``fn``, when given, is the exact profile and is what the scattering
-    integrator evaluates; otherwise a cubic spline of the samples stands
-    in, extended by zero outside the window.
+    The edge samples must be below 1e-10.  ``fn``, when given, is the
+    exact profile and is what the scattering integrator evaluates;
+    otherwise a cubic spline of the samples stands in, extended by zero
+    outside the window.
     """
 
     x: np.ndarray
     u: np.ndarray
-    decay_tol: float = 1e-10
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        u = np.array(self.u, dtype=float)
+        x = freeze(self, "x", self.x)
+        u = freeze(self, "u", self.u)
         if x.ndim != 1 or x.shape != u.shape or x.size < 16:
             raise ValueError("x and u must be equal-length 1-d arrays, >= 16 points")
         if np.any(np.diff(x) <= 0):
             raise ValueError("x must be strictly increasing")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("potential samples must be finite")
         edge = max(abs(u[0]), abs(u[-1]))
-        if edge > self.decay_tol:
+        if edge > _DECAY_TOL:
             raise DecayError(
-                f"potential reaches {edge:.3e} > decay_tol={self.decay_tol:.1e} at the "
+                f"potential reaches {edge:.3e} > {_DECAY_TOL:.1e} at the "
                 "window edge; enlarge the window or recenter the data"
             )
-        x.setflags(write=False)
-        u.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "u", u)
 
     def evaluate(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorised u(x): ``fn`` when given, else the cubic spline of the
@@ -355,16 +340,13 @@ def sample_potential(
     fn: Callable[[np.ndarray], np.ndarray],
     half_width: float = 20.0,
     n_points: int = 8192,
-    decay_tol: float = 1e-10,
-    keep_fn: bool = True,
 ) -> LinePotential:
     """Sample a callable potential on a symmetric window."""
     x = np.linspace(-half_width, half_width, n_points)
-    u = np.asarray(fn(x), dtype=float)
-    return LinePotential(x, u, decay_tol, fn if keep_fn else None)
+    return LinePotential(x, fn(x), fn)
 
 
-def line_window(f: PeriodicField, decay_tol: float = 1e-10) -> LinePotential:
+def line_window(f: PeriodicField) -> LinePotential:
     """Cut the periodic field into a line window centered on its extremum.
 
     The field is rolled by a whole number of cells so the deepest sample
@@ -374,7 +356,7 @@ def line_window(f: PeriodicField, decay_tol: float = 1e-10) -> LinePotential:
     shift = f.M // 2 - int(np.argmin(f.u))
     u = np.roll(f.u, shift)
     x = (np.arange(f.M) - f.M // 2) * f.h
-    return LinePotential(x, u, decay_tol)
+    return LinePotential(x, u)
 
 
 def schrodinger_a(pot: LinePotential, k: complex) -> complex:
@@ -581,20 +563,18 @@ class ScatteringData:
     """a(k) sampled on positive real k plus the bound-state wavenumbers.
 
     Construction checks the two structural facts valid for real decaying
-    potentials: |a| >= 1 on the real axis (to unitarity_tol) and |a| -> 1
-    at the largest sample (to limit_tol).
+    potentials: |a| >= 1 on the real axis (to 1e-8) and |a| -> 1 at the
+    largest sample (to 0.1).
     """
 
     k_grid: np.ndarray
     a: np.ndarray
     bound_k: np.ndarray
-    unitarity_tol: float = 1e-8
-    limit_tol: float = 0.1
 
     def __post_init__(self):
-        k_grid = np.array(self.k_grid, dtype=float)
-        a = np.array(self.a, dtype=complex)
-        bound_k = np.array(self.bound_k, dtype=float)
+        k_grid = freeze(self, "k_grid", self.k_grid)
+        a = freeze(self, "a", self.a, dtype=complex)
+        bound_k = freeze(self, "bound_k", self.bound_k)
         if k_grid.ndim != 1 or k_grid.shape != a.shape or k_grid.size < 1:
             raise ValueError("k_grid and a must be matching nonempty 1-d arrays")
         if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
@@ -602,19 +582,14 @@ class ScatteringData:
         if np.any(bound_k <= 0):
             raise ValueError("bound-state wavenumbers must be positive")
         mods = np.abs(a)
-        if np.min(mods) < 1.0 - self.unitarity_tol:
+        if np.min(mods) < 1.0 - 1e-8:
             raise ValueError(
                 f"|a| dips to {np.min(mods):.12f} < 1; not a real decaying potential's data"
             )
-        if abs(mods[-1] - 1.0) > self.limit_tol:
+        if abs(mods[-1] - 1.0) > 0.1:
             raise ValueError(
                 f"|a| at the largest sample is {mods[-1]:.6f}, not near its high-k limit 1"
             )
-        for arr in (k_grid, a, bound_k):
-            arr.setflags(write=False)
-        object.__setattr__(self, "k_grid", k_grid)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "bound_k", bound_k)
 
 
 def scattering_data(
@@ -636,20 +611,15 @@ class ActionSpectrum:
     N_l: np.ndarray
 
     def __post_init__(self):
-        k_grid = np.array(self.k_grid, dtype=float)
-        n_of_k = np.array(self.n_of_k, dtype=float)
-        N_l = np.array(self.N_l, dtype=float)
+        k_grid = freeze(self, "k_grid", self.k_grid)
+        n_of_k = freeze(self, "n_of_k", self.n_of_k)
+        N_l = freeze(self, "N_l", self.N_l)
         if k_grid.shape != n_of_k.shape:
             raise ValueError("k_grid and n_of_k must match")
         if np.any(n_of_k < -1e-10):
             raise ValueError(f"n(k) dips to {np.min(n_of_k):.3e}; |a| >= 1 must have failed")
         if np.any(N_l <= 0):
             raise ValueError("N_l must be positive")
-        for arr in (k_grid, n_of_k, N_l):
-            arr.setflags(write=False)
-        object.__setattr__(self, "k_grid", k_grid)
-        object.__setattr__(self, "n_of_k", n_of_k)
-        object.__setattr__(self, "N_l", N_l)
 
 
 def action_spectrum(s: ScatteringData) -> ActionSpectrum:

@@ -1,8 +1,8 @@
 """Vibrating string on the whole line, truncated to [-L, L].
 
 Initial data must be effectively compactly supported inside the window
-(endpoint samples below ``decay_tol``); all integrals over the line then
-become proper integrals over the grid.  The module provides
+(endpoint samples below ``DEFAULT_DECAY_TOL``); all integrals over the
+line then become proper integrals over the grid.  The module provides
 
  - exact evolution of the wave equation by the d'Alembert formula applied
    to a piecewise-polynomial interpolant of the data,
@@ -35,6 +35,7 @@ from typing import Callable, List, Optional
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
+from ._frozen import freeze
 from .errors import (
     DecayError,
     DomainExitError,
@@ -69,21 +70,20 @@ def line_grid(L: float = DEFAULT_HALF_WIDTH, step: float = DEFAULT_STEP) -> np.n
 class LineField:
     """Displacement u and velocity v sampled on a symmetric uniform grid.
 
-    Endpoint samples beyond ``decay_tol`` mean the window is too small for
-    the data and construction fails; everything downstream treats the
-    field as exactly zero outside the window.
+    Endpoint samples beyond ``DEFAULT_DECAY_TOL`` mean the window is too
+    small for the data and construction fails; everything downstream
+    treats the field as exactly zero outside the window.
     """
 
     grid: np.ndarray
     u: np.ndarray
     v: np.ndarray
     t: float = 0.0
-    decay_tol: float = DEFAULT_DECAY_TOL
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)
-        u = np.array(self.u, dtype=float)
-        v = np.array(self.v, dtype=float)
+        grid = freeze(self, "grid", self.grid)
+        u = freeze(self, "u", self.u)
+        v = freeze(self, "v", self.v)
         if not (grid.shape == u.shape == v.shape) or grid.ndim != 1 or grid.size < 5:
             raise ValueError("grid, u, v must be 1-d arrays of equal length >= 5")
         if grid.size % 2 == 0:
@@ -93,21 +93,12 @@ class LineField:
             raise ValueError("grid must be uniform")
         if np.max(np.abs(grid + grid[::-1])) != 0.0:
             raise ValueError("grid must be bitwise symmetric about 0")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ValueError("field samples must be finite")
-        if self.decay_tol <= 0:
-            raise ValueError("decay_tol must be positive")
         worst = max(abs(u[0]), abs(u[-1]), abs(v[0]), abs(v[-1]))
-        if worst > self.decay_tol:
+        if worst > DEFAULT_DECAY_TOL:
             raise DecayError(
-                f"endpoint samples reach {worst:.3e} > decay_tol={self.decay_tol:.1e}; "
+                f"endpoint samples reach {worst:.3e} > {DEFAULT_DECAY_TOL:.1e}; "
                 "the data does not fit the window"
             )
-        for arr in (grid, u, v):
-            arr.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
         object.__setattr__(self, "t", float(self.t))
 
     @property
@@ -125,13 +116,11 @@ def sample_line_field(
     L: float = DEFAULT_HALF_WIDTH,
     step: float = DEFAULT_STEP,
     t: float = 0.0,
-    decay_tol: float = DEFAULT_DECAY_TOL,
 ) -> LineField:
     """Sample callables onto the symmetric grid."""
     x = line_grid(L, step)
-    u = np.asarray(u_fn(x), dtype=float)
-    v = np.zeros_like(x) if v_fn is None else np.asarray(v_fn(x), dtype=float)
-    return LineField(x, u, v, t, decay_tol)
+    v = np.zeros_like(x) if v_fn is None else v_fn(x)
+    return LineField(x, u_fn(x), v, t)
 
 
 def _sym_trapezoid(w: np.ndarray, h: float) -> float:
@@ -153,13 +142,14 @@ def _signed_power(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def support_margin(f: LineField) -> float:
-    """Distance from the data's support (above decay_tol) to the window edge.
+    """Distance from the data's support (above DEFAULT_DECAY_TOL) to the
+    window edge.
 
     Waves travel at unit speed, so the field stays representable for any
     evolution shorter than this margin.  An all-quiet field returns the
     full window width.
     """
-    mask = (np.abs(f.u) > f.decay_tol) | (np.abs(f.v) > f.decay_tol)
+    mask = (np.abs(f.u) > DEFAULT_DECAY_TOL) | (np.abs(f.v) > DEFAULT_DECAY_TOL)
     if not np.any(mask):
         return 2.0 * f.L
     idx = np.flatnonzero(mask)
@@ -207,7 +197,7 @@ def dalembert_evolve(f: LineField, dt: float, spline_order: int = 2) -> LineFiel
     v_new = 0.5 * (inside_or_zero(Uprime, xp) - inside_or_zero(Uprime, xm)) + 0.5 * (
         inside_or_zero(V, xp) + inside_or_zero(V, xm)
     )
-    return LineField(x, u_new, v_new, f.t + dt, f.decay_tol)
+    return LineField(x, u_new, v_new, f.t + dt)
 
 
 def line_energy(f: LineField, spline_order: int = 2) -> float:
@@ -253,18 +243,12 @@ class MomentCoordinates:
     scale: float
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=float)
-        p = np.array(self.p, dtype=float)
+        q = freeze(self, "q", self.q)
+        p = freeze(self, "p", self.p)
         if q.shape != (self.K,) or p.shape != (self.K,):
             raise ValueError("q and p must both have length K")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise ValueError("moments must be finite")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        q.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
 
 
 def moments(f: LineField, K: int, scale: Optional[float] = None) -> MomentCoordinates:
@@ -307,15 +291,11 @@ class GSeries:
     g: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.g, dtype=float)
+        g = freeze(self, "g", self.g)
         if g.ndim != 1 or g.size < 1:
             raise ValueError("g must be a nonempty vector")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("g entries must be finite")
         if g[0] < 0:
             raise InvalidIntegralsError(f"g_1={g[0]:.6g} is negative but must be a square")
-        g.setflags(write=False)
-        object.__setattr__(self, "g", g)
 
     @property
     def K(self) -> int:

@@ -31,6 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._frozen import freeze
 from .canonical import CanonicalState, HamiltonianSystem, Observable, ObservableSet
 from .errors import DomainExitError, ResolutionError
 
@@ -59,27 +60,19 @@ class StringField:
     t: float = 0.0
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)
-        u = np.array(self.u, dtype=float)
-        v = np.array(self.v, dtype=float)
+        grid = freeze(self, "grid", self.grid)
+        u = freeze(self, "u", self.u)
+        v = freeze(self, "v", self.v)
         if not (grid.shape == u.shape == v.shape) or grid.ndim != 1 or grid.size < 3:
             raise ValueError("grid, u, v must be 1-d arrays of equal length >= 3")
         M = grid.size - 1
         if not np.allclose(grid, string_grid(M), rtol=0.0, atol=1e-12):
             raise ValueError("grid must be uniform on [0, 2*pi] inclusive")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ValueError("field samples must be finite")
         for name, w in (("u", u), ("v", v)):
             scale = max(1.0, float(np.max(np.abs(w))))
             if abs(w[0]) > 1e-9 * scale or abs(w[-1]) > 1e-9 * scale:
                 raise ValueError(f"{name} violates the Dirichlet condition at the ends")
-            w[0] = 0.0
-            w[-1] = 0.0
-        for arr in (grid, u, v):
-            arr.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+            freeze(self, name, np.concatenate(([0.0], w[1:-1], [0.0])))
         object.__setattr__(self, "t", float(self.t))
 
     @property
@@ -95,9 +88,8 @@ def sample_field(
 ) -> StringField:
     """Sample callables on the uniform grid into a StringField."""
     x = string_grid(M)
-    u = np.asarray(u_fn(x), dtype=float)
-    v = np.zeros_like(x) if v_fn is None else np.asarray(v_fn(x), dtype=float)
-    return StringField(x, u, v, t)
+    v = np.zeros_like(x) if v_fn is None else v_fn(x)
+    return StringField(x, u_fn(x), v, t)
 
 
 @dataclass(frozen=True)
@@ -109,16 +101,10 @@ class ModeState:
     t: float = 0.0
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        adot = np.array(self.adot, dtype=float)
+        a = freeze(self, "a", self.a)
+        adot = freeze(self, "adot", self.adot)
         if a.ndim != 1 or a.shape != adot.shape or a.size < 1:
             raise ValueError("a and adot must be equal-length 1-d vectors, N >= 1")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(adot))):
-            raise ValueError("mode entries must be finite")
-        a.setflags(write=False)
-        adot.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "adot", adot)
         object.__setattr__(self, "t", float(self.t))
 
     @property
@@ -142,15 +128,13 @@ class SeparationData:
     E_total: float
 
     def __post_init__(self):
-        E = np.array(self.E, dtype=float)
+        E = freeze(self, "E", self.E)
         if E.ndim != 1 or E.size < 1:
             raise ValueError("E must be a nonempty vector")
         if np.any(E < 0):
             raise ValueError("separation constants must be nonnegative")
         if abs(E.sum() - 2.0 * self.E_total) > 1e-12 * max(1.0, abs(2.0 * self.E_total)):
             raise ValueError("sum(E) must equal 2*E_total")
-        E.setflags(write=False)
-        object.__setattr__(self, "E", E)
         object.__setattr__(self, "E_total", float(self.E_total))
 
     @property

@@ -8,7 +8,9 @@ import json
 
 import pytest
 
-from hamlab.cli import EXPERIMENTS, list_experiments_text, load_config, main
+from jsonschema import Draft202012Validator
+
+from hamlab.cli import EXPERIMENTS, _config_schema, list_experiments_text, load_config, main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -93,6 +95,34 @@ class TestConfigValidation:
             {"experiment": "string-completeness", "parameters": {"remove": [9]}},
         )
         assert code == 2
+
+    def test_float_integer_exits_2(self, tmp_path, capsys):
+        # JSON Schema counts 8.0 as an integer; the runners need an int
+        code = run_cli(tmp_path, {"experiment": "string-modes", "parameters": {"n_modes": 8.0}})
+        assert code == 2
+        assert "n_modes" in capsys.readouterr().err
+
+    def test_removing_every_mode_exits_2(self, tmp_path):
+        code = run_cli(
+            tmp_path,
+            {"experiment": "string-completeness", "parameters": {"n_modes": 3, "remove": [1, 2, 3]}},
+        )
+        assert code == 2
+
+    def test_reversed_k_range_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            tmp_path,
+            {
+                "experiment": "kdv-scattering",
+                "parameters": {"k_min": 3.0, "k_max": 0.5, "t_final": 1e-3, "dt": 5e-4},
+            },
+        )
+        assert code == 2
+        assert "k_grid" in capsys.readouterr().err
+
+    def test_schemas_are_valid_against_the_metaschema(self):
+        for name in EXPERIMENTS:
+            Draft202012Validator.check_schema(_config_schema(name))
 
     def test_load_config_round_trip(self, tmp_path):
         cfg_path = write_config(

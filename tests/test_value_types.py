@@ -1,0 +1,115 @@
+"""The storage rule every value type shares: each array field is a private,
+read-only copy of the caller's data with only finite entries."""
+
+import numpy as np
+import pytest
+
+from hamlab.canonical import CanonicalState, CompletenessReport, Trajectory
+from hamlab.kdv import (
+    ActionSpectrum,
+    ConservedIntegrals,
+    LinePotential,
+    PeriodicField,
+    RiccatiDensities,
+    ScatteringData,
+)
+from hamlab.line import GSeries, LineField, MomentCoordinates, line_grid
+from hamlab.string import ModeState, SeparationData, StringField, string_grid
+
+
+def _bump(x, width):
+    return np.exp(-((x / width) ** 2))
+
+
+# type -> (array arguments, other arguments): a valid instance whose array
+# arguments are fresh, writable arrays owned by the test
+VALUE_TYPES = {
+    CanonicalState: lambda: ({"q": np.array([1.0, 2.0]), "p": np.array([0.5, -0.5])}, {"t": 0.0}),
+    Trajectory: lambda: (
+        {"times": np.array([0.0, 1.0])},
+        {"states": [CanonicalState([1.0], [0.0]), CanonicalState([0.0], [1.0], 1.0)]},
+    ),
+    CompletenessReport: lambda: (
+        {"jacobian": np.eye(2), "singular_values": np.array([1.0, 1.0])},
+        {"numerical_rank": 2, "min_singular": 1.0, "complete": True, "rank_tol": 1e-8},
+    ),
+    StringField: lambda: (
+        {
+            "grid": string_grid(8),
+            "u": np.sin(string_grid(8)),
+            "v": np.sin(2.0 * string_grid(8)),
+        },
+        {"t": 0.0},
+    ),
+    ModeState: lambda: ({"a": np.array([1.0, 2.0]), "adot": np.array([0.0, 1.0])}, {}),
+    SeparationData: lambda: ({"E": np.array([2.0, 4.0])}, {"E_total": 3.0}),
+    PeriodicField: lambda: ({"u": _bump(np.arange(8) - 4.0, 1.0)}, {"L_domain": 8.0}),
+    RiccatiDensities: lambda: ({"chi": np.ones((2, 8))}, {"order": 2, "L_domain": 8.0}),
+    ConservedIntegrals: lambda: ({"I": np.array([1.0, 2.0]), "even": np.array([0.0, 0.0])}, {}),
+    LinePotential: lambda: (
+        {"x": np.linspace(-20.0, 20.0, 32), "u": -_bump(np.linspace(-20.0, 20.0, 32), 2.0)},
+        {},
+    ),
+    ScatteringData: lambda: (
+        {
+            "k_grid": np.array([0.5, 1.0, 2.0]),
+            "a": np.array([1.2 + 0.1j, 1.1, 1.0]),
+            "bound_k": np.array([1.0]),
+        },
+        {},
+    ),
+    ActionSpectrum: lambda: (
+        {"k_grid": np.array([0.5, 1.0]), "n_of_k": np.array([0.1, 0.0]), "N_l": np.array([1.0])},
+        {},
+    ),
+    LineField: lambda: (
+        {
+            "grid": line_grid(2.0, 0.5),
+            "u": _bump(line_grid(2.0, 0.5), 0.3),
+            "v": -_bump(line_grid(2.0, 0.5), 0.3),
+        },
+        {"t": 0.0},
+    ),
+    MomentCoordinates: lambda: (
+        {"q": np.array([1.0, 2.0]), "p": np.array([0.5, 1.0])},
+        {"K": 2, "scale": 1.0},
+    ),
+    GSeries: lambda: ({"g": np.array([1.0, 0.5])}, {}),
+}
+
+ARRAY_FIELDS = [(cls, name) for cls, make in VALUE_TYPES.items() for name in make()[0]]
+
+
+def _id(value):
+    return value.__name__ if isinstance(value, type) else str(value)
+
+
+@pytest.mark.parametrize("cls", list(VALUE_TYPES), ids=_id)
+def test_caller_arrays_stay_writable_and_unaliased(cls):
+    arrays, other = VALUE_TYPES[cls]()
+    obj = cls(**arrays, **other)
+    for name, given in arrays.items():
+        assert given.flags.writeable, name
+        stored = np.array(getattr(obj, name))
+        given.flat[0] += 1.0
+        assert np.array_equal(getattr(obj, name), stored), name
+
+
+@pytest.mark.parametrize("cls", list(VALUE_TYPES), ids=_id)
+def test_stored_arrays_are_read_only(cls):
+    arrays, other = VALUE_TYPES[cls]()
+    obj = cls(**arrays, **other)
+    for name in arrays:
+        stored = getattr(obj, name)
+        assert isinstance(stored, np.ndarray), name
+        with pytest.raises(ValueError):
+            stored.flat[0] = 0.0
+
+
+@pytest.mark.parametrize("cls, name", ARRAY_FIELDS, ids=_id)
+def test_nan_entry_rejected(cls, name):
+    arrays, other = VALUE_TYPES[cls]()
+    bad = arrays[name]
+    bad.flat[bad.size // 2] = np.nan
+    with pytest.raises(ValueError):
+        cls(**arrays, **other)
