@@ -2,8 +2,11 @@
 
 Every array field is a private copy of the caller's data, holds only
 finite entries and is read-only, so a value type never aliases, freezes or
-silently carries a NaN of its caller.
+silently carries a NaN of its caller.  Every real scalar field is a finite
+``float``.
 """
+
+import math
 
 import numpy as np
 
@@ -16,3 +19,12 @@ def freeze(obj, name, value, dtype=float):
     a.setflags(write=False)
     object.__setattr__(obj, name, a)
     return a
+
+
+def finite(obj, name, value):
+    """Store ``value`` as the finite float ``obj.<name>``."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+    object.__setattr__(obj, name, x)
+    return x

@@ -11,8 +11,8 @@ provides
    numerical-rank verdict ("complete at truncation N"),
  - recovery of the momenta from given integral values by damped Newton
    iteration on that Jacobian,
- - symplectic time stepping (Stormer-Verlet for separable Hamiltonians,
-   implicit midpoint otherwise) and conserved-quantity drift monitoring.
+ - Stormer-Verlet time stepping of separable Hamiltonians on raw (q, p)
+   arrays, and conserved-quantity drift monitoring.
 
 Every operation is a pure function of its inputs, so everything here is
 safe to call from concurrent workers.  Reductions run in index order,
@@ -27,10 +27,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._frozen import freeze
+from ._frozen import finite, freeze
 from .errors import (
+    BlowUpError,
     CompletenessError,
-    ConvergenceError,
     DivergenceError,
     EvaluationError,
 )
@@ -71,9 +71,7 @@ class CanonicalState:
             raise ValueError(f"len(q)={q.size} != len(p)={p.size}")
         if q.size < 1:
             raise ValueError("state dimension must be >= 1")
-        if not math.isfinite(self.t):
-            raise ValueError("t must be finite")
-        object.__setattr__(self, "t", float(self.t))
+        finite(self, "t", self.t)
 
     @property
     def dim(self) -> int:
@@ -149,38 +147,29 @@ class ObservableSet:
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """A Hamiltonian plus its phase-space gradients.
+    """A separable Hamiltonian H = T(p) + V(q) with its analytic gradients.
 
-    When analytic gradients are not given they are generated by central
-    differences with step ``fd_step``.  ``separable`` declares H = T(p) +
-    V(q, t), which enables the explicit Stormer-Verlet step; non-separable
-    systems are integrated by implicit midpoint.
+    ``hamiltonian`` takes a :class:`CanonicalState`; ``grad_q(q, p)`` and
+    ``grad_p(q, p)`` take the raw coordinate and momentum arrays, so the
+    Stormer-Verlet stepper runs without building states.
     """
 
     dim: int
     hamiltonian: Callable[[CanonicalState], float]
-    grad_q: Optional[Callable[[CanonicalState], np.ndarray]] = None
-    grad_p: Optional[Callable[[CanonicalState], np.ndarray]] = None
-    separable: bool = True
-    fd_step: float = DEFAULT_FD_STEP
+    grad_q: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    grad_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def energy(self, s: CanonicalState) -> float:
         return float(self.hamiltonian(s))
 
-    def dH_dq(self, s: CanonicalState) -> np.ndarray:
-        if self.grad_q is not None:
-            g = np.asarray(self.grad_q(s), dtype=float)
-        else:
-            g = _fd_gradient(self.hamiltonian, s, self.fd_step, wrt="q")
+    def dH_dq(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        g = np.asarray(self.grad_q(q, p), dtype=float)
         if g.size != self.dim:
             raise ValueError(f"grad_q returned length {g.size}, expected {self.dim}")
         return g
 
-    def dH_dp(self, s: CanonicalState) -> np.ndarray:
-        if self.grad_p is not None:
-            g = np.asarray(self.grad_p(s), dtype=float)
-        else:
-            g = _fd_gradient(self.hamiltonian, s, self.fd_step, wrt="p")
+    def dH_dp(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        g = np.asarray(self.grad_p(q, p), dtype=float)
         if g.size != self.dim:
             raise ValueError(f"grad_p returned length {g.size}, expected {self.dim}")
         return g
@@ -188,15 +177,14 @@ class HamiltonianSystem:
     def check_gradients(self, s: CanonicalState, tol: float = 1e-6) -> float:
         """Max abs difference between analytic and finite-difference gradients.
 
-        Raises ``ValueError`` when both are supplied and disagree beyond tol.
+        Raises ``ValueError`` when they disagree beyond tol.
         """
-        worst = 0.0
-        if self.grad_q is not None:
-            fd = _fd_gradient(self.hamiltonian, s, self.fd_step, wrt="q")
-            worst = max(worst, float(np.max(np.abs(fd - self.dH_dq(s)))))
-        if self.grad_p is not None:
-            fd = _fd_gradient(self.hamiltonian, s, self.fd_step, wrt="p")
-            worst = max(worst, float(np.max(np.abs(fd - self.dH_dp(s)))))
+        fd_q = _fd_gradient(self.hamiltonian, s, DEFAULT_FD_STEP, wrt="q")
+        fd_p = _fd_gradient(self.hamiltonian, s, DEFAULT_FD_STEP, wrt="p")
+        worst = max(
+            float(np.max(np.abs(fd_q - self.dH_dq(s.q, s.p)))),
+            float(np.max(np.abs(fd_p - self.dH_dp(s.q, s.p)))),
+        )
         if worst > tol:
             raise ValueError(
                 f"analytic and finite-difference gradients disagree: {worst:.3e} > {tol:.3e}"
@@ -251,6 +239,8 @@ class CompletenessReport:
     def __post_init__(self):
         freeze(self, "jacobian", self.jacobian)
         freeze(self, "singular_values", self.singular_values)
+        finite(self, "min_singular", self.min_singular)
+        finite(self, "rank_tol", self.rank_tol)
 
 
 def _checked_eval(obs: Observable, s: CanonicalState) -> float:
@@ -376,7 +366,7 @@ def completeness_report(J: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Co
         numerical_rank=rank,
         min_singular=float(sigma[-1]) if sigma.size else 0.0,
         complete=bool(n_obs >= dim and rank == dim),
-        rank_tol=float(rank_tol),
+        rank_tol=rank_tol,
     )
 
 
@@ -454,42 +444,43 @@ def recover_momenta(
     return p
 
 
-def symplectic_step(sys: HamiltonianSystem, s: CanonicalState, dt: float) -> CanonicalState:
-    """One second-order symplectic step of Hamilton's equations.
+def _verlet(
+    sys: HamiltonianSystem, s: CanonicalState, dt: float, n_steps: int, stride: int, stepper: str
+) -> list:
+    """The one Stormer-Verlet (kick-drift-kick) loop, on raw arrays:
 
-    Separable systems use the Stormer-Verlet (kick-drift-kick) scheme;
-    systems flagged non-separable fall back to implicit midpoint solved by
-    fixed-point iteration.
+        p_half = p - (dt/2) dH/dq(q, p)
+        q' = q + dt dH/dp(q, p_half)
+        p' = p_half - (dt/2) dH/dq(q', p_half)
+
+    Each step makes new arrays (a gradient may return its input), and t
+    accumulates as t + dt.  Returns ``s`` and the states after every
+    ``stride``-th step and the last.  A step that leaves a non-finite entry
+    raises :class:`BlowUpError` with the last finite time.
     """
     if dt == 0 or not math.isfinite(dt):
         raise ValueError("dt must be nonzero and finite")
-    if sys.separable:
-        half = 0.5 * dt
-        p_half = s.p - half * sys.dH_dq(s)
-        mid = s.replace(p=p_half)
-        q_new = s.q + dt * sys.dH_dp(mid)
-        end = CanonicalState(q_new, p_half, s.t + dt)
-        p_new = p_half - half * sys.dH_dq(end)
-        return CanonicalState(q_new, p_new, s.t + dt)
-    return _implicit_midpoint_step(sys, s, dt)
+    half = 0.5 * dt
+    q, p, t = s.q, s.p, s.t
+    states = [s]
+    # an unstable step overflows before the finiteness check catches it;
+    # silence the intermediate numpy warnings so BlowUpError is the signal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            p_half = p - half * sys.dH_dq(q, p)
+            q = q + dt * sys.dH_dp(q, p_half)
+            p = p_half - half * sys.dH_dq(q, p_half)
+            if not (np.isfinite(q).all() and np.isfinite(p).all()):
+                raise BlowUpError(t, k, s.t, stepper)
+            t = t + dt
+            if k % stride == 0 or k == n_steps:
+                states.append(CanonicalState(q, p, t))
+    return states
 
 
-def _implicit_midpoint_step(
-    sys: HamiltonianSystem, s: CanonicalState, dt: float, tol: float = 1e-13, max_iter: int = 100
-) -> CanonicalState:
-    t_mid = s.t + 0.5 * dt
-    q_new, p_new = s.q.copy(), s.p.copy()
-    for _ in range(max_iter):
-        mid = CanonicalState(0.5 * (s.q + q_new), 0.5 * (s.p + p_new), t_mid)
-        q_next = s.q + dt * sys.dH_dp(mid)
-        p_next = s.p - dt * sys.dH_dq(mid)
-        delta = max(np.max(np.abs(q_next - q_new)), np.max(np.abs(p_next - p_new)))
-        q_new, p_new = q_next, p_next
-        if delta < tol:
-            return CanonicalState(q_new, p_new, s.t + dt)
-    raise ConvergenceError(
-        f"implicit midpoint fixed point did not converge (dt={dt:.3e}, last delta={delta:.3e})"
-    )
+def symplectic_step(sys: HamiltonianSystem, s: CanonicalState, dt: float) -> CanonicalState:
+    """One Stormer-Verlet step of Hamilton's equations; ``dt`` may be negative."""
+    return _verlet(sys, s, dt, 1, 1, "symplectic_step")[-1]
 
 
 def evolve(
@@ -499,21 +490,14 @@ def evolve(
     n_steps: int,
     record_stride: int = 1,
 ) -> Trajectory:
-    """Apply ``n_steps`` symplectic steps, recording every ``record_stride``-th
+    """Apply ``n_steps`` Stormer-Verlet steps, recording every ``record_stride``-th
     state (the initial and final states are always recorded)."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
-    times = [s.t]
-    states = [s]
-    cur = s
-    for k in range(1, n_steps + 1):
-        cur = symplectic_step(sys, cur, dt)
-        if k % record_stride == 0 or k == n_steps:
-            times.append(cur.t)
-            states.append(cur)
-    return Trajectory(np.array(times), states)
+    states = _verlet(sys, s, dt, n_steps, record_stride, "evolve")
+    return Trajectory(np.array([st.t for st in states]), states)
 
 
 def conservation_drift(obs: ObservableSet, traj: Trajectory, floor: float = 1.0) -> np.ndarray:

@@ -144,6 +144,8 @@ def _run_string_completeness(p):
     bad = [i for i in p["remove"] if i > n]
     if bad:
         raise ConfigError(f"remove indices {bad} exceed n_modes={n}")
+    if len(p["remove"]) == n:
+        raise ConfigError(f"remove names all {n} modes; at least one must stay")
     rng = np.random.default_rng(p["seed"])
     q = rng.normal(0.0, 1.0, n)
     momenta = rng.uniform(0.4, 1.5, n) * rng.choice([-1.0, 1.0], n)  # all p_n != 0

@@ -49,7 +49,7 @@ class DivergenceError(HamlabError):
 
 
 class ConvergenceError(HamlabError):
-    """An implicit solve (fixed-point or adaptive stepper) did not converge."""
+    """A Jost solve (adaptive stepper or sweep) or a root scan did not converge."""
 
 
 class DomainExitError(HamlabError):
@@ -72,15 +72,16 @@ class BlowUpError(HamlabError):
     """Time stepping produced non-finite values.
 
     ``last_time`` is the time of the last finite state; ``step`` counts
-    from 1 within the ``kdv_evolve`` call that began at ``start_time``.
+    from 1 within the call of ``stepper`` that began at ``start_time``.
     """
 
-    def __init__(self, last_time, step, start_time):
+    def __init__(self, last_time, step, start_time, stepper):
         self.last_time = last_time
         self.step = step
         self.start_time = start_time
+        self.stepper = stepper
         super().__init__(
-            f"solution blew up at step {step} of the kdv_evolve call that began at "
+            f"solution blew up at step {step} of the {stepper} call that began at "
             f"t={start_time:.6g}; last stable time t={last_time:.6g}"
         )
 

@@ -46,7 +46,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from ._frozen import freeze
+from ._frozen import finite, freeze
 from .errors import BlowUpError, ConvergenceError, DecayError
 
 DEFAULT_DOMAIN = 40.0
@@ -78,10 +78,9 @@ class PeriodicField:
         M = u.size
         if M & (M - 1) != 0:
             raise ValueError(f"grid size {M} must be a power of two")
-        if self.L_domain <= 0:
+        if finite(self, "L_domain", self.L_domain) <= 0:
             raise ValueError("L_domain must be positive")
-        object.__setattr__(self, "L_domain", float(self.L_domain))
-        object.__setattr__(self, "t", float(self.t))
+        finite(self, "t", self.t)
 
     @property
     def M(self) -> int:
@@ -189,7 +188,7 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
             d = dt * nonlinear(E2 * vhat + E * c)
             vhat = E2 * vhat + (E2 * a + 2.0 * E * (b + c) + d) / 6.0
             if not np.all(np.isfinite(vhat)):
-                raise BlowUpError(f.t + step * dt, step + 1, f.t)
+                raise BlowUpError(f.t + step * dt, step + 1, f.t, "kdv_evolve")
     return PeriodicField(np.fft.irfft(vhat, M), f.L_domain, f.t + n_steps * dt)
 
 
@@ -206,6 +205,7 @@ class RiccatiDensities:
         chi = freeze(self, "chi", self.chi)
         if self.order < 1 or chi.ndim != 2 or chi.shape[0] != self.order:
             raise ValueError("chi must be an (order, M) array, order >= 1")
+        finite(self, "L_domain", self.L_domain)
 
 
 def riccati_densities(f: PeriodicField, order: int) -> RiccatiDensities:

@@ -35,7 +35,7 @@ from typing import Callable, List, Optional
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from ._frozen import freeze
+from ._frozen import finite, freeze
 from .errors import (
     DecayError,
     DomainExitError,
@@ -99,7 +99,7 @@ class LineField:
                 f"endpoint samples reach {worst:.3e} > {DEFAULT_DECAY_TOL:.1e}; "
                 "the data does not fit the window"
             )
-        object.__setattr__(self, "t", float(self.t))
+        finite(self, "t", self.t)
 
     @property
     def L(self) -> float:
@@ -247,7 +247,7 @@ class MomentCoordinates:
         p = freeze(self, "p", self.p)
         if q.shape != (self.K,) or p.shape != (self.K,):
             raise ValueError("q and p must both have length K")
-        if self.scale <= 0:
+        if finite(self, "scale", self.scale) <= 0:
             raise ValueError("scale must be positive")
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._frozen import freeze
+from ._frozen import finite, freeze
 from .canonical import CanonicalState, HamiltonianSystem, Observable, ObservableSet
 from .errors import DomainExitError, ResolutionError
 
@@ -73,7 +73,7 @@ class StringField:
             if abs(w[0]) > 1e-9 * scale or abs(w[-1]) > 1e-9 * scale:
                 raise ValueError(f"{name} violates the Dirichlet condition at the ends")
             freeze(self, name, np.concatenate(([0.0], w[1:-1], [0.0])))
-        object.__setattr__(self, "t", float(self.t))
+        finite(self, "t", self.t)
 
     @property
     def M(self) -> int:
@@ -105,7 +105,7 @@ class ModeState:
         adot = freeze(self, "adot", self.adot)
         if a.ndim != 1 or a.shape != adot.shape or a.size < 1:
             raise ValueError("a and adot must be equal-length 1-d vectors, N >= 1")
-        object.__setattr__(self, "t", float(self.t))
+        finite(self, "t", self.t)
 
     @property
     def n_modes(self) -> int:
@@ -133,9 +133,9 @@ class SeparationData:
             raise ValueError("E must be a nonempty vector")
         if np.any(E < 0):
             raise ValueError("separation constants must be nonnegative")
-        if abs(E.sum() - 2.0 * self.E_total) > 1e-12 * max(1.0, abs(2.0 * self.E_total)):
+        E_total = finite(self, "E_total", self.E_total)
+        if abs(E.sum() - 2.0 * E_total) > 1e-12 * max(1.0, abs(2.0 * E_total)):
             raise ValueError("sum(E) must equal 2*E_total")
-        object.__setattr__(self, "E_total", float(self.E_total))
 
     @property
     def n_modes(self) -> int:
@@ -372,7 +372,6 @@ def string_system(N: int) -> HamiltonianSystem:
     return HamiltonianSystem(
         dim=N,
         hamiltonian=lambda s: 0.5 * float(np.dot(s.p, s.p) + np.dot(n2 * s.q, s.q)),
-        grad_q=lambda s: n2 * s.q,
-        grad_p=lambda s: s.p.copy(),
-        separable=True,
+        grad_q=lambda q, p: n2 * q,
+        grad_p=lambda q, p: p,
     )

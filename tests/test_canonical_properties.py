@@ -1,4 +1,5 @@
-"""Property tests of the shared finite-difference gradient path.
+"""Property tests of the shared finite-difference gradient path and of the
+one Stormer-Verlet stepper.
 
 The pairwise bracket, the involution matrix and the completeness Jacobian
 all take their gradients from one central-difference route, so they must
@@ -6,6 +7,10 @@ agree bit for bit.  The observables are dense quadratic forms in z = (q, p)
 plus a sine term, f(z) = z.A z / 2 + b.sin(z), which couple every
 coordinate with every momentum and have the analytic gradient
 A_sym z + b cos(z).
+
+``evolve`` and ``symplectic_step`` run the same kick-drift-kick loop, so a
+trajectory's end state equals chained single steps bit for bit; the step
+is time-reversible and its one-step map is symplectic.
 """
 
 import numpy as np
@@ -18,9 +23,12 @@ from hamlab.canonical import (
     ObservableSet,
     _observable_gradient,
     completeness_jacobian,
+    evolve,
     involution_matrix,
     poisson_bracket,
+    symplectic_step,
 )
+from hamlab.string import string_system
 
 H_FD = 1e-5
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -76,3 +84,58 @@ def test_jacobian_is_the_p_gradients(case):
     assert np.array_equal(J, rows)
     dim = s.dim
     assert np.max(np.abs(J - grads[:, dim:])) < 1e-7
+
+
+# (modes N, steps, seed, dt): dt * N <= 0.8 keeps every mode inside the
+# Verlet stability limit dt * n < 2
+STEPPER_CASES = st.tuples(
+    st.integers(1, 8), st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(1e-3, 0.1)
+)
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    return CanonicalState(rng.normal(size=n), rng.normal(size=n), t=rng.uniform(-1.0, 1.0))
+
+
+@SETTINGS
+@given(STEPPER_CASES)
+def test_evolve_equals_chained_steps(case):
+    n, steps, seed, dt = case
+    sys, s = string_system(n), random_state(n, seed)
+    end = evolve(sys, s, dt, steps, record_stride=7).states[-1]
+    cur = s
+    for _ in range(steps):
+        cur = symplectic_step(sys, cur, dt)
+    assert np.array_equal(end.q, cur.q)
+    assert np.array_equal(end.p, cur.p)
+    assert end.t == cur.t
+
+
+@SETTINGS
+@given(STEPPER_CASES)
+def test_forward_then_backward_returns(case):
+    n, steps, seed, dt = case
+    sys, s = string_system(n), random_state(n, seed)
+    cur = s
+    for _ in range(steps):
+        cur = symplectic_step(sys, cur, dt)
+    for _ in range(steps):
+        cur = symplectic_step(sys, cur, -dt)
+    assert np.max(np.abs(cur.q - s.q)) < 1e-12
+    assert np.max(np.abs(cur.p - s.p)) < 1e-12
+    assert abs(cur.t - s.t) < 1e-12
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.floats(1e-3, 0.1))
+def test_one_step_map_is_symplectic(n, dt):
+    # the string system is linear, so the step is z -> M z with column j of
+    # M the image of the j-th unit vector of z = (q, p)
+    sys = string_system(n)
+    M = np.empty((2 * n, 2 * n))
+    for j, z in enumerate(np.eye(2 * n)):
+        out = symplectic_step(sys, CanonicalState(z[:n], z[n:]), dt)
+        M[:, j] = np.concatenate([out.q, out.p])
+    omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    assert np.max(np.abs(M.T @ omega @ M - omega)) < 1e-13

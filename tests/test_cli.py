@@ -102,12 +102,13 @@ class TestConfigValidation:
         assert code == 2
         assert "n_modes" in capsys.readouterr().err
 
-    def test_removing_every_mode_exits_2(self, tmp_path):
+    def test_removing_every_mode_exits_2(self, tmp_path, capsys):
         code = run_cli(
             tmp_path,
             {"experiment": "string-completeness", "parameters": {"n_modes": 3, "remove": [1, 2, 3]}},
         )
         assert code == 2
+        assert "remove" in capsys.readouterr().err
 
     def test_reversed_k_range_exits_2(self, tmp_path, capsys):
         code = run_cli(
@@ -192,6 +193,23 @@ class TestRunPaths:
         assert error["last_time"] == pytest.approx(0.05 * (error["step"] - 1))
         assert "kdv_evolve call that began at t=0" in error["message"]
         assert any("stability guard" in w for w in report["warnings"])
+
+    def test_verlet_blow_up_exits_3(self, tmp_path, capsys):
+        # dt * n > 2 for the upper modes: the Verlet step is unstable there
+        dt = 0.5
+        code = run_cli(
+            tmp_path, {"experiment": "string-modes", "parameters": {"dt": dt, "steps": 20000}}
+        )
+        assert code == 3
+        assert "BlowUpError" in capsys.readouterr().err
+        report = load_report(tmp_path, "string-modes")
+        assert report["overall_pass"] is False
+        error = report["error"]
+        assert error["type"] == "BlowUpError"
+        assert error["stepper"] == "evolve"
+        assert error["start_time"] == 0.0
+        assert 1 < error["step"] < 20000
+        assert error["last_time"] == dt * (error["step"] - 1)
 
     def test_strict_turns_warning_into_failure(self, tmp_path):
         payload = {

@@ -1,5 +1,6 @@
 """The storage rule every value type shares: each array field is a private,
-read-only copy of the caller's data with only finite entries."""
+read-only copy of the caller's data with only finite entries, and each real
+scalar field is a finite float."""
 
 import numpy as np
 import pytest
@@ -79,6 +80,20 @@ VALUE_TYPES = {
 
 ARRAY_FIELDS = [(cls, name) for cls, make in VALUE_TYPES.items() for name in make()[0]]
 
+SCALAR_FIELDS = [
+    (CanonicalState, "t"),
+    (CompletenessReport, "min_singular"),
+    (CompletenessReport, "rank_tol"),
+    (StringField, "t"),
+    (ModeState, "t"),
+    (SeparationData, "E_total"),
+    (PeriodicField, "L_domain"),
+    (PeriodicField, "t"),
+    (RiccatiDensities, "L_domain"),
+    (LineField, "t"),
+    (MomentCoordinates, "scale"),
+]
+
 
 def _id(value):
     return value.__name__ if isinstance(value, type) else str(value)
@@ -113,3 +128,18 @@ def test_nan_entry_rejected(cls, name):
     bad.flat[bad.size // 2] = np.nan
     with pytest.raises(ValueError):
         cls(**arrays, **other)
+
+
+@pytest.mark.parametrize("cls, name", SCALAR_FIELDS, ids=_id)
+def test_nan_scalar_rejected(cls, name):
+    arrays, other = VALUE_TYPES[cls]()
+    other[name] = np.nan
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**arrays, **other)
+
+
+@pytest.mark.parametrize("cls, name", SCALAR_FIELDS, ids=_id)
+def test_scalar_stored_as_float(cls, name):
+    arrays, other = VALUE_TYPES[cls]()
+    other[name] = np.float32(other.get(name, 1.0))
+    assert type(getattr(cls(**arrays, **other), name)) is float
