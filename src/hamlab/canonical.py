@@ -14,6 +14,10 @@ provides
  - Stormer-Verlet time stepping of separable Hamiltonians on raw (q, p)
    arrays, and conserved-quantity drift monitoring.
 
+One calling convention: hamlab calls every phase-space function it is
+given (an observable, a Hamiltonian, an analytic gradient) as ``fn(q, p)``
+on raw arrays, and callers pass states to the functions of this module.
+
 Every operation is a pure function of its inputs, so everything here is
 safe to call from concurrent workers.  Reductions run in index order,
 which keeps results bitwise deterministic.
@@ -77,26 +81,20 @@ class CanonicalState:
     def dim(self) -> int:
         return self.q.size
 
-    def replace(self, q=None, p=None, t=None) -> "CanonicalState":
-        return CanonicalState(
-            self.q if q is None else q,
-            self.p if p is None else p,
-            self.t if t is None else t,
-        )
-
 
 @dataclass(frozen=True)
 class Observable:
-    """A named real-valued functional of a :class:`CanonicalState`.
+    """A named real-valued function ``fn(q, p)`` on the truncated phase space.
 
-    ``grad_q``/``grad_p`` are optional analytic gradients (state -> vector);
-    when absent, operations fall back to central differences.
+    hamlab calls ``fn`` and the optional analytic gradients ``grad_q(q, p)``
+    and ``grad_p(q, p)`` with raw coordinate and momentum arrays, which they
+    must not modify; the finite-difference operations use ``fn`` only.
     """
 
     name: str
-    fn: Callable[[CanonicalState], float]
-    grad_q: Optional[Callable[[CanonicalState], np.ndarray]] = None
-    grad_p: Optional[Callable[[CanonicalState], np.ndarray]] = None
+    fn: Callable[[np.ndarray, np.ndarray], float]
+    grad_q: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    grad_p: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 def _as_observable(f) -> Observable:
@@ -149,18 +147,18 @@ class ObservableSet:
 class HamiltonianSystem:
     """A separable Hamiltonian H = T(p) + V(q) with its analytic gradients.
 
-    ``hamiltonian`` takes a :class:`CanonicalState`; ``grad_q(q, p)`` and
-    ``grad_p(q, p)`` take the raw coordinate and momentum arrays, so the
-    Stormer-Verlet stepper runs without building states.
+    hamlab calls ``hamiltonian(q, p)``, ``grad_q(q, p)`` and ``grad_p(q, p)``
+    with raw coordinate and momentum arrays, so neither the Stormer-Verlet
+    stepper nor the gradient check builds states.
     """
 
     dim: int
-    hamiltonian: Callable[[CanonicalState], float]
+    hamiltonian: Callable[[np.ndarray, np.ndarray], float]
     grad_q: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def energy(self, s: CanonicalState) -> float:
-        return float(self.hamiltonian(s))
+        return float(self.hamiltonian(s.q, s.p))
 
     def dH_dq(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         g = np.asarray(self.grad_q(q, p), dtype=float)
@@ -177,15 +175,15 @@ class HamiltonianSystem:
     def check_gradients(self, s: CanonicalState, tol: float = 1e-6) -> float:
         """Max abs difference between analytic and finite-difference gradients.
 
-        Raises ``ValueError`` when they disagree beyond tol.
+        Raises ``ValueError`` when they disagree beyond tol or an analytic
+        gradient is NaN.
         """
-        fd_q = _fd_gradient(self.hamiltonian, s, DEFAULT_FD_STEP, wrt="q")
-        fd_p = _fd_gradient(self.hamiltonian, s, DEFAULT_FD_STEP, wrt="p")
-        worst = max(
-            float(np.max(np.abs(fd_q - self.dH_dq(s.q, s.p)))),
-            float(np.max(np.abs(fd_p - self.dH_dp(s.q, s.p)))),
-        )
-        if worst > tol:
+        H = [Observable("hamiltonian", self.hamiltonian)]
+        fd_q = _gradients(H, s.q, s.p, DEFAULT_FD_STEP, "q")[0]
+        fd_p = _gradients(H, s.q, s.p, DEFAULT_FD_STEP, "p")[0]
+        diff = np.concatenate([fd_q - self.dH_dq(s.q, s.p), fd_p - self.dH_dp(s.q, s.p)])
+        worst = float(np.max(np.abs(diff)))
+        if not worst <= tol:
             raise ValueError(
                 f"analytic and finite-difference gradients disagree: {worst:.3e} > {tol:.3e}"
             )
@@ -244,53 +242,43 @@ class CompletenessReport:
 
 
 def _checked_eval(obs: Observable, s: CanonicalState) -> float:
-    v = obs.fn(s)
-    v = float(v)
+    v = float(obs.fn(s.q, s.p))
     if not math.isfinite(v):
         raise EvaluationError(obs.name, f"at t={s.t:.6g}")
     return v
 
 
-def _fd_gradient(fn, s: CanonicalState, h: float, wrt: str) -> np.ndarray:
-    """Central-difference gradient of ``fn`` with respect to q or p."""
-    base = s.q if wrt == "q" else s.p
-    g = np.empty(base.size)
-    for k in range(base.size):
-        plus = base.copy()
-        minus = base.copy()
-        plus[k] += h
-        minus[k] -= h
-        if wrt == "q":
-            fp = fn(s.replace(q=plus))
-            fm = fn(s.replace(q=minus))
-        else:
-            fp = fn(s.replace(p=plus))
-            fm = fn(s.replace(p=minus))
-        g[k] = (float(fp) - float(fm)) / (2.0 * h)
-    return g
-
-
-def _observable_gradient(obs: Observable, s: CanonicalState, h: float, wrt: str) -> np.ndarray:
-    try:
-        g = _fd_gradient(obs.fn, s, h, wrt)
-    except EvaluationError:
-        raise
-    except (OverflowError, FloatingPointError) as exc:
-        raise EvaluationError(obs.name, str(exc)) from exc
-    if not np.all(np.isfinite(g)):
-        raise EvaluationError(obs.name, f"non-finite {wrt}-gradient in the stencil")
-    return g
-
-
-def _gradients(observables: Sequence[Observable], s: CanonicalState, h: float, wrt: str) -> np.ndarray:
+def _gradients(
+    observables: Sequence[Observable], q: np.ndarray, p: np.ndarray, h: float, wrt: str
+) -> np.ndarray:
     """Central-difference gradients with respect to q or p, one row per
-    observable: the one gradient path of the bracket, the involution matrix
-    and the completeness Jacobian."""
-    if h <= 0:
-        raise ValueError("fd step h must be positive")
-    G = np.empty((len(observables), s.dim))
+    observable: the one stencil of the bracket, the involution matrix, the
+    completeness Jacobian and the gradient check.
+
+    Each evaluation perturbs a private copy of one side and passes the
+    other side as given.  A row that overflows or comes out non-finite
+    raises :class:`EvaluationError` naming its observable.
+    """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"fd step h must be finite and positive, got {h!r}")
+    base = q if wrt == "q" else p
+    G = np.empty((len(observables), base.size))
     for i, o in enumerate(observables):
-        G[i, :] = _observable_gradient(o, s, h, wrt)
+        try:
+            for k in range(base.size):
+                plus = base.copy()
+                minus = base.copy()
+                plus[k] += h
+                minus[k] -= h
+                if wrt == "q":
+                    fp, fm = o.fn(plus, p), o.fn(minus, p)
+                else:
+                    fp, fm = o.fn(q, plus), o.fn(q, minus)
+                G[i, k] = (float(fp) - float(fm)) / (2.0 * h)
+        except (OverflowError, FloatingPointError) as exc:
+            raise EvaluationError(o.name, str(exc)) from exc
+        if not np.all(np.isfinite(G[i])):
+            raise EvaluationError(o.name, f"non-finite {wrt}-gradient in the stencil")
     return G
 
 
@@ -302,8 +290,8 @@ def poisson_bracket(f, g, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> floa
     exactly antisymmetric under swapping f and g.
     """
     pair = (_as_observable(f), _as_observable(g))
-    fq, gq = _gradients(pair, s, h, "q")
-    fp, gp = _gradients(pair, s, h, "p")
+    fq, gq = _gradients(pair, s.q, s.p, h, "q")
+    fp, gp = _gradients(pair, s.q, s.p, h, "p")
     return float(np.dot(fq, gp) - np.dot(fp, gq))
 
 
@@ -312,10 +300,10 @@ def poisson_bracket_analytic(f: Observable, g: Observable, s: CanonicalState) ->
     for o in (f, g):
         if o.grad_q is None or o.grad_p is None:
             raise ValueError(f"observable '{o.name}' has no analytic gradients")
-    fq = np.asarray(f.grad_q(s), dtype=float)
-    fp = np.asarray(f.grad_p(s), dtype=float)
-    gq = np.asarray(g.grad_q(s), dtype=float)
-    gp = np.asarray(g.grad_p(s), dtype=float)
+    fq = np.asarray(f.grad_q(s.q, s.p), dtype=float)
+    fp = np.asarray(f.grad_p(s.q, s.p), dtype=float)
+    gq = np.asarray(g.grad_q(s.q, s.p), dtype=float)
+    gp = np.asarray(g.grad_p(s.q, s.p), dtype=float)
     return float(np.dot(fq, gp) - np.dot(fp, gq))
 
 
@@ -327,8 +315,8 @@ def involution_matrix(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_
     equals it bit for bit) and is negated for the transpose entry, so B is
     exactly antisymmetric with a zero diagonal.
     """
-    Q = _gradients(obs.observables, s, h, "q")
-    P = _gradients(obs.observables, s, h, "p")
+    Q = _gradients(obs.observables, s.q, s.p, h, "q")
+    P = _gradients(obs.observables, s.q, s.p, h, "p")
     n = len(obs)
     B = np.zeros((n, n))
     for i in range(n):
@@ -341,7 +329,7 @@ def involution_matrix(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_
 
 def completeness_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Jacobian J[i, j] = d f_i / d p_j at ``s`` by central differences."""
-    return _gradients(obs.observables, s, h, "p")
+    return _gradients(obs.observables, s.q, s.p, h, "p")
 
 
 def completeness_report(J: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> CompletenessReport:
@@ -394,6 +382,8 @@ def recover_momenta(
     Returns the recovered momentum vector; with ``full_output=True`` returns
     ``(p, info)`` where info records iterations and the final residual.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     alpha = np.array(alpha, dtype=float)
     if alpha.shape != (len(obs),):
         raise ValueError(f"alpha must hold one value per observable, got shape {alpha.shape}")
@@ -508,8 +498,8 @@ def conservation_drift(obs: ObservableSet, traj: Trajectory, floor: float = 1.0)
     with the default floor of 1 the measure is relative for O(1) integrals
     and absolute below that.
     """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
+    if not 0.0 < floor < math.inf:
+        raise ValueError(f"floor must be finite and positive, got {floor!r}")
     values = np.empty((len(traj), len(obs)))
     for k, state in enumerate(traj.states):
         values[k, :] = obs.evaluate(state)

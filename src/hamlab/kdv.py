@@ -51,7 +51,6 @@ from .errors import BlowUpError, ConvergenceError, DecayError
 
 DEFAULT_DOMAIN = 40.0
 DEFAULT_MODES = 512
-DEFAULT_DT = 1e-4
 # real-axis stability radius of the classical RK4 scheme
 _RK4_STABILITY = 2.8
 # a line window's edge samples must stay below this
@@ -148,10 +147,11 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
 
     Fourth-order Runge-Kutta on the integrating-factor variable
     exp(-i k^3 t) u_hat, with two-thirds-rule dealiasing of the quadratic
-    term.  The zero mode has no linear or nonlinear forcing, so the mass
-    int u dx is conserved exactly by the scheme.  A step larger than the
-    stability guard triggers a warning; non-finite coefficients abort with
-    the last stable time.
+    term.  The zero mode has no linear or nonlinear forcing, so the steps
+    carry it exactly; the mass int u dx of the returned field moves only by
+    the rounding of the final inverse transform, a few eps times
+    int |u| dx.  A step larger than the stability guard triggers a warning;
+    non-finite coefficients abort with the last stable time.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")

@@ -17,9 +17,9 @@ line then become proper integrals over the grid.  The module provides
    collecting moment products (shares only the quadrature with g_series),
  - triangular momentum recovery: p from the g values and the q moments,
    one new momentum per order, dividing by p_0 from order one on,
- - velocity-moment drift measurement for int x^n u_t dx: conserved for
-   n = 0, 1, and measurably drifting for n >= 2 (the drift obeys
-   d/dt int x^2 u_t dx = 2 int u dx, which the tests use as an oracle).
+ - the velocity moments int x^n u_t dx: conserved for n = 0, 1, and
+   measurably drifting for n >= 2 (d/dt int x^2 u_t dx = 2 int u dx,
+   which the tests use as an oracle).
 
 Quadrature is the composite trapezoid evaluated in mirror pairs on the
 bitwise-symmetric grid, so odd integrands cancel exactly: even u and even
@@ -437,7 +437,11 @@ def recover_momenta_triangular(g, q, sign_p0: int) -> np.ndarray:
 
 
 def velocity_moment(f: LineField, n: int) -> float:
-    """int x^n u_t dx for any integer power n >= 0."""
+    """int x^n u_t dx for any integer power n >= 0.
+
+    Conserved by the wave flow for n = 0 and n = 1; for n >= 2 its time
+    derivative is n (n-1) int x^(n-2) u dx.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     scale = f.L
@@ -446,26 +450,3 @@ def velocity_moment(f: LineField, n: int) -> float:
     if not math.isfinite(val):
         raise ScalingError(f"velocity moment of order {n} overflowed")
     return val
-
-
-def velocity_moment_drift(
-    f: LineField, n: int, T: float, steps: int, spline_order: int = 2
-) -> float:
-    """Max |int x^n u_t dx - initial| along the evolution over [0, T].
-
-    Conserved (drift at round-off level) for n = 0 and n = 1; genuinely
-    drifting for n >= 2, where d/dt of the moment equals
-    n (n-1) int x^(n-2) u dx.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    ref = velocity_moment(f, n)
-    worst = 0.0
-    cur = f
-    dt = T / steps
-    for _ in range(steps):
-        cur = dalembert_evolve(cur, dt, spline_order)
-        worst = max(worst, abs(velocity_moment(cur, n) - ref))
-    return worst

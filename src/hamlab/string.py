@@ -345,17 +345,17 @@ def string_observable_set(N: int) -> ObservableSet:
         raise ValueError("N must be >= 1")
 
     def make(n):
-        def fn(s: CanonicalState) -> float:
-            return 0.5 * (s.p[n - 1] ** 2 + (n * s.q[n - 1]) ** 2)
+        def fn(q: np.ndarray, p: np.ndarray) -> float:
+            return 0.5 * (p[n - 1] ** 2 + (n * q[n - 1]) ** 2)
 
-        def gq(s: CanonicalState) -> np.ndarray:
-            g = np.zeros(s.dim)
-            g[n - 1] = n**2 * s.q[n - 1]
+        def gq(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+            g = np.zeros(q.size)
+            g[n - 1] = n**2 * q[n - 1]
             return g
 
-        def gp(s: CanonicalState) -> np.ndarray:
-            g = np.zeros(s.dim)
-            g[n - 1] = s.p[n - 1]
+        def gp(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+            g = np.zeros(p.size)
+            g[n - 1] = p[n - 1]
             return g
 
         return Observable(f"mode_energy_{n}", fn, grad_q=gq, grad_p=gp)
@@ -371,7 +371,7 @@ def string_system(N: int) -> HamiltonianSystem:
 
     return HamiltonianSystem(
         dim=N,
-        hamiltonian=lambda s: 0.5 * float(np.dot(s.p, s.p) + np.dot(n2 * s.q, s.q)),
+        hamiltonian=lambda q, p: 0.5 * float(np.dot(p, p) + np.dot(n2 * q, q)),
         grad_q=lambda q, p: n2 * q,
         grad_p=lambda q, p: p,
     )

@@ -31,18 +31,18 @@ FD_TOL = 10 * H_FD**2
 
 
 def coord(i):
-    return Observable(f"q{i+1}", lambda s, i=i: s.q[i])
+    return Observable(f"q{i+1}", lambda q, p, i=i: q[i])
 
 
 def momentum(i):
-    return Observable(f"p{i+1}", lambda s, i=i: s.p[i])
+    return Observable(f"p{i+1}", lambda q, p, i=i: p[i])
 
 
 def quadratic_energies(n):
     """f_k = (p_k^2 + k^2 q_k^2) / 2, the independent-oscillator family."""
 
     def make(k):
-        return Observable(f"f{k}", lambda s, k=k: 0.5 * (s.p[k - 1] ** 2 + k**2 * s.q[k - 1] ** 2))
+        return Observable(f"f{k}", lambda q, p, k=k: 0.5 * (p[k - 1] ** 2 + k**2 * q[k - 1] ** 2))
 
     return ObservableSet([make(k) for k in range(1, n + 1)])
 
@@ -55,7 +55,7 @@ def random_state(n, seed):
 def oscillator():
     return HamiltonianSystem(
         dim=1,
-        hamiltonian=lambda s: 0.5 * (s.p[0] ** 2 + s.q[0] ** 2),
+        hamiltonian=lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
         grad_q=lambda q, p: q,
         grad_p=lambda q, p: p,
     )
@@ -106,19 +106,19 @@ class TestPoissonBracket:
 
     def test_antisymmetry_bit_exact(self):
         s = random_state(3, seed=4)
-        f = Observable("f", lambda s: math.sin(s.q[0]) * s.p[1] + s.q[2] ** 3)
-        g = Observable("g", lambda s: s.p[0] * s.p[2] + math.cos(s.q[1]))
+        f = Observable("f", lambda q, p: math.sin(q[0]) * p[1] + q[2] ** 3)
+        g = Observable("g", lambda q, p: p[0] * p[2] + math.cos(q[1]))
         assert poisson_bracket(f, g, s, H_FD) == -poisson_bracket(g, f, s, H_FD)
 
     def test_nonzero_bracket_value(self):
         # [q1^2, p1] = 2 q1 and central differences are exact on quadratics.
         s = CanonicalState([0.7], [0.2])
-        f = Observable("q1sq", lambda s: s.q[0] ** 2)
+        f = Observable("q1sq", lambda q, p: q[0] ** 2)
         assert poisson_bracket(f, momentum(0), s, H_FD) == pytest.approx(1.4, abs=1e-10)
 
     def test_nonfinite_evaluation_names_observable(self):
         s = CanonicalState([0.0], [0.0])
-        bad = Observable("blows_up", lambda s: math.inf)
+        bad = Observable("blows_up", lambda q, p: math.inf)
         with pytest.raises(EvaluationError, match="blows_up"):
             poisson_bracket(bad, momentum(0), s, H_FD)
 
@@ -126,6 +126,23 @@ class TestPoissonBracket:
         s = random_state(1, seed=5)
         with pytest.raises(ValueError):
             poisson_bracket(coord(0), momentum(0), s, 0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_rejects_nonfinite_step(self, h):
+        # a usage error (ValueError), never an EvaluationError
+        s = random_state(2, seed=5)
+        with pytest.raises(ValueError, match="fd step h"):
+            poisson_bracket(coord(0), momentum(0), s, h)
+        with pytest.raises(ValueError, match="fd step h"):
+            involution_matrix(quadratic_energies(2), s, h)
+        with pytest.raises(ValueError, match="fd step h"):
+            completeness_jacobian(quadratic_energies(2), s, h)
+
+    def test_stencil_leaves_state_untouched(self):
+        s = random_state(3, seed=6)
+        q, p = s.q.copy(), s.p.copy()
+        involution_matrix(quadratic_energies(3), s, H_FD)
+        assert np.array_equal(s.q, q) and np.array_equal(s.p, p)
 
 
 class TestCompletenessJacobian:
@@ -216,7 +233,7 @@ class TestInvolutionMatrix:
     def test_exact_antisymmetry(self):
         s = random_state(3, seed=14)
         obs = ObservableSet(
-            [Observable(f"g{k}", lambda s, k=k: math.sin(s.q[k]) * s.p[(k + 1) % 3]) for k in range(3)]
+            [Observable(f"g{k}", lambda q, p, k=k: math.sin(q[k]) * p[(k + 1) % 3]) for k in range(3)]
         )
         B = involution_matrix(obs, s, H_FD)
         assert np.array_equal(B, -B.T)
@@ -282,6 +299,11 @@ class TestRecoverMomenta:
         with pytest.raises(ValueError, match="alpha"):
             recover_momenta(quadratic_energies(2), [bad, 1.0], [0.3, 0.4], [1.0, 1.0])
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            recover_momenta(quadratic_energies(2), [1.0, 1.0], [0.3, 0.4], [1.0, 1.0], tol=tol)
+
     def test_divergence_reports_residual(self):
         obs = quadratic_energies(1)
         with pytest.raises(DivergenceError) as err:
@@ -293,7 +315,7 @@ class TestSymplecticStep:
     def test_free_particle_exact(self):
         sys = HamiltonianSystem(
             dim=1,
-            hamiltonian=lambda s: 0.5 * s.p[0] ** 2,
+            hamiltonian=lambda q, p: 0.5 * p[0] ** 2,
             grad_q=lambda q, p: np.zeros(1),
             grad_p=lambda q, p: p,
         )
@@ -327,6 +349,24 @@ class TestSymplecticStep:
     def test_fd_gradients_match_analytic(self):
         sys = oscillator()
         assert sys.check_gradients(random_state(1, seed=20)) < 1e-9
+
+    @pytest.mark.parametrize("side", ["grad_q", "grad_p"])
+    def test_nan_analytic_gradient_fails_check(self, side):
+        grads = {"grad_q": lambda q, p: q, "grad_p": lambda q, p: p}
+        grads[side] = lambda q, p: np.array([math.nan])
+        sys = HamiltonianSystem(dim=1, hamiltonian=lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2), **grads)
+        with pytest.raises(ValueError, match="disagree"):
+            sys.check_gradients(random_state(1, seed=21))
+
+    def test_nan_hamiltonian_on_stencil_fails_check(self):
+        sys = HamiltonianSystem(
+            dim=1,
+            hamiltonian=lambda q, p: math.sqrt(q[0]) if q[0] >= 0.5 else math.nan,
+            grad_q=lambda q, p: 0.5 / np.sqrt(q),
+            grad_p=lambda q, p: np.zeros(1),
+        )
+        with pytest.raises(EvaluationError, match="hamiltonian"):
+            sys.check_gradients(CanonicalState([0.5], [0.0]))
 
 
 class TestEvolve:
@@ -371,7 +411,8 @@ class TestEvolve:
 class TestConservationDrift:
     def test_constant_trajectory_zero_drift(self):
         s = CanonicalState([1.0, 2.0], [3.0, 4.0])
-        traj = Trajectory(np.array([0.0, 1.0, 2.0]), [s, s.replace(t=1.0), s.replace(t=2.0)])
+        states = [s, CanonicalState(s.q, s.p, 1.0), CanonicalState(s.q, s.p, 2.0)]
+        traj = Trajectory(np.array([0.0, 1.0, 2.0]), states)
         drift = conservation_drift(quadratic_energies(2), traj)
         assert np.all(drift == 0.0)
 
@@ -385,6 +426,12 @@ class TestConservationDrift:
         traj = evolve(oscillator(), CanonicalState([1.0], [0.0]), 0.01, 400)
         drift = conservation_drift(ObservableSet([coord(0)]), traj)
         assert drift[0] > 0.5
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_floor_rejected(self, floor):
+        traj = evolve(oscillator(), CanonicalState([1.0], [0.0]), 0.01, 3)
+        with pytest.raises(ValueError, match="floor"):
+            conservation_drift(ObservableSet([coord(0)]), traj, floor=floor)
 
     def test_floor_handles_zero_reference(self):
         s0 = CanonicalState([0.0], [0.0])

@@ -102,6 +102,24 @@ class TestConfigValidation:
         assert code == 2
         assert "n_modes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "token,experiment,name",
+        [
+            ("NaN", "string-modes", "drift_tol"),
+            ("Infinity", "line-velocity-moments", "energy_tol"),
+            ("-Infinity", "kdv-conservation", "t_final"),
+            ("NaN", "string-completeness", "fd_step"),
+        ],
+    )
+    def test_non_json_constant_exits_2(self, tmp_path, capsys, token, experiment, name):
+        # Python's json module would read these; they are not JSON
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"experiment": "{experiment}", "parameters": {{"{name}": {token}}}}}')
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        assert token in capsys.readouterr().err
+        assert not (out / experiment / "report.json").exists()
+
     def test_removing_every_mode_exits_2(self, tmp_path, capsys):
         code = run_cli(
             tmp_path,
