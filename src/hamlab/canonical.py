@@ -26,7 +26,7 @@ which keeps results bitwise deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -131,7 +131,7 @@ class ObservableSet:
         """Evaluate all observables at ``s`` in index order."""
         out = np.empty(len(self.observables))
         for i, o in enumerate(self.observables):
-            out[i] = _checked_eval(o, s)
+            out[i] = _checked_eval(o, s.q, s.p)
         return out
 
     def without(self, *names: str) -> "ObservableSet":
@@ -192,25 +192,24 @@ class HamiltonianSystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states at strictly increasing times."""
+    """Recorded states at strictly increasing times.
 
-    times: np.ndarray
+    ``times`` is derived: the read-only vector of the states' own ``t``.
+    """
+
     states: Sequence[CanonicalState]
+    times: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        t = freeze(self, "times", self.times)
-        if t.ndim != 1:
-            raise ValueError(f"times must be a 1-d vector, got shape {t.shape}")
         states = tuple(self.states)
-        if t.size != len(states):
-            raise ValueError("times and states must have equal length")
-        if t.size == 0:
+        if not states:
             raise ValueError("trajectory must contain at least one state")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
         dims = {s.dim for s in states}
         if len(dims) > 1:
             raise ValueError(f"states have mixed dimensions: {sorted(dims)}")
+        t = freeze(self, "times", [s.t for s in states])
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("state times must be strictly increasing")
         object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
@@ -219,32 +218,57 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    """Diagnostics of the momentum Jacobian of an observable family.
+    """Singular-value diagnostics and the completeness verdict for the
+    momentum Jacobian J of an observable family.
 
-    ``complete`` is a pointwise verdict at the evaluation state and at the
-    truncation dimension; rank deficiency at a single state (e.g. a momentum
-    passing through zero) means "not complete at this point", not a global
+    The constructor stores the read-only singular values of J, and the rank
+    and the verdict are computed from them.  The family counts as complete
+    when there are at least as many observables as momenta and the
+    numerical rank equals the momentum dimension.  ``complete`` is a
+    pointwise verdict at the evaluation state and at the truncation
+    dimension; rank deficiency at a single state (e.g. a momentum passing
+    through zero) means "not complete at this point", not a global
     statement about the family.
     """
 
     jacobian: np.ndarray
-    singular_values: np.ndarray
-    numerical_rank: int
-    min_singular: float
-    complete: bool
-    rank_tol: float
+    rank_tol: float = DEFAULT_RANK_TOL
+    singular_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        freeze(self, "jacobian", self.jacobian)
-        freeze(self, "singular_values", self.singular_values)
-        finite(self, "min_singular", self.min_singular)
-        finite(self, "rank_tol", self.rank_tol)
+        J = freeze(self, "jacobian", self.jacobian)
+        if J.ndim != 2 or J.size == 0:
+            raise ValueError(f"jacobian must be a nonempty 2-d matrix, got shape {J.shape}")
+        if finite(self, "rank_tol", self.rank_tol) <= 0:
+            raise ValueError("rank_tol must be positive")
+        freeze(self, "singular_values", np.linalg.svd(J, compute_uv=False))
+
+    @property
+    def numerical_rank(self) -> int:
+        """Singular values above ``rank_tol`` times the largest one."""
+        sigma = self.singular_values
+        smax = sigma[0]
+        return int(np.count_nonzero(sigma > self.rank_tol * smax)) if smax > 0 else 0
+
+    @property
+    def min_singular(self) -> float:
+        return float(self.singular_values[-1])
+
+    @property
+    def complete(self) -> bool:
+        n_obs, dim = self.jacobian.shape
+        return bool(n_obs >= dim and self.numerical_rank == dim)
 
 
-def _checked_eval(obs: Observable, s: CanonicalState) -> float:
-    v = float(obs.fn(s.q, s.p))
+def _checked_eval(obs: Observable, q: np.ndarray, p: np.ndarray) -> float:
+    """``obs.fn(q, p)`` as a float; an overflow or a non-finite value raises
+    :class:`EvaluationError` naming the observable."""
+    try:
+        v = float(obs.fn(q, p))
+    except (OverflowError, FloatingPointError) as exc:
+        raise EvaluationError(obs.name, str(exc)) from exc
     if not math.isfinite(v):
-        raise EvaluationError(obs.name, f"at t={s.t:.6g}")
+        raise EvaluationError(obs.name)
     return v
 
 
@@ -255,28 +279,33 @@ def _gradients(
     observable: the one stencil of the bracket, the involution matrix, the
     completeness Jacobian and the gradient check.
 
-    Each evaluation perturbs a private copy of one side and passes the
-    other side as given.  A row that overflows or comes out non-finite
-    raises :class:`EvaluationError` naming its observable.
+    Each evaluation gets a private, read-only copy of one side with entry
+    k moved by +h or -h, and the other side as given; the perturbed copies
+    are built once per call and shared by the observables.  An evaluation
+    that overflows or comes out non-finite, or a row whose differences
+    overflow, raises :class:`EvaluationError` naming its observable.
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"fd step h must be finite and positive, got {h!r}")
     base = q if wrt == "q" else p
-    G = np.empty((len(observables), base.size))
+    n = base.size
+    # row k of plus (minus) is base with entry k moved by +h (-h)
+    plus = np.tile(base, (n, 1))
+    minus = plus.copy()
+    plus[range(n), range(n)] += h
+    minus[range(n), range(n)] -= h
+    plus.setflags(write=False)
+    minus.setflags(write=False)
+    plus, minus = list(plus), list(minus)
+    G = np.empty((len(observables), n))
     for i, o in enumerate(observables):
-        try:
-            for k in range(base.size):
-                plus = base.copy()
-                minus = base.copy()
-                plus[k] += h
-                minus[k] -= h
-                if wrt == "q":
-                    fp, fm = o.fn(plus, p), o.fn(minus, p)
-                else:
-                    fp, fm = o.fn(q, plus), o.fn(q, minus)
-                G[i, k] = (float(fp) - float(fm)) / (2.0 * h)
-        except (OverflowError, FloatingPointError) as exc:
-            raise EvaluationError(o.name, str(exc)) from exc
+        for k in range(n):
+            if wrt == "q":
+                fp, fm = _checked_eval(o, plus[k], p), _checked_eval(o, minus[k], p)
+            else:
+                fp, fm = _checked_eval(o, q, plus[k]), _checked_eval(o, q, minus[k])
+            G[i, k] = (fp - fm) / (2.0 * h)
+        # two finite values can still differ by more than the largest float
         if not np.all(np.isfinite(G[i])):
             raise EvaluationError(o.name, f"non-finite {wrt}-gradient in the stencil")
     return G
@@ -332,32 +361,6 @@ def completeness_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DEFA
     return _gradients(obs.observables, s.q, s.p, h, "p")
 
 
-def completeness_report(J: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> CompletenessReport:
-    """Singular-value diagnostics and the completeness verdict for J.
-
-    The family counts as complete (at this truncation, at this state) when
-    there are at least as many observables as momenta and the numerical rank
-    equals the momentum dimension.
-    """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    J = np.asarray(J, dtype=float)
-    if J.ndim != 2 or J.size == 0:
-        raise ValueError(f"jacobian must be a nonempty 2-d matrix, got shape {J.shape}")
-    sigma = np.linalg.svd(J, compute_uv=False)
-    smax = sigma[0] if sigma.size else 0.0
-    rank = int(np.count_nonzero(sigma > rank_tol * smax)) if smax > 0 else 0
-    n_obs, dim = J.shape
-    return CompletenessReport(
-        jacobian=J,
-        singular_values=sigma,
-        numerical_rank=rank,
-        min_singular=float(sigma[-1]) if sigma.size else 0.0,
-        complete=bool(n_obs >= dim and rank == dim),
-        rank_tol=rank_tol,
-    )
-
-
 def recover_momenta(
     obs: ObservableSet,
     alpha,
@@ -396,7 +399,7 @@ def recover_momenta(
         # incompleteness with the (rectangular) Jacobian at the guess.
         J = completeness_jacobian(obs, guess, h)
         raise CompletenessError(
-            completeness_report(J, rank_tol),
+            CompletenessReport(J, rank_tol),
             f"{len(obs)} observables cannot determine {q.size} momenta",
         )
 
@@ -411,7 +414,7 @@ def recover_momenta(
             raise DivergenceError(rnorm, iterations)
         state = CanonicalState(q, p, t)
         J = completeness_jacobian(obs, state, h)
-        report = completeness_report(J, rank_tol)
+        report = CompletenessReport(J, rank_tol)
         if not report.complete:
             raise CompletenessError(report, f"singular Jacobian at iteration {iterations}")
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
@@ -487,7 +490,7 @@ def evolve(
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
     states = _verlet(sys, s, dt, n_steps, record_stride, "evolve")
-    return Trajectory(np.array([st.t for st in states]), states)
+    return Trajectory(states)
 
 
 def conservation_drift(obs: ObservableSet, traj: Trajectory, floor: float = 1.0) -> np.ndarray:

@@ -98,10 +98,15 @@ def _wavenumbers(M: int, L_domain: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(M, d=L_domain / M)
 
 
+def _ddx(w: np.ndarray, L_domain: float, order: int = 1) -> np.ndarray:
+    """order-th x-derivative of real periodic samples by Fourier differentiation."""
+    k = _wavenumbers(w.size, L_domain)
+    return np.fft.irfft((1j * k) ** order * np.fft.rfft(w), w.size)
+
+
 def spectral_derivative(f: PeriodicField, order: int = 1) -> np.ndarray:
     """order-th x-derivative of the field by Fourier differentiation."""
-    k = _wavenumbers(f.M, f.L_domain)
-    return np.fft.irfft((1j * k) ** order * np.fft.rfft(f.u), f.M)
+    return _ddx(f.u, f.L_domain, order)
 
 
 def periodic_integral(values: np.ndarray, L_domain: float) -> float:
@@ -198,14 +203,17 @@ class RiccatiDensities:
     row m-1 of ``chi`` is chi_m."""
 
     chi: np.ndarray
-    order: int
     L_domain: float
 
     def __post_init__(self):
         chi = freeze(self, "chi", self.chi)
-        if self.order < 1 or chi.ndim != 2 or chi.shape[0] != self.order:
+        if chi.ndim != 2 or chi.shape[0] < 1:
             raise ValueError("chi must be an (order, M) array, order >= 1")
         finite(self, "L_domain", self.L_domain)
+
+    @property
+    def order(self) -> int:
+        return self.chi.shape[0]
 
 
 def riccati_densities(f: PeriodicField, order: int) -> RiccatiDensities:
@@ -222,18 +230,13 @@ def riccati_densities(f: PeriodicField, order: int) -> RiccatiDensities:
             f"densities beyond order 8 amplify grid noise (requested {order})",
             stacklevel=2,
         )
-    k = _wavenumbers(f.M, f.L_domain)
-
-    def ddx(w):
-        return np.fft.irfft(1j * k * np.fft.rfft(w), f.M)
-
     chi = [-f.u]
     for m in range(1, order):
-        nxt = ddx(chi[m - 1])
+        nxt = _ddx(chi[m - 1], f.L_domain)
         for j in range(1, m):
             nxt = nxt + chi[j - 1] * chi[m - 1 - j]
         chi.append(nxt)
-    return RiccatiDensities(chi, order, f.L_domain)
+    return RiccatiDensities(chi, f.L_domain)
 
 
 @dataclass(frozen=True)

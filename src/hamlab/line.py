@@ -239,16 +239,19 @@ class MomentCoordinates:
 
     q: np.ndarray
     p: np.ndarray
-    K: int
     scale: float
 
     def __post_init__(self):
         q = freeze(self, "q", self.q)
         p = freeze(self, "p", self.p)
-        if q.shape != (self.K,) or p.shape != (self.K,):
-            raise ValueError("q and p must both have length K")
+        if q.ndim != 1 or q.size < 1 or p.shape != q.shape:
+            raise ValueError("q and p must be nonempty vectors of equal length K")
         if finite(self, "scale", self.scale) <= 0:
             raise ValueError("scale must be positive")
+
+    @property
+    def K(self) -> int:
+        return self.q.size
 
 
 def moments(f: LineField, K: int, scale: Optional[float] = None) -> MomentCoordinates:
@@ -276,7 +279,7 @@ def moments(f: LineField, K: int, scale: Optional[float] = None) -> MomentCoordi
                 f"moment of order {2 * n + 1} overflowed; nondimensionalize the field "
                 "(reduce amplitudes or the window) before taking moments"
             )
-    return MomentCoordinates(q, p, K, scale)
+    return MomentCoordinates(q, p, scale)
 
 
 @dataclass(frozen=True)
@@ -403,17 +406,16 @@ def recover_momenta_triangular(g, q, sign_p0: int) -> np.ndarray:
 
     Only previously recovered momenta enter, so the system is triangular.
     p_0 = 0 leaves the later orders undetermined: the all-zero data case
-    returns zeros, anything else raises SingularPointError.
+    returns zeros, anything else raises SingularPointError.  A raw ``g`` is
+    validated as a :class:`GSeries`, and ``q`` must be finite.
     """
     if sign_p0 not in (1, -1):
         raise ValueError("sign_p0 must be +1 or -1")
-    garr = g.g if isinstance(g, GSeries) else np.asarray(g, dtype=float)
-    if garr.ndim != 1 or garr.size < 1:
-        raise ValueError("g must be a nonempty vector")
-    if garr[0] < 0:
-        raise InvalidIntegralsError(f"g_1={garr[0]:.6g} is negative but must be a square")
+    garr = (g if isinstance(g, GSeries) else GSeries(g)).g
     K = garr.size
     q = np.asarray(q, dtype=float)
+    if not np.isfinite(q).all():
+        raise ValueError("q entries must be finite")
     if K > 1 and q.size < K - 1:
         raise ValueError(f"need at least {K - 1} position moments to recover {K} momenta")
     p = np.zeros(K)

@@ -7,7 +7,9 @@ of mode energies
     f_n(q, p) = (p_n**2 + n**2 q_n**2) / 2,   q_n = a_n,  p_n = a'_n
 
 is a complete involutive set of first integrals at any truncation, as long
-as every p_n is nonzero at the evaluation point.  This module supplies the
+as every p_n is nonzero at the evaluation point.  A mode state is a
+:class:`~hamlab.canonical.CanonicalState` with q = a_n and p = a'_n, the
+sine-mode coefficients and their velocities.  This module supplies the
 sine-mode transform and its inverse, the mode/field energy functionals, the
 exact rotation evolution, the separated Hamilton-Jacobi action and the
 trajectory it generates, plus packaged observables for the completeness
@@ -93,39 +95,13 @@ def sample_field(
 
 
 @dataclass(frozen=True)
-class ModeState:
-    """Sine-mode coefficients a_n and their velocities a'_n, n = 1..N."""
-
-    a: np.ndarray
-    adot: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        a = freeze(self, "a", self.a)
-        adot = freeze(self, "adot", self.adot)
-        if a.ndim != 1 or a.shape != adot.shape or a.size < 1:
-            raise ValueError("a and adot must be equal-length 1-d vectors, N >= 1")
-        finite(self, "t", self.t)
-
-    @property
-    def n_modes(self) -> int:
-        return self.a.size
-
-    def as_canonical(self) -> CanonicalState:
-        """(q, p) = (a, a')."""
-        return CanonicalState(self.a, self.adot, self.t)
-
-
-@dataclass(frozen=True)
 class SeparationData:
     """Separation constants of the mode-wise Hamilton-Jacobi split.
 
-    E[n-1] is twice the energy of mode n; their sum is twice the total
-    Hamiltonian E_total.
+    E[n-1] is twice the energy of mode n.
     """
 
     E: np.ndarray
-    E_total: float
 
     def __post_init__(self):
         E = freeze(self, "E", self.E)
@@ -133,9 +109,6 @@ class SeparationData:
             raise ValueError("E must be a nonempty vector")
         if np.any(E < 0):
             raise ValueError("separation constants must be nonnegative")
-        E_total = finite(self, "E_total", self.E_total)
-        if abs(E.sum() - 2.0 * E_total) > 1e-12 * max(1.0, abs(2.0 * E_total)):
-            raise ValueError("sum(E) must equal 2*E_total")
 
     @property
     def n_modes(self) -> int:
@@ -147,7 +120,8 @@ def _sine_coefficients(samples: np.ndarray, grid: np.ndarray, N: int) -> np.ndar
 
     The integrand vanishes at both ends, so the trapezoid rule reduces to a
     plain interior sum; it is exact for fields band-limited below the grid
-    Nyquist mode.
+    Nyquist mode n = M/2.  sin(M x / 2) vanishes at every grid point, so N
+    modes need M > 2N intervals.
     """
     M = grid.size - 1
     h = LENGTH / M
@@ -159,32 +133,32 @@ def _sine_coefficients(samples: np.ndarray, grid: np.ndarray, N: int) -> np.ndar
     return out
 
 
-def sine_modes(f: StringField, N: int) -> ModeState:
-    """Project a field onto its first N sine modes."""
+def sine_modes(f: StringField, N: int) -> CanonicalState:
+    """Project a field onto its first N sine modes: (q, p) = (a_n, a'_n)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if f.M < 2 * N:
+    if f.M <= 2 * N:
         raise ResolutionError(
-            f"grid with M={f.M} intervals cannot resolve N={N} modes (need M >= 2N)"
+            f"grid with M={f.M} intervals cannot resolve N={N} modes (need M > 2N)"
         )
     a = _sine_coefficients(f.u, f.grid, N)
     adot = _sine_coefficients(f.v, f.grid, N)
-    return ModeState(a, adot, f.t)
+    return CanonicalState(a, adot, f.t)
 
 
-def reconstruct_field(m: ModeState, M: int = DEFAULT_GRID_M) -> StringField:
+def reconstruct_field(m: CanonicalState, M: int = DEFAULT_GRID_M) -> StringField:
     """Synthesize u = sum a_n sin(nx), v = sum a'_n sin(nx) on an M-grid."""
-    if M < 2 * m.n_modes:
+    if M <= 2 * m.dim:
         raise ResolutionError(
-            f"grid with M={M} intervals cannot carry N={m.n_modes} modes (need M >= 2N)"
+            f"grid with M={M} intervals cannot carry N={m.dim} modes (need M > 2N)"
         )
     x = string_grid(M)
     u = np.zeros_like(x)
     v = np.zeros_like(x)
-    for n in range(1, m.n_modes + 1):
+    for n in range(1, m.dim + 1):
         s = np.sin(n * x)
-        u += m.a[n - 1] * s
-        v += m.adot[n - 1] * s
+        u += m.q[n - 1] * s
+        v += m.p[n - 1] * s
     return StringField(x, u, v, m.t)
 
 
@@ -195,11 +169,11 @@ def mode_energy(n: int, a_n: float, adot_n: float) -> float:
     return 0.5 * (adot_n**2 + (n * a_n) ** 2)
 
 
-def modes_hamiltonian(m: ModeState) -> float:
+def modes_hamiltonian(m: CanonicalState) -> float:
     """Total mode energy, summed in index order."""
     total = 0.0
-    for n in range(1, m.n_modes + 1):
-        total += mode_energy(n, m.a[n - 1], m.adot[n - 1])
+    for n in range(1, m.dim + 1):
+        total += mode_energy(n, m.q[n - 1], m.p[n - 1])
     return total
 
 
@@ -211,7 +185,7 @@ def field_energy_integral(f: StringField, n: int) -> float:
     """
     if n < 1:
         raise ValueError("mode index must be >= 1")
-    if f.M < 2 * n:
+    if f.M <= 2 * n:
         raise ResolutionError(f"grid with M={f.M} intervals cannot resolve mode n={n}")
     iu = np.pi * _sine_coefficients(f.u, f.grid, n)[-1]
     iv = np.pi * _sine_coefficients(f.v, f.grid, n)[-1]
@@ -242,19 +216,19 @@ def field_hamiltonian(f: StringField) -> float:
     return float(np.trapezoid(0.5 * (f.v**2 + ux**2), f.grid))
 
 
-def exact_mode_evolution(m: ModeState, t1: float) -> ModeState:
+def exact_mode_evolution(m: CanonicalState, t1: float) -> CanonicalState:
     """Rotate each mode by its own frequency: the exact flow.
 
     a_n(t1) = a_n cos(n dt) + (a'_n / n) sin(n dt), and the matching
     derivative; every mode energy is invariant exactly.
     """
     dt = t1 - m.t
-    n = np.arange(1, m.n_modes + 1, dtype=float)
+    n = np.arange(1, m.dim + 1, dtype=float)
     c = np.cos(n * dt)
     s = np.sin(n * dt)
-    a = m.a * c + (m.adot / n) * s
-    adot = -n * m.a * s + m.adot * c
-    return ModeState(a, adot, t1)
+    a = m.q * c + (m.p / n) * s
+    adot = -n * m.q * s + m.p * c
+    return CanonicalState(a, adot, t1)
 
 
 def hj_action(n: int, a: float, E_n: float) -> float:
@@ -282,13 +256,13 @@ def hj_action(n: int, a: float, E_n: float) -> float:
     return 0.5 * a * math.sqrt(discr) + (E_n / (2.0 * n)) * math.asin(z)
 
 
-def separation_constants(m: ModeState) -> SeparationData:
-    """E_n = 2 * f_n from a mode state; E_total is the Hamiltonian value."""
-    E = np.array([2.0 * mode_energy(n, m.a[n - 1], m.adot[n - 1]) for n in range(1, m.n_modes + 1)])
-    return SeparationData(E, modes_hamiltonian(m))
+def separation_constants(m: CanonicalState) -> SeparationData:
+    """E_n = 2 * f_n from a mode state."""
+    E = np.array([2.0 * mode_energy(n, m.q[n - 1], m.p[n - 1]) for n in range(1, m.dim + 1)])
+    return SeparationData(E)
 
 
-def hj_trajectory(sep: SeparationData, beta) -> Callable[[float], ModeState]:
+def hj_trajectory(sep: SeparationData, beta) -> Callable[[float], CanonicalState]:
     """Trajectory generated by the separated action via beta_n = dS/dE_n.
 
     Differentiating S = -E t + sum_n S_n with E = sum_n E_n / 2 gives
@@ -310,27 +284,27 @@ def hj_trajectory(sep: SeparationData, beta) -> Callable[[float], ModeState]:
         warnings.warn(f"zero-energy modes {dead} are stationary and stay zero", stacklevel=2)
     phase0 = 2.0 * n * beta
 
-    def at(t: float) -> ModeState:
+    def at(t: float) -> CanonicalState:
         phi = n * t + phase0
         a = amp * np.sin(phi)
         adot = np.sqrt(sep.E) * np.cos(phi)
-        return ModeState(a, adot, t)
+        return CanonicalState(a, adot, t)
 
     return at
 
 
-def beta_for_state(m: ModeState) -> np.ndarray:
+def beta_for_state(m: CanonicalState) -> np.ndarray:
     """Phase constants beta that make hj_trajectory pass through m at m.t.
 
     Zero-energy modes get beta = 0 (any value works; they are stationary).
     """
     sep = separation_constants(m)
-    n = np.arange(1, m.n_modes + 1, dtype=float)
-    beta = np.zeros(m.n_modes)
-    for k in range(m.n_modes):
+    n = np.arange(1, m.dim + 1, dtype=float)
+    beta = np.zeros(m.dim)
+    for k in range(m.dim):
         if sep.E[k] == 0:
             continue
-        phi = math.atan2(n[k] * m.a[k], m.adot[k])
+        phi = math.atan2(n[k] * m.q[k], m.p[k])
         beta[k] = (phi - n[k] * m.t) / (2.0 * n[k])
     return beta
 

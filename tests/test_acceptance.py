@@ -36,9 +36,9 @@ def test_criterion_1_involution_and_completeness():
 
     B = canonical.involution_matrix(obs, state, h=1e-5)
     max_b = float(np.max(np.abs(B)))
-    rep_full = canonical.completeness_report(canonical.completeness_jacobian(obs, state, h=1e-5))
+    rep_full = canonical.CompletenessReport(canonical.completeness_jacobian(obs, state, h=1e-5))
     dropped = obs.without("mode_energy_1")
-    rep_drop = canonical.completeness_report(
+    rep_drop = canonical.CompletenessReport(
         canonical.completeness_jacobian(dropped, state, h=1e-5)
     )
     elapsed = time.perf_counter() - start
@@ -64,27 +64,27 @@ def test_criterion_2_string_conservation_and_hj():
     rng = np.random.default_rng(23)
 
     # exact evolution: spectrum shape is irrelevant
-    m0 = string.ModeState(rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, n))
-    e0 = np.array([string.mode_energy(k, m0.a[k - 1], m0.adot[k - 1]) for k in idx])
+    m0 = canonical.CanonicalState(rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, n))
+    e0 = np.array([string.mode_energy(k, m0.q[k - 1], m0.p[k - 1]) for k in idx])
     exact_drift = 0.0
     for t in np.linspace(0.0, 10.0, 11):
         mt = string.exact_mode_evolution(m0, t)
-        et = np.array([string.mode_energy(k, mt.a[k - 1], mt.adot[k - 1]) for k in idx])
+        et = np.array([string.mode_energy(k, mt.q[k - 1], mt.p[k - 1]) for k in idx])
         exact_drift = max(exact_drift, float(np.max(np.abs(et - e0))))
 
     # symplectic evolution: decaying spectrum keeps every floored drift small
     amp = 4.0 ** (1.0 - idx)
     phase = rng.uniform(0.0, 2.0 * np.pi, n)
-    mv = string.ModeState(amp * np.cos(phase), -idx * amp * np.sin(phase))
+    mv = canonical.CanonicalState(amp * np.cos(phase), -idx * amp * np.sin(phase))
     traj = canonical.evolve(
-        string.string_system(n), mv.as_canonical(), 1e-3, 100000, record_stride=1000
+        string.string_system(n), mv, 1e-3, 100000, record_stride=1000
     )
     verlet_drift = float(
         np.max(canonical.conservation_drift(string.string_observable_set(n), traj))
     )
 
     # Hamilton-Jacobi reconstruction against the exact rotation
-    mh = string.ModeState(
+    mh = canonical.CanonicalState(
         rng.uniform(0.4, 1.2, n) * rng.choice([-1.0, 1.0], n),
         rng.uniform(0.4, 1.2, n) * rng.choice([-1.0, 1.0], n),
     )
@@ -95,7 +95,7 @@ def test_criterion_2_string_conservation_and_hj():
         hj = at(t)
         hj_err = max(
             hj_err,
-            float(max(np.max(np.abs(hj.a - ex.a)), np.max(np.abs(hj.adot - ex.adot)))),
+            float(max(np.max(np.abs(hj.q - ex.q)), np.max(np.abs(hj.p - ex.p)))),
         )
     elapsed = time.perf_counter() - start
 

@@ -9,6 +9,7 @@ from hamlab import (
     BlowUpError,
     CanonicalState,
     CompletenessError,
+    CompletenessReport,
     DivergenceError,
     EvaluationError,
     HamiltonianSystem,
@@ -16,7 +17,6 @@ from hamlab import (
     ObservableSet,
     Trajectory,
     completeness_jacobian,
-    completeness_report,
     conservation_drift,
     evolve,
     involution_matrix,
@@ -86,6 +86,23 @@ class TestCanonicalState:
         s = CanonicalState(q, [0.0, 0.0])
         q[0] = 99.0
         assert s.q[0] == 1.0
+
+
+class TestEvaluate:
+    # math.exp raises OverflowError where numpy would return inf
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda obs, s: obs.evaluate(s),
+            lambda obs, s: conservation_drift(obs, Trajectory([s])),
+            lambda obs, s: recover_momenta(obs, [1.0], s.q, s.p),
+        ],
+        ids=["evaluate", "conservation_drift", "recover_momenta"],
+    )
+    def test_overflow_names_observable(self, call):
+        obs = ObservableSet([Observable("grows", lambda q, p: math.exp(1e3 * q[0]))])
+        with pytest.raises(EvaluationError, match="grows"):
+            call(obs, CanonicalState([1.0], [0.0]))
 
 
 class TestPoissonBracket:
@@ -170,20 +187,20 @@ class TestCompletenessJacobian:
 
 class TestCompletenessReport:
     def test_identity_complete(self):
-        rep = completeness_report(np.eye(4), rank_tol=1e-10)
+        rep = CompletenessReport(np.eye(4), rank_tol=1e-10)
         assert rep.numerical_rank == 4
         assert rep.complete
         assert rep.min_singular == pytest.approx(1.0)
 
     def test_explicit_zero_singular_value(self):
-        rep = completeness_report(np.diag([1.0, 1.0, 1.0, 0.0]))
+        rep = CompletenessReport(np.diag([1.0, 1.0, 1.0, 0.0]))
         assert rep.numerical_rank == 3
         assert not rep.complete
         assert rep.singular_values[-1] == pytest.approx(0.0, abs=1e-15)
 
     def test_singular_values_sorted_descending(self):
         rng = np.random.default_rng(9)
-        rep = completeness_report(rng.normal(size=(5, 5)))
+        rep = CompletenessReport(rng.normal(size=(5, 5)))
         assert np.all(np.diff(rep.singular_values) <= 0)
         assert np.all(rep.singular_values >= 0)
 
@@ -191,7 +208,7 @@ class TestCompletenessReport:
         n = 4
         s = random_state(n, seed=10)
         J = completeness_jacobian(quadratic_energies(n).without("f2"), s, H_FD)
-        rep = completeness_report(J)
+        rep = CompletenessReport(J)
         assert rep.numerical_rank == n - 1
         assert not rep.complete
 
@@ -200,21 +217,41 @@ class TestCompletenessReport:
         rng = np.random.default_rng(11)
         s = CanonicalState(rng.normal(size=n), rng.uniform(0.5, 1.5, size=n))
         J = completeness_jacobian(quadratic_energies(n), s, H_FD)
-        assert completeness_report(J).complete
+        assert CompletenessReport(J).complete
 
     def test_zero_momentum_point_flagged_incomplete(self):
         # p_2 = 0 makes the energy Jacobian singular at this state only.
         s = CanonicalState([0.4, 0.8, 0.1], [1.0, 0.0, 2.0])
         J = completeness_jacobian(quadratic_energies(3), s, H_FD)
-        assert not completeness_report(J).complete
+        assert not CompletenessReport(J).complete
 
     def test_wide_matrix_can_be_complete(self):
-        rep = completeness_report(np.vstack([np.eye(3), np.ones((1, 3))]))
+        rep = CompletenessReport(np.vstack([np.eye(3), np.ones((1, 3))]))
         assert rep.complete
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
-            completeness_report(np.zeros((0, 3)))
+            CompletenessReport(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 3), (3, 5)])
+    def test_properties_agree_with_direct_svd(self, shape):
+        rng = np.random.default_rng(41)
+        J = rng.normal(size=shape)
+        J[:, -1] = J[:, 0]  # rank one short of full
+        rep = CompletenessReport(J, rank_tol=1e-8)
+        sigma = np.linalg.svd(J, compute_uv=False)
+        assert np.array_equal(rep.singular_values, sigma)
+        rank = min(shape[0], shape[1] - 1)
+        assert rep.numerical_rank == np.count_nonzero(sigma > 1e-8 * sigma[0]) == rank
+        assert rep.min_singular == sigma[-1]
+        assert rep.complete is False
+        with pytest.raises(ValueError):
+            rep.singular_values[0] = 0.0
+
+    @pytest.mark.parametrize("rank_tol", [math.nan, math.inf, 0.0, -1e-8])
+    def test_bad_rank_tol_rejected(self, rank_tol):
+        with pytest.raises(ValueError, match="rank_tol"):
+            CompletenessReport(np.eye(2), rank_tol=rank_tol)
 
 
 class TestInvolutionMatrix:
@@ -405,14 +442,24 @@ class TestEvolve:
     def test_trajectory_requires_increasing_times(self):
         s = CanonicalState([0.0], [0.0])
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.0]), [s, s])
+            Trajectory([s, s])
+
+    def test_trajectory_times_come_from_the_states(self):
+        # the times a trajectory reports are the states' own
+        late, early = CanonicalState([0.0], [0.0], 5.0), CanonicalState([0.0], [0.0], 0.0)
+        with pytest.raises(ValueError, match="increasing"):
+            Trajectory([late, early])
+        traj = Trajectory([early, late])
+        assert np.array_equal(traj.times, [0.0, 5.0])
+        with pytest.raises(ValueError):
+            traj.times[0] = 1.0
 
 
 class TestConservationDrift:
     def test_constant_trajectory_zero_drift(self):
         s = CanonicalState([1.0, 2.0], [3.0, 4.0])
         states = [s, CanonicalState(s.q, s.p, 1.0), CanonicalState(s.q, s.p, 2.0)]
-        traj = Trajectory(np.array([0.0, 1.0, 2.0]), states)
+        traj = Trajectory(states)
         drift = conservation_drift(quadratic_energies(2), traj)
         assert np.all(drift == 0.0)
 
@@ -436,6 +483,6 @@ class TestConservationDrift:
     def test_floor_handles_zero_reference(self):
         s0 = CanonicalState([0.0], [0.0])
         s1 = CanonicalState([1e-3], [0.0], t=1.0)
-        traj = Trajectory(np.array([0.0, 1.0]), [s0, s1])
+        traj = Trajectory([s0, s1])
         drift = conservation_drift(ObservableSet([coord(0)]), traj, floor=1.0)
         assert drift[0] == pytest.approx(1e-3)

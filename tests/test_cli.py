@@ -120,6 +120,14 @@ class TestConfigValidation:
         assert token in capsys.readouterr().err
         assert not (out / experiment / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "experiment", ["kdv-conservation", "kdv-scattering", "kdv-action-hamiltonian"]
+    )
+    def test_grid_size_not_power_of_two_exits_2(self, tmp_path, capsys, experiment):
+        assert run_cli(tmp_path, {"experiment": experiment, "parameters": {"M": 500}}) == 2
+        assert "power of two" in capsys.readouterr().err
+        assert not (tmp_path / "out" / experiment / "report.json").exists()
+
     def test_removing_every_mode_exits_2(self, tmp_path, capsys):
         code = run_cli(
             tmp_path,

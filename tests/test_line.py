@@ -161,7 +161,7 @@ class TestMoments:
 
     def test_moment_coordinates_validation(self):
         with pytest.raises(ValueError):
-            MomentCoordinates(np.zeros(3), np.zeros(2), 3, 20.0)
+            MomentCoordinates(np.zeros(3), np.zeros(2), 20.0)
 
 
 class TestGSeries:
@@ -255,6 +255,19 @@ class TestRecovery:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             recover_momenta_triangular(np.array([1.0]), np.array([]), 2)
+
+    @pytest.mark.parametrize(
+        "g, q",
+        [
+            ([np.nan, 1.0, 2.0], [1.0, 2.0]),
+            ([1.0, np.inf, 2.0], [1.0, 2.0]),
+            ([1.0, 1.0, 2.0], [np.nan, 2.0]),
+        ],
+        ids=["nan-g1", "inf-g2", "nan-q0"],
+    )
+    def test_nonfinite_input_rejected(self, g, q):
+        with pytest.raises(ValueError, match="finite"):
+            recover_momenta_triangular(np.array(g), np.array(q), +1)
 
 
 def moment_drifts(f, T, steps, orders):

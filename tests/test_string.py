@@ -10,16 +10,14 @@ from hamlab import (
     DomainExitError,
     ResolutionError,
     completeness_jacobian,
-    completeness_report,
     conservation_drift,
     evolve,
     involution_matrix,
     poisson_bracket,
     poisson_bracket_analytic,
 )
-from hamlab.canonical import Trajectory
+from hamlab.canonical import CompletenessReport, Trajectory
 from hamlab.string import (
-    ModeState,
     SeparationData,
     StringField,
     beta_for_state,
@@ -44,7 +42,7 @@ H_FD = 1e-5
 
 def random_modes(n, seed, t=0.0):
     rng = np.random.default_rng(seed)
-    return ModeState(rng.normal(size=n), rng.normal(size=n), t)
+    return CanonicalState(rng.normal(size=n), rng.normal(size=n), t)
 
 
 class TestStringField:
@@ -68,38 +66,49 @@ class TestSineModes:
     def test_single_mode(self):
         f = sample_field(lambda x: np.sin(x), M=64)
         m = sine_modes(f, 4)
-        assert m.a[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(m.a[1:])) < 1e-12
-        assert np.max(np.abs(m.adot)) < 1e-12
+        assert m.q[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(m.q[1:])) < 1e-12
+        assert np.max(np.abs(m.p)) < 1e-12
 
     def test_zero_field(self):
         f = sample_field(lambda x: np.zeros_like(x), M=32)
         m = sine_modes(f, 8)
-        assert np.all(m.a == 0.0) and np.all(m.adot == 0.0)
+        assert np.all(m.q == 0.0) and np.all(m.p == 0.0)
 
     def test_two_mode_combination(self):
         f = sample_field(lambda x: np.sin(3 * x) - 2 * np.sin(5 * x), M=128)
         m = sine_modes(f, 8)
-        assert m.a[2] == pytest.approx(1.0, abs=1e-12)
-        assert m.a[4] == pytest.approx(-2.0, abs=1e-12)
-        others = np.delete(m.a, [2, 4])
+        assert m.q[2] == pytest.approx(1.0, abs=1e-12)
+        assert m.q[4] == pytest.approx(-2.0, abs=1e-12)
+        others = np.delete(m.q, [2, 4])
         assert np.max(np.abs(others)) < 1e-12
 
     def test_velocity_channel(self):
         f = sample_field(lambda x: np.zeros_like(x), lambda x: 0.5 * np.sin(2 * x), M=64)
         m = sine_modes(f, 4)
-        assert m.adot[1] == pytest.approx(0.5, abs=1e-12)
+        assert m.p[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_resolution_guard(self):
         f = sample_field(lambda x: np.sin(x), M=16)
         with pytest.raises(ResolutionError):
             sine_modes(f, 9)
 
+    def test_resolution_guard_at_nyquist(self):
+        # sin(4x) vanishes at every point of the 8-interval grid, so four
+        # modes need at least 9 intervals
+        f = sample_field(lambda x: np.sin(4 * x), M=8)
+        with pytest.raises(ResolutionError):
+            sine_modes(f, 4)
+        with pytest.raises(ResolutionError):
+            field_energy_integral(f, 4)
+        with pytest.raises(ResolutionError):
+            reconstruct_field(CanonicalState(np.ones(4), np.zeros(4)), M=8)
+
     def test_round_trip_band_limited(self):
         m = random_modes(6, seed=21)
         back = sine_modes(reconstruct_field(m, M=128), 6)
-        assert np.max(np.abs(back.a - m.a)) < 1e-12
-        assert np.max(np.abs(back.adot - m.adot)) < 1e-12
+        assert np.max(np.abs(back.q - m.q)) < 1e-12
+        assert np.max(np.abs(back.p - m.p)) < 1e-12
 
 
 class TestModeEnergy:
@@ -111,7 +120,7 @@ class TestModeEnergy:
 
     def test_sum_equals_hamiltonian(self):
         m = random_modes(7, seed=22)
-        total = sum(mode_energy(n, m.a[n - 1], m.adot[n - 1]) for n in range(1, 8))
+        total = sum(mode_energy(n, m.q[n - 1], m.p[n - 1]) for n in range(1, 8))
         assert modes_hamiltonian(m) == pytest.approx(total, rel=1e-14)
 
     def test_parseval_field_vs_modes(self):
@@ -134,7 +143,7 @@ class TestFieldEnergyIntegral:
         m = random_modes(4, seed=24)
         f = reconstruct_field(m, M=128)
         for n in range(1, 5):
-            want = np.pi**2 * mode_energy(n, m.a[n - 1], m.adot[n - 1])
+            want = np.pi**2 * mode_energy(n, m.q[n - 1], m.p[n - 1])
             assert field_energy_integral(f, n) == pytest.approx(want, rel=1e-11)
 
     def test_constant_along_exact_evolution(self):
@@ -150,26 +159,26 @@ class TestExactModeEvolution:
     def test_zero_dt_identity(self):
         m = random_modes(5, seed=26)
         out = exact_mode_evolution(m, m.t)
-        assert np.array_equal(out.a, m.a) and np.array_equal(out.adot, m.adot)
+        assert np.array_equal(out.q, m.q) and np.array_equal(out.p, m.p)
 
     def test_quarter_period_first_mode(self):
-        m = ModeState([1.0], [0.0])
+        m = CanonicalState([1.0], [0.0])
         out = exact_mode_evolution(m, np.pi / 2)
-        assert out.a[0] == pytest.approx(0.0, abs=1e-15)
-        assert out.adot[0] == pytest.approx(-1.0, abs=1e-15)
+        assert out.q[0] == pytest.approx(0.0, abs=1e-15)
+        assert out.p[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_common_period(self):
         m = random_modes(6, seed=27)
         out = exact_mode_evolution(m, 2 * np.pi)
-        assert np.max(np.abs(out.a - m.a)) < 1e-13
-        assert np.max(np.abs(out.adot - m.adot)) < 1e-13
+        assert np.max(np.abs(out.q - m.q)) < 1e-13
+        assert np.max(np.abs(out.p - m.p)) < 1e-13
 
     def test_energies_invariant_to_machine_precision(self):
         m = random_modes(8, seed=28)
-        e0 = np.array([mode_energy(n, m.a[n - 1], m.adot[n - 1]) for n in range(1, 9)])
+        e0 = np.array([mode_energy(n, m.q[n - 1], m.p[n - 1]) for n in range(1, 9)])
         for t in (0.1, 2.7, 15.0):
             mt = exact_mode_evolution(m, t)
-            e = np.array([mode_energy(n, mt.a[n - 1], mt.adot[n - 1]) for n in range(1, 9)])
+            e = np.array([mode_energy(n, mt.q[n - 1], mt.p[n - 1]) for n in range(1, 9)])
             assert np.max(np.abs(e - e0)) < 1e-12
 
 
@@ -207,37 +216,32 @@ class TestHJAction:
 
 
 class TestSeparationData:
-    def test_sum_rule_enforced(self):
-        with pytest.raises(ValueError):
-            SeparationData([1.0, 1.0], 3.0)
-
     def test_from_mode_state(self):
         m = random_modes(6, seed=29)
         sep = separation_constants(m)
-        assert sep.E_total == pytest.approx(modes_hamiltonian(m), rel=1e-14)
-        assert sep.E.sum() == pytest.approx(2 * sep.E_total, rel=1e-14)
+        assert sep.E.sum() == pytest.approx(2 * modes_hamiltonian(m), rel=1e-14)
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
-            SeparationData([-0.1], -0.05)
+            SeparationData([-0.1])
 
 
 class TestHJTrajectory:
     def test_single_mode_cosine_phase(self):
-        sep = SeparationData([1.0], 0.5)
+        sep = SeparationData([1.0])
         # beta = pi/4 puts mode 1 at a(t) = sin(t + pi/2) = cos t
         traj = hj_trajectory(sep, [np.pi / 4])
         for t in (0.0, 0.3, 1.7):
             m = traj(t)
-            assert m.a[0] == pytest.approx(math.cos(t), abs=1e-14)
-            assert m.adot[0] == pytest.approx(-math.sin(t), abs=1e-14)
+            assert m.q[0] == pytest.approx(math.cos(t), abs=1e-14)
+            assert m.p[0] == pytest.approx(-math.sin(t), abs=1e-14)
 
     def test_all_zero_energy_gives_zero_solution(self):
-        sep = SeparationData([0.0, 0.0], 0.0)
+        sep = SeparationData([0.0, 0.0])
         with pytest.warns(UserWarning, match="stationary"):
             traj = hj_trajectory(sep, [0.0, 0.0])
         m = traj(1.3)
-        assert np.all(m.a == 0.0) and np.all(m.adot == 0.0)
+        assert np.all(m.q == 0.0) and np.all(m.p == 0.0)
 
     def test_matches_exact_evolution(self):
         m0 = random_modes(6, seed=30)
@@ -245,8 +249,8 @@ class TestHJTrajectory:
         for t in (0.0, 0.9, 4.2):
             want = exact_mode_evolution(m0, t)
             got = traj(t)
-            assert np.max(np.abs(got.a - want.a)) < 1e-10
-            assert np.max(np.abs(got.adot - want.adot)) < 1e-10
+            assert np.max(np.abs(got.q - want.q)) < 1e-10
+            assert np.max(np.abs(got.p - want.p)) < 1e-10
 
     def test_wave_equation_residual_band_limited(self):
         # u_tt - u_xx on the reconstructed field via a five-point stencil in
@@ -262,7 +266,7 @@ class TestHJTrajectory:
         mid = traj(t0)
         u_xx = np.zeros_like(x)
         for n in range(1, 5):
-            u_xx += -(n**2) * mid.a[n - 1] * np.sin(n * x)
+            u_xx += -(n**2) * mid.q[n - 1] * np.sin(n * x)
         assert np.max(np.abs(u_tt - u_xx)) < 1e-8
 
     def test_hamilton_equations_residual(self):
@@ -270,29 +274,29 @@ class TestHJTrajectory:
         traj = hj_trajectory(separation_constants(m0), beta_for_state(m0))
         t0, dt = 1.1, 1e-5
         plus, minus, mid = traj(t0 + dt), traj(t0 - dt), traj(t0)
-        da = (plus.a - minus.a) / (2 * dt)
-        dadot = (plus.adot - minus.adot) / (2 * dt)
+        da = (plus.q - minus.q) / (2 * dt)
+        dadot = (plus.p - minus.p) / (2 * dt)
         n2 = np.arange(1, 6, dtype=float) ** 2
-        assert np.max(np.abs(da - mid.adot)) < 1e-8
-        assert np.max(np.abs(dadot + n2 * mid.a)) < 1e-8
+        assert np.max(np.abs(da - mid.p)) < 1e-8
+        assert np.max(np.abs(dadot + n2 * mid.q)) < 1e-8
 
 
 class TestStringObservables:
     def test_involution_matrix_vanishes(self):
         obs = string_observable_set(8)
-        s = random_modes(8, seed=33).as_canonical()
+        s = random_modes(8, seed=33)
         B = involution_matrix(obs, s, H_FD)
         assert np.max(np.abs(B)) < 1e-6
 
     def test_cross_module_bracket_f2_f3(self):
         obs = string_observable_set(4)
-        s = random_modes(4, seed=34).as_canonical()
+        s = random_modes(4, seed=34)
         b = poisson_bracket(obs.observables[1], obs.observables[2], s, H_FD)
         assert abs(b) < 1e-6
 
     def test_fd_matches_analytic_brackets(self):
         obs = string_observable_set(6)
-        s = random_modes(6, seed=35).as_canonical()
+        s = random_modes(6, seed=35)
         for i in range(6):
             for j in range(i + 1, 6):
                 fd = poisson_bracket(obs.observables[i], obs.observables[j], s, H_FD)
@@ -312,14 +316,14 @@ class TestStringObservables:
         rng = np.random.default_rng(37)
         s = CanonicalState(rng.normal(size=n), rng.uniform(0.5, 2.0, size=n))
         J = completeness_jacobian(string_observable_set(n), s, H_FD)
-        assert completeness_report(J).complete
+        assert CompletenessReport(J).complete
 
     def test_incomplete_with_f1_removed(self):
         n = 8
         rng = np.random.default_rng(38)
         s = CanonicalState(rng.normal(size=n), rng.uniform(0.5, 2.0, size=n))
         obs = string_observable_set(n).without("mode_energy_1")
-        rep = completeness_report(completeness_jacobian(obs, s, H_FD))
+        rep = CompletenessReport(completeness_jacobian(obs, s, H_FD))
         assert not rep.complete
         assert rep.numerical_rank == n - 1
 
@@ -328,11 +332,11 @@ class TestStringSystem:
     def test_hamiltonian_matches_mode_sum(self):
         m = random_modes(5, seed=39)
         sys = string_system(5)
-        assert sys.energy(m.as_canonical()) == pytest.approx(modes_hamiltonian(m), rel=1e-14)
+        assert sys.energy(m) == pytest.approx(modes_hamiltonian(m), rel=1e-14)
 
     def test_gradients_consistent(self):
         sys = string_system(6)
-        assert sys.check_gradients(random_modes(6, seed=40).as_canonical()) < 1e-8
+        assert sys.check_gradients(random_modes(6, seed=40)) < 1e-8
 
     def test_verlet_matches_exact_evolution_at_second_order(self):
         n, horizon = 8, 2.0
@@ -341,9 +345,9 @@ class TestStringSystem:
         errs = []
         for steps in (2000, 4000):
             dt = horizon / steps
-            traj = evolve(string_system(n), m0.as_canonical(), dt, steps, record_stride=steps)
+            traj = evolve(string_system(n), m0, dt, steps, record_stride=steps)
             end = traj.states[-1]
-            errs.append(max(np.max(np.abs(end.q - want.a)), np.max(np.abs(end.p - want.adot))))
+            errs.append(max(np.max(np.abs(end.q - want.q)), np.max(np.abs(end.p - want.p))))
         # halving dt must cut the endpoint error by about 4 (second order)
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
         assert errs[1] < 1e-3
@@ -351,15 +355,15 @@ class TestStringSystem:
     def test_energy_drift_bounded_decaying_spectrum(self):
         n = 8
         idx = np.arange(1, n + 1, dtype=float)
-        m0 = ModeState(4.0 ** (1 - idx), np.zeros(n))
-        traj = evolve(string_system(n), m0.as_canonical(), 1e-3, 20000, record_stride=100)
+        m0 = CanonicalState(4.0 ** (1 - idx), np.zeros(n))
+        traj = evolve(string_system(n), m0, 1e-3, 20000, record_stride=100)
         drift = conservation_drift(string_observable_set(n), traj)
         assert np.max(drift) < 1e-6
 
     def test_mode_energy_drift_zero_on_exact_trajectory(self):
         m0 = random_modes(6, seed=42)
         times = np.linspace(0.0, 5.0, 40)
-        states = [exact_mode_evolution(m0, t).as_canonical() for t in times]
-        traj = Trajectory(times, states)
+        states = [exact_mode_evolution(m0, t) for t in times]
+        traj = Trajectory(states)
         drift = conservation_drift(string_observable_set(6), traj)
         assert np.max(drift) < 1e-12

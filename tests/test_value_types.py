@@ -5,7 +5,7 @@ scalar field is a finite float."""
 import numpy as np
 import pytest
 
-from hamlab.canonical import CanonicalState, CompletenessReport, Trajectory
+from hamlab.canonical import CanonicalState, CompletenessReport
 from hamlab.kdv import (
     ActionSpectrum,
     ConservedIntegrals,
@@ -15,7 +15,7 @@ from hamlab.kdv import (
     ScatteringData,
 )
 from hamlab.line import GSeries, LineField, MomentCoordinates, line_grid
-from hamlab.string import ModeState, SeparationData, StringField, string_grid
+from hamlab.string import SeparationData, StringField, string_grid
 
 
 def _bump(x, width):
@@ -26,14 +26,7 @@ def _bump(x, width):
 # arguments are fresh, writable arrays owned by the test
 VALUE_TYPES = {
     CanonicalState: lambda: ({"q": np.array([1.0, 2.0]), "p": np.array([0.5, -0.5])}, {"t": 0.0}),
-    Trajectory: lambda: (
-        {"times": np.array([0.0, 1.0])},
-        {"states": [CanonicalState([1.0], [0.0]), CanonicalState([0.0], [1.0], 1.0)]},
-    ),
-    CompletenessReport: lambda: (
-        {"jacobian": np.eye(2), "singular_values": np.array([1.0, 1.0])},
-        {"numerical_rank": 2, "min_singular": 1.0, "complete": True, "rank_tol": 1e-8},
-    ),
+    CompletenessReport: lambda: ({"jacobian": np.eye(2)}, {"rank_tol": 1e-8}),
     StringField: lambda: (
         {
             "grid": string_grid(8),
@@ -42,10 +35,9 @@ VALUE_TYPES = {
         },
         {"t": 0.0},
     ),
-    ModeState: lambda: ({"a": np.array([1.0, 2.0]), "adot": np.array([0.0, 1.0])}, {}),
-    SeparationData: lambda: ({"E": np.array([2.0, 4.0])}, {"E_total": 3.0}),
+    SeparationData: lambda: ({"E": np.array([2.0, 4.0])}, {}),
     PeriodicField: lambda: ({"u": _bump(np.arange(8) - 4.0, 1.0)}, {"L_domain": 8.0}),
-    RiccatiDensities: lambda: ({"chi": np.ones((2, 8))}, {"order": 2, "L_domain": 8.0}),
+    RiccatiDensities: lambda: ({"chi": np.ones((2, 8))}, {"L_domain": 8.0}),
     ConservedIntegrals: lambda: ({"I": np.array([1.0, 2.0]), "even": np.array([0.0, 0.0])}, {}),
     LinePotential: lambda: (
         {"x": np.linspace(-20.0, 20.0, 32), "u": -_bump(np.linspace(-20.0, 20.0, 32), 2.0)},
@@ -73,7 +65,7 @@ VALUE_TYPES = {
     ),
     MomentCoordinates: lambda: (
         {"q": np.array([1.0, 2.0]), "p": np.array([0.5, 1.0])},
-        {"K": 2, "scale": 1.0},
+        {"scale": 1.0},
     ),
     GSeries: lambda: ({"g": np.array([1.0, 0.5])}, {}),
 }
@@ -82,11 +74,8 @@ ARRAY_FIELDS = [(cls, name) for cls, make in VALUE_TYPES.items() for name in mak
 
 SCALAR_FIELDS = [
     (CanonicalState, "t"),
-    (CompletenessReport, "min_singular"),
     (CompletenessReport, "rank_tol"),
     (StringField, "t"),
-    (ModeState, "t"),
-    (SeparationData, "E_total"),
     (PeriodicField, "L_domain"),
     (PeriodicField, "t"),
     (RiccatiDensities, "L_domain"),
