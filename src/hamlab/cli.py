@@ -212,7 +212,7 @@ def _run_line_gseries(p):
     f = _make_gseries_field(p["seed"], p["sign"])
     mc = line.moments(f, p["order"])
     g = line.g_from_moments(mc)
-    rows = line.gseries_comparison(f, p["order"])
+    rows = line.gseries_comparison(mc)
     p_rec = line.recover_momenta_triangular(g, mc.q, p["sign"])
 
     rel_err = float(np.max(np.abs(p_rec - mc.p)) / np.max(np.abs(mc.p)))
@@ -286,7 +286,6 @@ def _run_kdv_conservation(p):
         return c.I, c.even, kdv.direct_hamiltonian(field)
 
     I0, even0, H0 = sample(f)
-    mass0 = kdv.periodic_integral(f.u, f.L_domain)
     rows = [(0.0, float(I0[0]), float(I0[1]), float(I0[2]), float(H0))]
     worst_I = np.zeros(3)
     worst_even = float(np.max(np.abs(even0)))
@@ -297,7 +296,8 @@ def _run_kdv_conservation(p):
         rows.append((float(f.t), float(I[0]), float(I[1]), float(I[2]), float(H)))
         worst_I = np.maximum(worst_I, np.abs(I - I0) / np.abs(I0))
         worst_even = max(worst_even, float(np.max(np.abs(even))))
-        worst_mass = max(worst_mass, abs(kdv.periodic_integral(f.u, f.L_domain) - mass0))
+        # the mass int u dx is -I_1
+        worst_mass = max(worst_mass, abs(I[0] - I0[0]))
 
     checks = [
         _bounded("I1-relative-drift", worst_I[0], p["drift_tol"]),
@@ -317,19 +317,19 @@ def _sech2_callable(kappa):
     return lambda x: -2.0 * kappa**2 / np.cosh(kappa * np.asarray(x)) ** 2
 
 
-def _scattering_artifacts(sd, spec):
+def _scattering_artifacts(sd):
     """scattering.csv (a(k) and n(k)) and bound.csv (k_l and N_l = k_l^2)."""
     return {
         "scattering.csv": (
             ("k", "re_a", "im_a", "n_k"),
             [
                 (float(k), float(a.real), float(a.imag), float(nk))
-                for k, a, nk in zip(sd.k_grid, sd.a, spec.n_of_k)
+                for k, a, nk in zip(sd.k_grid, sd.a, sd.n_of_k)
             ],
         ),
         "bound.csv": (
             ("l", "k_l", "N_l"),
-            [(i + 1, float(kl), float(Nl)) for i, (kl, Nl) in enumerate(zip(sd.bound_k, spec.N_l))],
+            [(i + 1, float(kl), float(Nl)) for i, (kl, Nl) in enumerate(zip(sd.bound_k, sd.N_l))],
         ),
     }
 
@@ -350,7 +350,6 @@ def _run_kdv_scattering(p):
     pot = kdv.sample_potential(_sech2_callable(p["kappa"]))
     k_grid = np.linspace(p["k_min"], p["k_max"], p["n_k"])
     sd = kdv.scattering_data(pot, k_grid, k_max_bound=p["kappa"] + 0.5)
-    spec = kdv.action_spectrum(sd)
 
     checks = [
         _bounded("a-probe-drift", drift, p["drift_tol"]),
@@ -358,7 +357,7 @@ def _run_kdv_scattering(p):
     ]
     if sd.bound_k.size == 1:
         checks.append(_bounded("bound-state-error", abs(sd.bound_k[0] - p["kappa"]), p["bound_tol"]))
-    return checks, _scattering_artifacts(sd, spec)
+    return checks, _scattering_artifacts(sd)
 
 
 def _run_kdv_action_hamiltonian(p):
@@ -368,8 +367,7 @@ def _run_kdv_action_hamiltonian(p):
     pot = kdv.sample_potential(_sech2_callable(kappa))
     k_grid = np.linspace(p["k_min"], p["k_max"], p["n_k"])
     sd = kdv.scattering_data(pot, k_grid, k_max_bound=p["k_max_bound"])
-    spec = kdv.action_spectrum(sd)
-    H_act = kdv.hamiltonian_from_actions(spec)
+    H_act = kdv.hamiltonian_from_actions(sd)
     H_closed = -32.0 / 5.0 * kappa**5
 
     def rel(a, b):
@@ -380,7 +378,7 @@ def _run_kdv_action_hamiltonian(p):
         _bounded("direct-vs-closed-form", rel(H_dir, H_closed), p["rel_tol"]),
         _bounded("actions-vs-direct", rel(H_act, H_dir), p["rel_tol"]),
     ]
-    return checks, _scattering_artifacts(sd, spec)
+    return checks, _scattering_artifacts(sd)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +387,6 @@ def _run_kdv_action_hamiltonian(p):
 EXPERIMENTS = {
     "string-modes": {
         "topic": "finite-string",
-        "summary": "mode energies constant under exact and symplectic evolution",
         "runner": _run_string_modes,
         "parameters": {
             "n_modes": (8, _POS_INT),
@@ -405,7 +402,6 @@ EXPERIMENTS = {
     },
     "string-hj": {
         "topic": "finite-string",
-        "summary": "action-based trajectory reconstruction matches exact evolution",
         "runner": _run_string_hj,
         "parameters": {
             "n_modes": (8, _POS_INT),
@@ -417,7 +413,6 @@ EXPERIMENTS = {
     },
     "string-completeness": {
         "topic": "finite-string",
-        "summary": "mode energies commute and determine the momenta",
         "runner": _run_string_completeness,
         "parameters": {
             "n_modes": (8, _POS_INT),
@@ -430,7 +425,6 @@ EXPERIMENTS = {
     },
     "line-gseries": {
         "topic": "infinite-string",
-        "summary": "moment series round trip: integrals -> momenta recovery",
         "runner": _run_line_gseries,
         "parameters": {
             "order": (5, _POS_INT),
@@ -442,7 +436,6 @@ EXPERIMENTS = {
     },
     "line-velocity-moments": {
         "topic": "infinite-string",
-        "summary": "continuous mode energies and low velocity moments conserved",
         "runner": _run_line_velocity_moments,
         "parameters": {
             "y_values": ([0.5, 1.0, 2.0], {"type": "array", "items": _POS_NUMBER, "minItems": 1}),
@@ -455,7 +448,6 @@ EXPERIMENTS = {
     },
     "kdv-conservation": {
         "topic": "kdv",
-        "summary": "soliton evolution conserves the first three integrals",
         "runner": _run_kdv_conservation,
         "parameters": {
             "kappa": (1.0, _POS_NUMBER),
@@ -471,7 +463,6 @@ EXPERIMENTS = {
     },
     "kdv-scattering": {
         "topic": "kdv",
-        "summary": "a(k) invariant along the flow; soliton bound state located",
         "runner": _run_kdv_scattering,
         "parameters": {
             "kappa": (1.0, _POS_NUMBER),
@@ -490,7 +481,6 @@ EXPERIMENTS = {
     },
     "kdv-action-hamiltonian": {
         "topic": "kdv",
-        "summary": "Hamiltonian reassembled from action variables",
         "runner": _run_kdv_action_hamiltonian,
         "parameters": {
             "kappa": (1.0, _POS_NUMBER),
@@ -611,7 +601,10 @@ def run_experiment(cfg, output_dir=None, seed_override=None, strict=False):
 
     out_root = output_dir or cfg.get("output_dir") or "hamlab-out"
     exp_dir = os.path.join(out_root, name)
-    os.makedirs(exp_dir, exist_ok=True)
+    try:
+        os.makedirs(exp_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {exp_dir}: {exc}") from exc
 
     start = time.perf_counter()
     error = None

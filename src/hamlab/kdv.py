@@ -12,15 +12,17 @@ Conserved quantities come from two independent routes:
    Schrodinger problem as chi = sum_m chi_m / (2ik)^m and inserting it into
    chi_x + chi^2 - u - 2ik chi = 0, the order-zero balance forces
    chi_1 = -u and matching the remaining powers gives the recursion
-   chi_{m+1} = d/dx chi_m + sum_{j=1}^{m-1} chi_j chi_{m-j}.  Odd densities
-   integrate to the invariants I_m = int chi_{2m-1} dx; even densities
-   integrate to zero (a diagnostic this module measures rather than
-   assumes).
+   chi_{m+1} = d/dx chi_m + sum_{j=1}^{m-1} chi_j chi_{m-j}
+   (``riccati_densities`` returns the rows chi_1, chi_2, ... as one array).
+   Odd densities integrate to the invariants I_m = int chi_{2m-1} dx; even
+   densities integrate to zero (a diagnostic this module measures rather
+   than assumes).
  - Scattering: the Jost solution of -phi'' + u phi = k^2 phi, normalized to
    exp(-ikx) on the far left, defines a(k) at the far right; a(k) is
    invariant along the KdV flow.  Action variables are
    n(k) = (2k/pi) ln |a(k)|^2 on the continuous spectrum and N_l = k_l^2 at
-   the bound states ik_l, and the Hamiltonian can be assembled from them as
+   the bound states ik_l; ``ScatteringData`` carries both, computed from its
+   own a(k) and bound states, and the Hamiltonian can be assembled from them as
    H = -(32/5) sum_l N_l^(5/2) + 8 int k^3 n(k) dk, cross-checked against
    the direct functional int (u_x^2/2 + u^3) dx.  Production code gets
    a(k) for a whole k array from one vectorised sixth-order Magnus sweep
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -197,27 +199,9 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
     return PeriodicField(np.fft.irfft(vhat, M), f.L_domain, f.t + n_steps * dt)
 
 
-@dataclass(frozen=True)
-class RiccatiDensities:
-    """Grid densities chi_1 .. chi_order of the log-derivative expansion;
-    row m-1 of ``chi`` is chi_m."""
-
-    chi: np.ndarray
-    L_domain: float
-
-    def __post_init__(self):
-        chi = freeze(self, "chi", self.chi)
-        if chi.ndim != 2 or chi.shape[0] < 1:
-            raise ValueError("chi must be an (order, M) array, order >= 1")
-        finite(self, "L_domain", self.L_domain)
-
-    @property
-    def order(self) -> int:
-        return self.chi.shape[0]
-
-
-def riccati_densities(f: PeriodicField, order: int) -> RiccatiDensities:
-    """chi_1 = -u and chi_{m+1} = d/dx chi_m + sum_{j<m} chi_j chi_{m-j}.
+def riccati_densities(f: PeriodicField, order: int) -> np.ndarray:
+    """chi_1 = -u and chi_{m+1} = d/dx chi_m + sum_{j<m} chi_j chi_{m-j},
+    as an (order, M) array whose row m-1 is chi_m.
 
     Each level adds a spectral derivative, so grid noise grows with the
     order; above order 8 at default resolution the products of high
@@ -236,7 +220,7 @@ def riccati_densities(f: PeriodicField, order: int) -> RiccatiDensities:
         for j in range(1, m):
             nxt = nxt + chi[j - 1] * chi[m - 1 - j]
         chi.append(nxt)
-    return RiccatiDensities(chi, f.L_domain)
+    return np.array(chi)
 
 
 @dataclass(frozen=True)
@@ -255,18 +239,13 @@ class ConservedIntegrals:
         freeze(self, "even", self.even)
 
 
-def conserved_integrals(d: RiccatiDensities) -> ConservedIntegrals:
-    """Integrate the odd densities (invariants) and even ones (diagnostics)."""
-    n_odd = (d.order + 1) // 2
-    n_even = d.order // 2
-    I = np.array([periodic_integral(d.chi[2 * m - 2], d.L_domain) for m in range(1, n_odd + 1)])
-    even = np.array([periodic_integral(d.chi[2 * m - 1], d.L_domain) for m in range(1, n_even + 1)])
-    return ConservedIntegrals(I, even)
-
-
 def kdv_invariants(f: PeriodicField, n: int = 3) -> ConservedIntegrals:
-    """I_1..I_n plus the matching even diagnostics in one call."""
-    return conserved_integrals(riccati_densities(f, 2 * n))
+    """I_1..I_n from the odd Riccati densities, plus the n matching even
+    integrals as diagnostics."""
+    chi = riccati_densities(f, 2 * n)
+    I = np.array([periodic_integral(chi[2 * m - 2], f.L_domain) for m in range(1, n + 1)])
+    even = np.array([periodic_integral(chi[2 * m - 1], f.L_domain) for m in range(1, n + 1)])
+    return ConservedIntegrals(I, even)
 
 
 def direct_hamiltonian(f: PeriodicField) -> float:
@@ -289,11 +268,11 @@ def riccati_residual(f: PeriodicField, order: int, k_value: float) -> float:
     """
     if k_value == 0:
         raise ValueError("k must be nonzero")
-    d = riccati_densities(f, order)
+    densities = riccati_densities(f, order)
     two_ik = 2j * k_value
     chi = np.zeros(f.M, dtype=complex)
     for m in range(1, order + 1):
-        chi += d.chi[m - 1] / two_ik**m
+        chi += densities[m - 1] / two_ik**m
     # chi is complex, so differentiate with the full transform
     k_full = 2.0 * np.pi * np.fft.fftfreq(f.M, d=f.L_domain / f.M)
     chi_x = np.fft.ifft(1j * k_full * np.fft.fft(chi))
@@ -563,16 +542,20 @@ def bound_states(
 
 @dataclass(frozen=True)
 class ScatteringData:
-    """a(k) sampled on positive real k plus the bound-state wavenumbers.
+    """a(k) sampled on positive real k plus the bound-state wavenumbers,
+    and the action variables they determine.
 
     Construction checks the two structural facts valid for real decaying
     potentials: |a| >= 1 on the real axis (to 1e-8) and |a| -> 1 at the
-    largest sample (to 0.1).
+    largest sample (to 0.1).  It then computes the continuum actions
+    n(k) = (2k/pi) ln |a(k)|^2 once, read-only, and rejects n(k) < -1e-10;
+    the bound-state actions N_l = k_l^2 are a property.
     """
 
     k_grid: np.ndarray
     a: np.ndarray
     bound_k: np.ndarray
+    n_of_k: np.ndarray = field(init=False)
 
     def __post_init__(self):
         k_grid = freeze(self, "k_grid", self.k_grid)
@@ -593,6 +576,13 @@ class ScatteringData:
             raise ValueError(
                 f"|a| at the largest sample is {mods[-1]:.6f}, not near its high-k limit 1"
             )
+        n_of_k = freeze(self, "n_of_k", (2.0 * k_grid / np.pi) * np.log(np.abs(a) ** 2))
+        if np.any(n_of_k < -1e-10):
+            raise ValueError(f"n(k) dips to {np.min(n_of_k):.3e}; |a| >= 1 must have failed")
+
+    @property
+    def N_l(self) -> np.ndarray:
+        return self.bound_k**2
 
 
 def scattering_data(
@@ -605,45 +595,20 @@ def scattering_data(
     return ScatteringData(k_grid, scattering_a(pot, k_grid), bound_states(pot, k_max_bound))
 
 
-@dataclass(frozen=True)
-class ActionSpectrum:
-    """Action variables: n(k) on the continuum, N_l at the bound states."""
-
-    k_grid: np.ndarray
-    n_of_k: np.ndarray
-    N_l: np.ndarray
-
-    def __post_init__(self):
-        k_grid = freeze(self, "k_grid", self.k_grid)
-        n_of_k = freeze(self, "n_of_k", self.n_of_k)
-        N_l = freeze(self, "N_l", self.N_l)
-        if k_grid.shape != n_of_k.shape:
-            raise ValueError("k_grid and n_of_k must match")
-        if np.any(n_of_k < -1e-10):
-            raise ValueError(f"n(k) dips to {np.min(n_of_k):.3e}; |a| >= 1 must have failed")
-        if np.any(N_l <= 0):
-            raise ValueError("N_l must be positive")
-
-
-def action_spectrum(s: ScatteringData) -> ActionSpectrum:
-    """n(k) = (2k/pi) ln|a(k)|^2 and N_l = k_l^2."""
-    n = (2.0 * s.k_grid / np.pi) * np.log(np.abs(s.a) ** 2)
-    return ActionSpectrum(s.k_grid, n, s.bound_k**2)
-
-
-def hamiltonian_from_actions(a: ActionSpectrum, tail_tol: float = 0.01) -> float:
-    """H = -(32/5) sum_l N_l^(5/2) + 8 int k^3 n(k) dk.
+def hamiltonian_from_actions(sd: ScatteringData, tail_tol: float = 0.01) -> float:
+    """H = -(32/5) sum_l N_l^(5/2) + 8 int k^3 n(k) dk from the action
+    variables of ``sd``.
 
     The integral runs over the sampled k range by trapezoid; the
     contribution of the upper half of the range estimates the unconverged
     tail and triggers a warning when it is not small against the total.
     """
-    discrete = -6.4 * float(np.sum(np.sort(a.N_l) ** 2.5))
-    if a.k_grid.size >= 2:
-        integrand = a.k_grid**3 * a.n_of_k
-        integral = 8.0 * float(np.trapezoid(integrand, a.k_grid))
-        half = a.k_grid.size // 2
-        tail = 8.0 * abs(float(np.trapezoid(integrand[half:], a.k_grid[half:])))
+    discrete = -6.4 * float(np.sum(np.sort(sd.N_l) ** 2.5))
+    if sd.k_grid.size >= 2:
+        integrand = sd.k_grid**3 * sd.n_of_k
+        integral = 8.0 * float(np.trapezoid(integrand, sd.k_grid))
+        half = sd.k_grid.size // 2
+        tail = 8.0 * abs(float(np.trapezoid(integrand[half:], sd.k_grid[half:])))
         total = discrete + integral
         if tail > max(1e-6, tail_tol * abs(total)):
             warnings.warn(

@@ -14,7 +14,9 @@ line then become proper integrals over the grid.  The module provides
    small-y expansion of f(y), quadratic forms in the moments,
  - an independent Taylor-coefficient oracle for the same expansion,
    obtained by expanding sin(xy) inside the energy functional and
-   collecting moment products (shares only the quadrature with g_series),
+   collecting moment products (shares only the moment quadrature with the
+   closed forms); both take the computed MomentCoordinates, so one
+   verdict runs the quadrature once,
  - triangular momentum recovery: p from the g values and the q moments,
    one new momentum per order, dividing by p_0 from order one on,
  - the velocity moments int x^n u_t dx: conserved for n = 0, 1, and
@@ -300,10 +302,6 @@ class GSeries:
         if g[0] < 0:
             raise InvalidIntegralsError(f"g_1={g[0]:.6g} is negative but must be a square")
 
-    @property
-    def K(self) -> int:
-        return self.g.size
-
 
 def _fact(n: int) -> float:
     return float(math.factorial(n))
@@ -333,13 +331,8 @@ def g_from_moments(mc: MomentCoordinates) -> GSeries:
     return GSeries(g)
 
 
-def g_series(f: LineField, K: int) -> GSeries:
-    """g_1..g_K evaluated from the field's moments."""
-    return g_from_moments(moments(f, K))
-
-
-def taylor_oracle(f: LineField, K: int) -> np.ndarray:
-    """Coefficients of y^2, y^4, ..., y^(2K) of the mode energy f(y).
+def taylor_oracle(mc: MomentCoordinates) -> np.ndarray:
+    """Coefficients of y^2, y^4, ..., y^(2K) of the mode energy f(y), K = mc.K.
 
     Built directly from the definition: expand sin(xy) inside each
     integral of continuous_mode_energy, so
@@ -347,12 +340,9 @@ def taylor_oracle(f: LineField, K: int) -> np.ndarray:
       (1/2pi) int w sin(xy) dx = (1/2pi) sum_m (-1)^m y^(2m+1) w-moment_m / (2m+1)!,
 
     and collect the products landing on y^(2k).  Shares only the moment
-    quadrature with g_series; the combination rule is independent.
+    quadrature with g_from_moments; the combination rule is independent.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    mc = moments(f, K)
-    q, p = mc.q, mc.p
+    q, p, K = mc.q, mc.p, mc.K
     c = np.empty(K)
     for k in range(1, K + 1):
         vv = 0.0
@@ -365,8 +355,9 @@ def taylor_oracle(f: LineField, K: int) -> np.ndarray:
     return c
 
 
-def gseries_comparison(f: LineField, K: int) -> List[dict]:
-    """Per-order comparison of the closed-form g_k against the oracle.
+def gseries_comparison(mc: MomentCoordinates) -> List[dict]:
+    """Per-order comparison of the closed-form g_k against the oracle,
+    for k = 1..mc.K.
 
     Returns one row per k with the two values, their ratio (where the
     oracle is nonzero) and the absolute difference of g_k against
@@ -375,10 +366,10 @@ def gseries_comparison(f: LineField, K: int) -> List[dict]:
     of the energy functional while the g_k drop them.  The ratio column
     reports this factor as measured data.
     """
-    gs = g_series(f, K)
-    c = taylor_oracle(f, K)
+    gs = g_from_moments(mc)
+    c = taylor_oracle(mc)
     rows = []
-    for k in range(1, K + 1):
+    for k in range(1, mc.K + 1):
         gk = float(gs.g[k - 1])
         ck = float(c[k - 1])
         rows.append(

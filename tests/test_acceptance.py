@@ -118,7 +118,7 @@ def test_criterion_3_line_round_trip():
     g = line.g_from_moments(mc)
     p_rec = line.recover_momenta_triangular(g, mc.q, 1)
     rel_err = float(np.max(np.abs(p_rec - mc.p)) / np.max(np.abs(mc.p)))
-    rows = line.gseries_comparison(f, order)
+    rows = line.gseries_comparison(mc)
     elapsed = time.perf_counter() - start
 
     ok = rel_err < 1e-8 and len(rows) == order and elapsed < 5.0
@@ -196,7 +196,7 @@ def test_criterion_6_scattering_invariance():
 def test_criterion_7_action_hamiltonian():
     pot = kdv.sample_potential(lambda x: -2.0 / np.cosh(x) ** 2)
     sd = kdv.scattering_data(pot, np.linspace(0.05, 4.0, 60), k_max_bound=1.5)
-    H_act = kdv.hamiltonian_from_actions(kdv.action_spectrum(sd))
+    H_act = kdv.hamiltonian_from_actions(sd)
     H_dir = kdv.direct_hamiltonian(kdv.soliton_field(1.0))
     target = -96.0 / 15.0  # = -32/5
     act_err = abs(H_act - target) / abs(target)

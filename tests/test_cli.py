@@ -10,6 +10,7 @@ import pytest
 
 from jsonschema import Draft202012Validator
 
+from hamlab import line
 from hamlab.cli import EXPERIMENTS, _config_schema, list_experiments_text, load_config, main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -127,6 +128,15 @@ class TestConfigValidation:
         assert run_cli(tmp_path, {"experiment": experiment, "parameters": {"M": 500}}) == 2
         assert "power of two" in capsys.readouterr().err
         assert not (tmp_path / "out" / experiment / "report.json").exists()
+
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, {"experiment": "string-hj"})
+        assert main(["run", cfg, "--output-dir", str(blocker)]) == 2
+        err = capsys.readouterr().err
+        assert str(blocker / "string-hj") in err
+        assert "Traceback" not in err
 
     def test_removing_every_mode_exits_2(self, tmp_path, capsys):
         code = run_cli(
@@ -268,6 +278,19 @@ class TestRunPaths:
             != 0
         ]
         assert failed == []
+
+    def test_line_gseries_takes_moments_once(self, tmp_path, monkeypatch):
+        # the closed forms, the oracle and the recovery share one quadrature
+        calls = []
+        real = line.moments
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(line, "moments", counting)
+        assert run_cli(tmp_path, {"experiment": "line-gseries"}) == 0
+        assert len(calls) == 1
 
     def test_seed_override_changes_artifacts(self, tmp_path):
         payload = {"experiment": "string-hj", "parameters": {"samples": 3}}

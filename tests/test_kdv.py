@@ -14,15 +14,12 @@ import pytest
 
 from hamlab.errors import BlowUpError, ConvergenceError, DecayError
 from hamlab.kdv import (
-    ActionSpectrum,
     LinePotential,
     PeriodicField,
     ScatteringData,
-    action_spectrum,
     analytic_soliton_a,
     bound_states,
     cfl_timestep,
-    conserved_integrals,
     direct_hamiltonian,
     hamiltonian_from_actions,
     kdv_evolve,
@@ -74,9 +71,8 @@ def two_soliton_run():
 
 
 @pytest.fixture(scope="module")
-def sech_actions(sech_pot):
-    sd = scattering_data(sech_pot, np.linspace(0.05, 4.0, 60), k_max_bound=1.5)
-    return action_spectrum(sd)
+def sech_data(sech_pot):
+    return scattering_data(sech_pot, np.linspace(0.05, 4.0, 60), k_max_bound=1.5)
 
 
 class TestPeriodicField:
@@ -194,15 +190,16 @@ class TestTwoSolitonCollision:
 class TestRiccatiDensities:
     def test_first_density_is_minus_u(self, generic_field):
         d = riccati_densities(generic_field, 1)
-        assert np.array_equal(d.chi[0], -generic_field.u)
+        assert d.shape == (1, generic_field.M)
+        assert np.array_equal(d[0], -generic_field.u)
 
     def test_low_order_closed_forms(self, generic_field):
         f = generic_field
         d = riccati_densities(f, 3)
         ux = spectral_derivative(f, 1)
         uxx = spectral_derivative(f, 2)
-        assert np.max(np.abs(d.chi[1] + ux)) < 1e-12
-        assert np.max(np.abs(d.chi[2] - (-uxx + f.u**2))) < 1e-12
+        assert np.max(np.abs(d[1] + ux)) < 1e-12
+        assert np.max(np.abs(d[2] - (-uxx + f.u**2))) < 1e-12
 
     def test_higher_order_closed_forms(self, generic_field):
         f = generic_field
@@ -210,9 +207,9 @@ class TestRiccatiDensities:
         u, ux = f.u, spectral_derivative(f, 1)
         uxx, uxxx = spectral_derivative(f, 2), spectral_derivative(f, 3)
         u4 = spectral_derivative(f, 4)
-        assert np.max(np.abs(d.chi[3] - (-uxxx + 4.0 * u * ux))) < 1e-10
+        assert np.max(np.abs(d[3] - (-uxxx + 4.0 * u * ux))) < 1e-10
         chi5 = -u4 + 5.0 * ux**2 + 6.0 * u * uxx - 2.0 * u**3
-        assert np.max(np.abs(d.chi[4] - chi5)) < 1e-10
+        assert np.max(np.abs(d[4] - chi5)) < 1e-10
 
     def test_high_order_warns(self, generic_field):
         with pytest.warns(UserWarning, match="order 8"):
@@ -255,9 +252,9 @@ class TestConservedIntegrals:
         assert np.max(np.abs(c1.even)) < 1e-10
 
     def test_count_follows_order(self, generic_field):
-        c = conserved_integrals(riccati_densities(generic_field, 5))
-        assert c.I.size == 3
-        assert c.even.size == 2
+        c = kdv_invariants(generic_field, 4)
+        assert c.I.size == 4
+        assert c.even.size == 4
 
 
 class TestDirectHamiltonian:
@@ -457,31 +454,39 @@ class TestScatteringData:
         assert sd.bound_k.size == 1
 
 
-class TestActionSpectrum:
-    def test_reflectionless_soliton(self, sech_actions):
-        assert np.max(np.abs(sech_actions.n_of_k)) < 1e-6
-        assert sech_actions.N_l.size == 1
-        assert sech_actions.N_l[0] == pytest.approx(1.0, abs=1e-6)
+class TestActionVariables:
+    def test_reflectionless_soliton(self, sech_data):
+        assert np.max(np.abs(sech_data.n_of_k)) < 1e-6
+        assert sech_data.N_l.size == 1
+        assert sech_data.N_l[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_negative_density_rejected(self):
+        # |a| = 1 - 1e-9 passes the |a| >= 1 - 1e-8 check, but
+        # n(1) = (2/pi) ln |a|^2 ~ -1.27e-9 is below the -1e-10 floor
         with pytest.raises(ValueError, match=r"n\(k\) dips"):
-            ActionSpectrum(np.array([1.0]), np.array([-1e-6]), np.array([]))
+            ScatteringData(np.array([1.0]), np.array([1.0 - 1e-9]), np.array([]))
+
+    def test_n_of_k_is_the_read_only_formula(self, sech_data):
+        want = (2.0 * sech_data.k_grid / np.pi) * np.log(np.abs(sech_data.a) ** 2)
+        assert np.array_equal(sech_data.n_of_k, want)
+        with pytest.raises(ValueError):
+            sech_data.n_of_k[0] = 0.0
+        assert np.array_equal(sech_data.N_l, sech_data.bound_k**2)
 
     def test_oscillating_packet_has_positive_density(self):
         pot = sample_potential(lambda x: 0.05 * np.cos(2.0 * x) * np.exp(-(x**2) / 16.0))
         sd = scattering_data(pot, np.linspace(0.1, 3.0, 30), k_max_bound=1.0)
-        spec = action_spectrum(sd)
-        assert np.min(spec.n_of_k) > -1e-10
-        assert np.max(spec.n_of_k) > 1e-4  # genuine radiation content
+        assert np.min(sd.n_of_k) > -1e-10
+        assert np.max(sd.n_of_k) > 1e-4  # genuine radiation content
 
 
 class TestHamiltonianFromActions:
-    def test_single_soliton_value(self, sech_actions):
-        H = hamiltonian_from_actions(sech_actions)
+    def test_single_soliton_value(self, sech_data):
+        H = hamiltonian_from_actions(sech_data)
         assert H == pytest.approx(-32.0 / 5.0, rel=1e-4)
 
-    def test_agrees_with_direct_functional(self, sech_actions):
-        H = hamiltonian_from_actions(sech_actions)
+    def test_agrees_with_direct_functional(self, sech_data):
+        H = hamiltonian_from_actions(sech_data)
         H_direct = direct_hamiltonian(soliton_field(1.0))
         assert abs(H - H_direct) / abs(H_direct) < 1e-4
 
@@ -490,12 +495,13 @@ class TestHamiltonianFromActions:
         fn_a, fn_b = sech2_potential(1.0, -10.0), sech2_potential(0.5, 10.0)
         pot = sample_potential(lambda x: fn_a(x) + fn_b(x), half_width=40.0)
         sd = scattering_data(pot, np.linspace(0.05, 4.0, 80), k_max_bound=1.5)
-        H = hamiltonian_from_actions(action_spectrum(sd))
+        H = hamiltonian_from_actions(sd)
         assert H == pytest.approx(direct_hamiltonian(f0), rel=1e-4)
         assert H == pytest.approx(-6.6, rel=1e-4)
 
     def test_unconverged_tail_warns(self):
+        # |a(k)| = exp(pi 0.05 / (4k)) makes n(k) = 0.05 on every sample
         k = np.linspace(1.0, 2.0, 11)
-        spec = ActionSpectrum(k, np.full(11, 0.5), np.array([]))
+        sd = ScatteringData(k, np.exp(np.pi * 0.05 / (4.0 * k)), np.array([]))
         with pytest.warns(UserWarning, match="extend the k grid"):
-            hamiltonian_from_actions(spec)
+            hamiltonian_from_actions(sd)

@@ -7,11 +7,9 @@ import pytest
 
 from hamlab.canonical import CanonicalState, CompletenessReport
 from hamlab.kdv import (
-    ActionSpectrum,
     ConservedIntegrals,
     LinePotential,
     PeriodicField,
-    RiccatiDensities,
     ScatteringData,
 )
 from hamlab.line import GSeries, LineField, MomentCoordinates, line_grid
@@ -37,7 +35,6 @@ VALUE_TYPES = {
     ),
     SeparationData: lambda: ({"E": np.array([2.0, 4.0])}, {}),
     PeriodicField: lambda: ({"u": _bump(np.arange(8) - 4.0, 1.0)}, {"L_domain": 8.0}),
-    RiccatiDensities: lambda: ({"chi": np.ones((2, 8))}, {"L_domain": 8.0}),
     ConservedIntegrals: lambda: ({"I": np.array([1.0, 2.0]), "even": np.array([0.0, 0.0])}, {}),
     LinePotential: lambda: (
         {"x": np.linspace(-20.0, 20.0, 32), "u": -_bump(np.linspace(-20.0, 20.0, 32), 2.0)},
@@ -49,10 +46,6 @@ VALUE_TYPES = {
             "a": np.array([1.2 + 0.1j, 1.1, 1.0]),
             "bound_k": np.array([1.0]),
         },
-        {},
-    ),
-    ActionSpectrum: lambda: (
-        {"k_grid": np.array([0.5, 1.0]), "n_of_k": np.array([0.1, 0.0]), "N_l": np.array([1.0])},
         {},
     ),
     LineField: lambda: (
@@ -78,7 +71,6 @@ SCALAR_FIELDS = [
     (StringField, "t"),
     (PeriodicField, "L_domain"),
     (PeriodicField, "t"),
-    (RiccatiDensities, "L_domain"),
     (LineField, "t"),
     (MomentCoordinates, "scale"),
 ]
