@@ -581,6 +581,15 @@ def _source_revision():
     return _revision
 
 
+def _write_artifact(write, path, *content):
+    # like the output directory, an unwritable artifact path is the
+    # configuration's fault, not a failed check
+    try:
+        write(path, *content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifact {path}: {exc}") from exc
+
+
 def run_experiment(cfg, output_dir=None, seed_override=None, strict=False):
     """Execute one validated config; returns (report dict, exit code).
 
@@ -624,7 +633,7 @@ def run_experiment(cfg, output_dir=None, seed_override=None, strict=False):
     overall = error is None and all(c["pass"] for c in checks)
 
     for fname, (header, rows) in artifacts.items():
-        write_csv(os.path.join(exp_dir, fname), header, rows)
+        _write_artifact(write_csv, os.path.join(exp_dir, fname), header, rows)
 
     report = {
         "experiment": name,
@@ -643,7 +652,7 @@ def run_experiment(cfg, output_dir=None, seed_override=None, strict=False):
             k: v for k, v in vars(error).items() if isinstance(v, (bool, int, float, str))
         }
         report["error"] = {"type": type(error).__name__, "message": str(error), **fields}
-    write_json(os.path.join(exp_dir, "report.json"), report)
+    _write_artifact(write_json, os.path.join(exp_dir, "report.json"), report)
     if error is not None:
         raise error
     return report, (0 if overall else 1)
@@ -669,6 +678,17 @@ def list_experiments_text():
     return "\n".join(lines)
 
 
+def _seed_arg(text):
+    """``--seed`` value, held to the rule of a config ``seed``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < _SEED["minimum"]:
+        raise argparse.ArgumentTypeError(f"must be >= {_SEED['minimum']}, got {value}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="hamlab",
@@ -678,7 +698,7 @@ def main(argv=None):
     run_p = sub.add_parser("run", help="execute one experiment from a JSON config")
     run_p.add_argument("config", help="path to the config file")
     run_p.add_argument("--output-dir", default=None, help="override the config output_dir")
-    run_p.add_argument("--seed", type=int, default=None, help="override the seed parameter")
+    run_p.add_argument("--seed", type=_seed_arg, default=None, help="override the seed parameter")
     run_p.add_argument("--strict", action="store_true", help="treat warnings as failures")
     sub.add_parser("list-experiments", help="print the experiment table")
     args = parser.parse_args(argv)

@@ -44,9 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+import scipy
 
 from ._frozen import finite, freeze
 from .errors import BlowUpError, ConvergenceError, DecayError
@@ -313,7 +311,7 @@ class LinePotential:
         samples extended by zero outside the window."""
         if self.fn is not None:
             return self.fn
-        spline = CubicSpline(self.x, self.u)
+        spline = scipy.interpolate.CubicSpline(self.x, self.u)
         lo, hi = self.x[0], self.x[-1]
         return lambda xq: np.where((xq >= lo) & (xq <= hi), spline(xq), 0.0)
 
@@ -339,6 +337,16 @@ def line_window(f: PeriodicField) -> LinePotential:
     u = np.roll(f.u, shift)
     x = (np.arange(f.M) - f.M // 2) * f.h
     return LinePotential(x, u)
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, looked up at call time.
+
+    The name exists so that ``perfbench/tracer.py`` can substitute a
+    counting wrapper for it inside this module.  It folds into a direct
+    call when that tracer is deleted (ROADMAP item 4).
+    """
+    return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
 def schrodinger_a(pot: LinePotential, k: complex) -> complex:
@@ -533,7 +541,7 @@ def bound_states(
                 "even after widening; refine scan_step"
             )
     roots = [
-        brentq(A, grid[i], grid[i + 1], xtol=tol)
+        scipy.optimize.brentq(A, grid[i], grid[i + 1], xtol=tol)
         for i in range(len(grid) - 1)
         if vals[i] * vals[i + 1] < 0
     ]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+import scipy
 
 from ._frozen import finite, freeze
 from .errors import (
@@ -179,8 +179,8 @@ def dalembert_evolve(f: LineField, dt: float, spline_order: int = 2) -> LineFiel
         )
     x = f.grid
     lo, hi = x[0], x[-1]
-    U = make_interp_spline(x, f.u, k=spline_order)
-    V = make_interp_spline(x, f.v, k=spline_order)
+    U = scipy.interpolate.make_interp_spline(x, f.u, k=spline_order)
+    V = scipy.interpolate.make_interp_spline(x, f.v, k=spline_order)
     Vint = V.antiderivative()
     Uprime = U.derivative()
     xp = x + dt
@@ -209,7 +209,7 @@ def line_energy(f: LineField, spline_order: int = 2) -> float:
     the same order as dalembert_evolve makes the measured energy an exact
     invariant of the discrete evolution up to quadrature round-off.
     """
-    ux = make_interp_spline(f.grid, f.u, k=spline_order).derivative()(f.grid)
+    ux = scipy.interpolate.make_interp_spline(f.grid, f.u, k=spline_order).derivative()(f.grid)
     return _sym_trapezoid(0.5 * (ux**2 + f.v**2), f.h)
 
 

@@ -4,14 +4,22 @@ Slow experiments run here with shortened overrides; the full-default runs
 live in the acceptance suite.
 """
 
+import inspect
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from jsonschema import Draft202012Validator
 
-from hamlab import line
+import hamlab
+from hamlab import kdv, line
 from hamlab.cli import EXPERIMENTS, _config_schema, list_experiments_text, load_config, main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hamlab.__file__)))
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -137,6 +145,23 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert str(blocker / "string-hj") in err
         assert "Traceback" not in err
+
+    def test_unwritable_artifact_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "out" / "string-hj" / "hj_error.csv"
+        blocker.mkdir(parents=True)
+        assert run_cli(tmp_path, {"experiment": "string-hj", "parameters": {"samples": 3}}) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write artifact {blocker}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment", ["string-hj", "kdv-conservation"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, experiment):
+        # --seed follows the config seed's rule, for experiments without a seed too
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(tmp_path, {"experiment": experiment}, "--seed", "-5")
+        assert exit_info.value.code == 2
+        assert "argument --seed: must be >= 0, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_removing_every_mode_exits_2(self, tmp_path, capsys):
         code = run_cli(
@@ -305,6 +330,74 @@ class TestRunPaths:
         assert run_cli(tmp_path, payload, "--seed", "4") == 0
         report = load_report(tmp_path, "kdv-conservation")
         assert any("--seed ignored" in w for w in report["warnings"])
+
+
+# Run configs through main() in a fresh interpreter; print the scipy
+# submodules loaded by then.
+_SCIPY_AFTER_RUNS = """
+import json, sys
+import hamlab, hamlab.cli
+for cfg in sys.argv[2:]:
+    code = hamlab.cli.main(["run", cfg, "--output-dir", sys.argv[1]])
+    if code != 0:
+        sys.exit(f"{cfg} exited {code}")
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy."))))
+"""
+DEFERRED = {"scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.special"}
+
+
+def scipy_loaded_after(tmp_path, payloads):
+    cfgs = [write_config(tmp_path, p, f"{p['experiment']}.json") for p in payloads]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_AFTER_RUNS, str(tmp_path / "out"), *cfgs],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestColdStart:
+    """SciPy submodules load when first called, never on ``import hamlab``:
+    reach them as ``scipy.<sub>.<name>`` at call time."""
+
+    def test_string_and_gseries_runs_load_no_scipy_submodule(self, tmp_path):
+        loaded = scipy_loaded_after(
+            tmp_path,
+            [
+                {"experiment": "string-hj", "parameters": {"samples": 5}},
+                {"experiment": "string-completeness"},
+                {"experiment": "line-gseries"},
+            ],
+        )
+        assert not loaded & DEFERRED
+
+    def test_kdv_scattering_run_loads_no_scipy_integrate(self, tmp_path):
+        payload = {
+            "experiment": "kdv-scattering",
+            "parameters": {"t_final": 1e-3, "dt": 5e-4, "n_k": 3},
+        }
+        loaded = scipy_loaded_after(tmp_path, [payload])
+        # the spline and Brent's method load on use; the DOP853 oracle is not used
+        assert {"scipy.interpolate", "scipy.optimize"} <= loaded
+        assert "scipy.integrate" not in loaded
+
+    def test_oracle_calls_the_module_level_solve_ivp(self, monkeypatch):
+        # perfbench/tracer.py substitutes kdv.solve_ivp to count Jost RHS calls
+        assert inspect.isfunction(kdv.__dict__["solve_ivp"])
+        calls = []
+        real = kdv.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kdv, "solve_ivp", counting)
+        pot = kdv.sample_potential(lambda x: -2.0 / np.cosh(x) ** 2, half_width=15.0, n_points=512)
+        kdv.schrodinger_a(pot, 1.0)
+        assert len(calls) == 1
 
 
 class TestReproducibility:

@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 EXPERIMENTS = (
     "string-modes",
@@ -49,36 +50,52 @@ CONFIGS = (
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
+def fresh_interpreter(src, args, cwd):
+    """Run ``python ARGS`` in ``cwd`` against ``src``, in a fresh interpreter
+    with one BLAS thread; returns (completed process, wall seconds)."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **ONE_THREAD)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True)
+    return proc, time.perf_counter() - start
+
+
+def run_config(src, experiment, parameters, work, flags=()):
+    """Run one config through ``python FLAGS -m hamlab.cli run`` against
+    ``src``, its files under ``work``; returns (completed process, wall
+    seconds, experiment directory)."""
+    cfg = os.path.join(work, "config.json")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump({"experiment": experiment, "parameters": parameters}, fh)
+    out = os.path.join(work, "out")
+    proc, seconds = fresh_interpreter(
+        src, [*flags, "-m", "hamlab.cli", "run", cfg, "--output-dir", out], work
+    )
+    return proc, seconds, os.path.join(out, experiment)
+
+
+def report_checks(exp_dir):
+    """[name, value, threshold, pass] of each check in report.json, or None
+    when the run wrote no report."""
+    path = os.path.join(exp_dir, "report.json")
+    if not os.path.isfile(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    return [[c["name"], c["value"], c["threshold"], c["pass"]] for c in report["checks"]]
+
+
 def outputs(src, experiment, parameters):
     """Exit code, CSV digests and report checks of one run against ``src``."""
     with tempfile.TemporaryDirectory() as work:
-        cfg = os.path.join(work, "config.json")
-        with open(cfg, "w", encoding="utf-8") as fh:
-            json.dump({"experiment": experiment, "parameters": parameters}, fh)
-        out = os.path.join(work, "out")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **ONE_THREAD)
-        proc = subprocess.run(
-            [sys.executable, "-m", "hamlab.cli", "run", cfg, "--output-dir", out],
-            env=env,
-            cwd=work,
-            capture_output=True,
-        )
-        exp_dir = os.path.join(out, experiment)
+        proc, _, exp_dir = run_config(src, experiment, parameters, work)
         digests = {}
-        checks = None
         if os.path.isdir(exp_dir):
             for name in sorted(os.listdir(exp_dir)):
-                path = os.path.join(exp_dir, name)
                 if name.endswith(".csv"):
-                    with open(path, "rb") as fh:
+                    with open(os.path.join(exp_dir, name), "rb") as fh:
                         digests[name] = hashlib.sha256(fh.read()).hexdigest()
-                elif name == "report.json":
-                    with open(path, encoding="utf-8") as fh:
-                        report = json.load(fh)
-                    # compared as JSON text, so a NaN value equals itself
-                    checks = json.dumps(
-                        [[c["name"], c["value"], c["threshold"], c["pass"]] for c in report["checks"]]
-                    )
+        # compared as JSON text, so a NaN value equals itself
+        checks = json.dumps(report_checks(exp_dir))
     return {"exit code": proc.returncode, "CSV sha256": digests, "report checks": checks}
 
 
