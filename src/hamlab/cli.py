@@ -261,6 +261,7 @@ def _run_line_velocity_moments(p):
         for n in orders:
             m_drift[n] = max(m_drift[n], abs(line.velocity_moment(cur, n) - m0[n]))
 
+    x = f0.grid
     checks = [_bounded(f"energy-drift-y{y:g}", drifts[y], p["energy_tol"]) for y in y_values]
     checks += [
         _bounded("moment-drift-n0", m_drift[0], p["moment_tol"]),
@@ -271,15 +272,25 @@ def _run_line_velocity_moments(p):
     artifacts = {
         "energy_drift.csv": (("y", "drift"), [(float(y), float(drifts[y])) for y in y_values]),
         "moment_drift.csv": (("n", "drift"), [(n, float(m_drift[n])) for n in orders]),
-        "field_u.csv": (("x", "value"), list(zip(map(float, f0.grid), map(float, f0.u)))),
-        "field_v.csv": (("x", "value"), list(zip(map(float, f0.grid), map(float, f0.v)))),
+        "field_u.csv": (("x", "value"), list(zip(map(float, x), map(float, f0.u)))),
+        "field_v.csv": (("x", "value"), list(zip(map(float, x), map(float, f0.v)))),
     }
     return checks, artifacts
 
 
+def _segment_steps(p, count):
+    """dt steps in each of the p[count] - 1 segments of t_final; none is a
+    ConfigError, since a step anyway would run past t_final."""
+    steps = round(p["t_final"] / ((p[count] - 1) * p["dt"]))
+    if steps == 0:
+        got = f"t_final={p['t_final']:g}, {count}={p[count]} and dt={p['dt']:g}"
+        raise ConfigError(f"{got} leave 0 steps per segment")
+    return steps
+
+
 def _run_kdv_conservation(p):
     f = kdv.soliton_field(p["kappa"], L_domain=p["L_domain"], M=p["M"])
-    seg_steps = max(1, round(p["t_final"] / ((p["n_samples"] - 1) * p["dt"])))
+    seg_steps = _segment_steps(p, "n_samples")
 
     def sample(field):
         c = kdv.kdv_invariants(field)
@@ -336,7 +347,7 @@ def _scattering_artifacts(sd):
 
 def _run_kdv_scattering(p):
     f = kdv.soliton_field(p["kappa"], L_domain=p["L_domain"], M=p["M"])
-    seg_steps = max(1, round(p["t_final"] / ((p["n_times"] - 1) * p["dt"])))
+    seg_steps = _segment_steps(p, "n_times")
 
     def probe(field):
         return kdv.scattering_a(kdv.line_window(field), [p["k_probe"]])[0]
@@ -438,7 +449,10 @@ EXPERIMENTS = {
         "topic": "infinite-string",
         "runner": _run_line_velocity_moments,
         "parameters": {
-            "y_values": ([0.5, 1.0, 2.0], {"type": "array", "items": _POS_NUMBER, "minItems": 1}),
+            "y_values": (
+                [0.5, 1.0, 2.0],
+                {"type": "array", "items": _POS_NUMBER, "minItems": 1, "uniqueItems": True},
+            ),
             "t_final": (1.0, _POS_NUMBER),
             "steps": (4, _POS_INT),
             "spline_order": (2, {"enum": [2, 3]}),

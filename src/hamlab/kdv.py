@@ -271,9 +271,7 @@ def riccati_residual(f: PeriodicField, order: int, k_value: float) -> float:
     chi = np.zeros(f.M, dtype=complex)
     for m in range(1, order + 1):
         chi += densities[m - 1] / two_ik**m
-    # chi is complex, so differentiate with the full transform
-    k_full = 2.0 * np.pi * np.fft.fftfreq(f.M, d=f.L_domain / f.M)
-    chi_x = np.fft.ifft(1j * k_full * np.fft.fft(chi))
+    chi_x = _ddx(chi.real, f.L_domain) + 1j * _ddx(chi.imag, f.L_domain)
     residual = chi_x + chi**2 - f.u - two_ik * chi
     return float(np.max(np.abs(residual)))
 

@@ -1,8 +1,9 @@
 """Vibrating string on the whole line, truncated to [-L, L].
 
-Initial data must be effectively compactly supported inside the window
-(endpoint samples below ``DEFAULT_DECAY_TOL``); all integrals over the
-line then become proper integrals over the grid.  The module provides
+A field is 2m+1 samples at x = k h, k = -m..m, so L = m h.  Initial data
+must be effectively compactly supported inside the window (endpoint
+samples below ``DEFAULT_DECAY_TOL``); all integrals over the line then
+become proper integrals over the grid.  The module provides
 
  - exact evolution of the wave equation by the d'Alembert formula applied
    to a piecewise-polynomial interpolant of the data,
@@ -25,7 +26,8 @@ line then become proper integrals over the grid.  The module provides
 
 Quadrature is the composite trapezoid evaluated in mirror pairs on the
 bitwise-symmetric grid, so odd integrands cancel exactly: even u and even
-v give exactly zero moments, not merely small ones.
+v give exactly zero moments, not merely small ones.  All moments, of u
+and of u_t, share one quadrature.
 """
 
 from __future__ import annotations
@@ -54,47 +56,41 @@ DEFAULT_DECAY_TOL = 1e-12
 
 
 def line_grid(L: float = DEFAULT_HALF_WIDTH, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Uniform bitwise-symmetric grid on [-L, L].
+    """Uniform grid on [-L, L]: the points k * step for k = -L/step..L/step.
 
-    Built by mirroring the nonnegative half so grid[i] == -grid[-1-i]
-    exactly, which the odd-cancellation quadrature relies on.
+    (-k) * step == -(k * step) exactly, so grid[i] == -grid[-1-i] bitwise,
+    which the odd-cancellation quadrature relies on.
     """
     if L <= 0 or step <= 0:
         raise ValueError("L and step must be positive")
     n_half = int(round(L / step))
     if abs(n_half * step - L) > 1e-12:
         raise ValueError("step must divide the half-width L")
-    half = np.arange(n_half + 1) * step
-    return np.concatenate([-half[:0:-1], half])
+    return np.arange(-n_half, n_half + 1, dtype=float) * step
 
 
 @dataclass(frozen=True)
 class LineField:
-    """Displacement u and velocity v sampled on a symmetric uniform grid.
+    """Displacement u and velocity v at the 2m+1 points x = k h, k = -m..m,
+    of the window [-L, L], L = m h; ``grid`` rebuilds those points.
 
     Endpoint samples beyond ``DEFAULT_DECAY_TOL`` mean the window is too
     small for the data and construction fails; everything downstream
     treats the field as exactly zero outside the window.
     """
 
-    grid: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    h: float = DEFAULT_STEP
     t: float = 0.0
 
     def __post_init__(self):
-        grid = freeze(self, "grid", self.grid)
         u = freeze(self, "u", self.u)
         v = freeze(self, "v", self.v)
-        if not (grid.shape == u.shape == v.shape) or grid.ndim != 1 or grid.size < 5:
-            raise ValueError("grid, u, v must be 1-d arrays of equal length >= 5")
-        if grid.size % 2 == 0:
-            raise ValueError("grid must have an odd number of points (symmetric about 0)")
-        steps = np.diff(grid)
-        if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-12):
-            raise ValueError("grid must be uniform")
-        if np.max(np.abs(grid + grid[::-1])) != 0.0:
-            raise ValueError("grid must be bitwise symmetric about 0")
+        if u.shape != v.shape or u.ndim != 1 or u.size < 5 or u.size % 2 == 0:
+            raise ValueError("u and v must be 1-d arrays of equal odd length >= 5")
+        if finite(self, "h", self.h) <= 0:
+            raise ValueError("h must be positive")
         worst = max(abs(u[0]), abs(u[-1]), abs(v[0]), abs(v[-1]))
         if worst > DEFAULT_DECAY_TOL:
             raise DecayError(
@@ -105,11 +101,12 @@ class LineField:
 
     @property
     def L(self) -> float:
-        return float(self.grid[-1])
+        return (self.u.size // 2) * self.h
 
     @property
-    def h(self) -> float:
-        return float(self.grid[1] - self.grid[0])
+    def grid(self) -> np.ndarray:
+        m = self.u.size // 2
+        return np.arange(-m, m + 1, dtype=float) * self.h
 
 
 def sample_line_field(
@@ -122,7 +119,7 @@ def sample_line_field(
     """Sample callables onto the symmetric grid."""
     x = line_grid(L, step)
     v = np.zeros_like(x) if v_fn is None else v_fn(x)
-    return LineField(x, u_fn(x), v, t)
+    return LineField(u_fn(x), v, step, t)
 
 
 def _sym_trapezoid(w: np.ndarray, h: float) -> float:
@@ -133,14 +130,6 @@ def _sym_trapezoid(w: np.ndarray, h: float) -> float:
     """
     s = w + w[::-1]
     return 0.5 * h * float(np.sum(s) - s[0])
-
-
-def _signed_power(x: np.ndarray, n: int) -> np.ndarray:
-    """x**n computed as sign(x)**n * |x|**n so parity is bitwise exact."""
-    mag = np.abs(x) ** n
-    if n % 2 == 0:
-        return mag
-    return np.sign(x) * mag
 
 
 def support_margin(f: LineField) -> float:
@@ -155,7 +144,7 @@ def support_margin(f: LineField) -> float:
     if not np.any(mask):
         return 2.0 * f.L
     idx = np.flatnonzero(mask)
-    return float(min(f.grid[idx[0]] - f.grid[0], f.grid[-1] - f.grid[idx[-1]]))
+    return float(min(idx[0], f.u.size - 1 - idx[-1]) * f.h)
 
 
 def dalembert_evolve(f: LineField, dt: float, spline_order: int = 2) -> LineField:
@@ -183,23 +172,20 @@ def dalembert_evolve(f: LineField, dt: float, spline_order: int = 2) -> LineFiel
     V = scipy.interpolate.make_interp_spline(x, f.v, k=spline_order)
     Vint = V.antiderivative()
     Uprime = U.derivative()
-    xp = x + dt
-    xm = x - dt
+    # x + dt and x - dt clipped to the window, once for all eight evaluations
+    xp, xm = x + dt, x - dt
+    in_p, in_m = (xp >= lo) & (xp <= hi), (xm >= lo) & (xm <= hi)
+    xp, xm = np.clip(xp, lo, hi), np.clip(xm, lo, hi)
 
-    def inside_or_zero(sp, pts):
-        clipped = np.clip(pts, lo, hi)
-        vals = sp(clipped)
-        return np.where((pts >= lo) & (pts <= hi), vals, 0.0)
+    def inside_or_zero(sp):
+        return np.where(in_p, sp(xp), 0.0), np.where(in_m, sp(xm), 0.0)
 
+    (up, um), (dup, dum), (vp, vm) = inside_or_zero(U), inside_or_zero(Uprime), inside_or_zero(V)
     # The running integral of v is constant outside the window (v = 0
     # there), so clipping the evaluation point is the correct extension.
-    vint_p = Vint(np.clip(xp, lo, hi))
-    vint_m = Vint(np.clip(xm, lo, hi))
-    u_new = 0.5 * (inside_or_zero(U, xp) + inside_or_zero(U, xm)) + 0.5 * (vint_p - vint_m)
-    v_new = 0.5 * (inside_or_zero(Uprime, xp) - inside_or_zero(Uprime, xm)) + 0.5 * (
-        inside_or_zero(V, xp) + inside_or_zero(V, xm)
-    )
-    return LineField(x, u_new, v_new, f.t + dt)
+    u_new = 0.5 * (up + um) + 0.5 * (Vint(xp) - Vint(xm))
+    v_new = 0.5 * (dup - dum) + 0.5 * (vp + vm)
+    return LineField(u_new, v_new, f.h, f.t + dt)
 
 
 def line_energy(f: LineField, spline_order: int = 2) -> float:
@@ -209,7 +195,8 @@ def line_energy(f: LineField, spline_order: int = 2) -> float:
     the same order as dalembert_evolve makes the measured energy an exact
     invariant of the discrete evolution up to quadrature round-off.
     """
-    ux = scipy.interpolate.make_interp_spline(f.grid, f.u, k=spline_order).derivative()(f.grid)
+    x = f.grid
+    ux = scipy.interpolate.make_interp_spline(x, f.u, k=spline_order).derivative()(x)
     return _sym_trapezoid(0.5 * (ux**2 + f.v**2), f.h)
 
 
@@ -231,57 +218,54 @@ def continuous_mode_energy(f: LineField, y: float) -> float:
 
 @dataclass(frozen=True)
 class MomentCoordinates:
-    """Odd-moment canonical coordinates in original units.
-
-    q[n] = int x^(2n+1) u dx and p[n] = int x^(2n+1) u_t dx for
-    n = 0..K-1.  ``scale`` records the nondimensionalization length used
-    inside the quadrature (powers are taken of x/scale and the result is
-    rescaled), kept for auditability.
-    """
+    """Odd-moment canonical coordinates q[n] = int x^(2n+1) u dx and
+    p[n] = int x^(2n+1) u_t dx for n = 0..K-1."""
 
     q: np.ndarray
     p: np.ndarray
-    scale: float
 
     def __post_init__(self):
         q = freeze(self, "q", self.q)
         p = freeze(self, "p", self.p)
         if q.ndim != 1 or q.size < 1 or p.shape != q.shape:
             raise ValueError("q and p must be nonempty vectors of equal length K")
-        if finite(self, "scale", self.scale) <= 0:
-            raise ValueError("scale must be positive")
 
     @property
     def K(self) -> int:
         return self.q.size
 
 
-def moments(f: LineField, K: int, scale: Optional[float] = None) -> MomentCoordinates:
-    """Odd moments of u and v up to power 2K-1.
+def _moment_quadrature(f: LineField, orders, *samples: np.ndarray) -> np.ndarray:
+    """int x^n w dx for each order n (rows) and each sample w (columns).
 
-    Powers are computed on x/scale (default scale = L) so the intermediate
-    arrays stay O(max |field|); only the final rescale can overflow, and
-    doing so raises ScalingError.
+    The weight (x/L)^n is taken as sign(x)^n |x/L|^n, so its parity is
+    bitwise exact and its entries stay in [-1, 1]; the result is scaled by
+    L^n.  Only that rescale can overflow, and doing so raises ScalingError.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    scale = f.L if scale is None else float(scale)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    xs = f.grid / scale
-    q = np.empty(K)
-    p = np.empty(K)
-    for n in range(K):
-        w = _signed_power(xs, 2 * n + 1)
-        factor = scale ** (2 * n + 1)
-        q[n] = factor * _sym_trapezoid(w * f.u, f.h)
-        p[n] = factor * _sym_trapezoid(w * f.v, f.h)
-        if not (math.isfinite(q[n]) and math.isfinite(p[n])):
+    L = f.L
+    xs = f.grid / L
+    out = np.empty((len(orders), len(samples)))
+    for i, n in enumerate(orders):
+        weight = np.abs(xs) ** n
+        if n % 2:
+            weight = np.sign(xs) * weight
+        for j, w in enumerate(samples):
+            out[i, j] = L**n * _sym_trapezoid(weight * w, f.h)
+        if not np.isfinite(out[i]).all():
             raise ScalingError(
-                f"moment of order {2 * n + 1} overflowed; nondimensionalize the field "
+                f"moment of order {n} overflowed; nondimensionalize the field "
                 "(reduce amplitudes or the window) before taking moments"
             )
-    return MomentCoordinates(q, p, scale)
+    return out
+
+
+def moments(f: LineField, K: int) -> MomentCoordinates:
+    """Odd moments q_n = int x^(2n+1) u dx and p_n = int x^(2n+1) v dx,
+    n = 0..K-1; each order's weight is built once for both u and v."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    qp = _moment_quadrature(f, range(1, 2 * K, 2), f.u, f.v)
+    return MomentCoordinates(qp[:, 0], qp[:, 1])
 
 
 @dataclass(frozen=True)
@@ -430,16 +414,12 @@ def recover_momenta_triangular(g, q, sign_p0: int) -> np.ndarray:
 
 
 def velocity_moment(f: LineField, n: int) -> float:
-    """int x^n u_t dx for any integer power n >= 0.
+    """int x^n u_t dx for any integer power n >= 0; the quadrature is that
+    of :func:`moments`, so velocity_moment(f, 2k+1) == moments(f, K).p[k].
 
     Conserved by the wave flow for n = 0 and n = 1; for n >= 2 its time
     derivative is n (n-1) int x^(n-2) u dx.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    scale = f.L
-    w = _signed_power(f.grid / scale, n) * f.v
-    val = scale**n * _sym_trapezoid(w, f.h)
-    if not math.isfinite(val):
-        raise ScalingError(f"velocity moment of order {n} overflowed")
-    return val
+    return float(_moment_quadrature(f, (n,), f.v)[0, 0])

@@ -50,26 +50,22 @@ def string_grid(M: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StringField:
-    """Displacement/velocity samples on the closed uniform grid.
+    """Displacement/velocity samples on ``grid``, the M+1 points
+    ``string_grid(M)`` covering [0, 2*pi].
 
     Endpoint samples must vanish (Dirichlet); values within round-off of
     zero are snapped to exact zeros so the invariant is literal.
     """
 
-    grid: np.ndarray
     u: np.ndarray
     v: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        grid = freeze(self, "grid", self.grid)
         u = freeze(self, "u", self.u)
         v = freeze(self, "v", self.v)
-        if not (grid.shape == u.shape == v.shape) or grid.ndim != 1 or grid.size < 3:
-            raise ValueError("grid, u, v must be 1-d arrays of equal length >= 3")
-        M = grid.size - 1
-        if not np.allclose(grid, string_grid(M), rtol=0.0, atol=1e-12):
-            raise ValueError("grid must be uniform on [0, 2*pi] inclusive")
+        if u.shape != v.shape or u.ndim != 1 or u.size < 3:
+            raise ValueError("u and v must be 1-d arrays of equal length >= 3")
         for name, w in (("u", u), ("v", v)):
             scale = max(1.0, float(np.max(np.abs(w))))
             if abs(w[0]) > 1e-9 * scale or abs(w[-1]) > 1e-9 * scale:
@@ -79,7 +75,11 @@ class StringField:
 
     @property
     def M(self) -> int:
-        return self.grid.size - 1
+        return self.u.size - 1
+
+    @property
+    def grid(self) -> np.ndarray:
+        return string_grid(self.M)
 
 
 def sample_field(
@@ -91,7 +91,7 @@ def sample_field(
     """Sample callables on the uniform grid into a StringField."""
     x = string_grid(M)
     v = np.zeros_like(x) if v_fn is None else v_fn(x)
-    return StringField(x, u_fn(x), v, t)
+    return StringField(u_fn(x), v, t)
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,9 @@ def sine_modes(f: StringField, N: int) -> CanonicalState:
         raise ResolutionError(
             f"grid with M={f.M} intervals cannot resolve N={N} modes (need M > 2N)"
         )
-    a = _sine_coefficients(f.u, f.grid, N)
-    adot = _sine_coefficients(f.v, f.grid, N)
+    x = f.grid
+    a = _sine_coefficients(f.u, x, N)
+    adot = _sine_coefficients(f.v, x, N)
     return CanonicalState(a, adot, f.t)
 
 
@@ -159,7 +160,7 @@ def reconstruct_field(m: CanonicalState, M: int = DEFAULT_GRID_M) -> StringField
         s = np.sin(n * x)
         u += m.q[n - 1] * s
         v += m.p[n - 1] * s
-    return StringField(x, u, v, m.t)
+    return StringField(u, v, m.t)
 
 
 def mode_energy(n: int, a_n: float, adot_n: float) -> float:
@@ -187,8 +188,9 @@ def field_energy_integral(f: StringField, n: int) -> float:
         raise ValueError("mode index must be >= 1")
     if f.M <= 2 * n:
         raise ResolutionError(f"grid with M={f.M} intervals cannot resolve mode n={n}")
-    iu = np.pi * _sine_coefficients(f.u, f.grid, n)[-1]
-    iv = np.pi * _sine_coefficients(f.v, f.grid, n)[-1]
+    x = f.grid
+    iu = np.pi * _sine_coefficients(f.u, x, n)[-1]
+    iv = np.pi * _sine_coefficients(f.v, x, n)[-1]
     return 0.5 * (n * iu) ** 2 + 0.5 * iv**2
 
 
@@ -199,10 +201,11 @@ def field_derivative(f: StringField) -> np.ndarray:
     regime every consumer of this module works in.
     """
     N = f.M // 2
-    a = _sine_coefficients(f.u, f.grid, N)
-    du = np.zeros_like(f.grid)
+    x = f.grid
+    a = _sine_coefficients(f.u, x, N)
+    du = np.zeros_like(x)
     for n in range(1, N + 1):
-        du += n * a[n - 1] * np.cos(n * f.grid)
+        du += n * a[n - 1] * np.cos(n * x)
     return du
 
 

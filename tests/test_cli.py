@@ -182,6 +182,29 @@ class TestConfigValidation:
         assert code == 2
         assert "k_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, count, t_final",
+        [("kdv-conservation", "n_samples", 0.0005), ("kdv-scattering", "n_times", 5e-5)],
+    )
+    def test_t_final_below_one_step_per_segment_exits_2(
+        self, tmp_path, capsys, experiment, count, t_final
+    ):
+        # at dt 1e-4 each segment rounds to 0 steps; taking one step per
+        # segment instead would evolve past t_final
+        code = run_cli(tmp_path, {"experiment": experiment, "parameters": {"t_final": t_final}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"t_final={t_final:g}" in err and count in err and "dt=0.0001" in err
+        assert not (tmp_path / "out" / experiment / "report.json").exists()
+
+    def test_repeated_y_value_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            tmp_path,
+            {"experiment": "line-velocity-moments", "parameters": {"y_values": [1.0, 1.0]}},
+        )
+        assert code == 2
+        assert "y_values" in capsys.readouterr().err
+
     def test_schemas_are_valid_against_the_metaschema(self):
         for name in EXPERIMENTS:
             Draft202012Validator.check_schema(_config_schema(name))

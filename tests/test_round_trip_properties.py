@@ -50,7 +50,7 @@ def test_triangular_recovery_inverts_g_from_moments(K, seed):
     a, b = rng.uniform(-1.0, 1.0, (2, K))
     rho = float(np.max(np.abs(b))) / abs(b[0])
     assume(rho <= 1.0 / MIN_REL_P0)
-    mc = MomentCoordinates(fact * a, fact * b, 1.0)
+    mc = MomentCoordinates(fact * a, fact * b)
     p = recover_momenta_triangular(g_from_moments(mc), mc.q, int(np.sign(mc.p[0])))
     err = np.max(np.abs(p - mc.p) / fact) / np.max(np.abs(b))
     assert err <= 1000.0 * EPS * rho ** (K - 1)

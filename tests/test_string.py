@@ -50,16 +50,12 @@ class TestStringField:
         x = string_grid(8)
         u = np.ones_like(x)
         with pytest.raises(ValueError, match="Dirichlet"):
-            StringField(x, u, np.zeros_like(x))
+            StringField(u, np.zeros_like(x))
 
     def test_roundoff_endpoints_snapped_to_zero(self):
         f = sample_field(lambda x: np.sin(3 * x), M=64)
         assert f.u[0] == 0.0 and f.u[-1] == 0.0
 
-    def test_nonuniform_grid_rejected(self):
-        x = np.sqrt(np.linspace(0.0, (2 * np.pi) ** 2, 9))
-        with pytest.raises(ValueError, match="uniform"):
-            StringField(x, np.zeros_like(x), np.zeros_like(x))
 
 
 class TestSineModes:

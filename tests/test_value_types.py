@@ -26,11 +26,7 @@ VALUE_TYPES = {
     CanonicalState: lambda: ({"q": np.array([1.0, 2.0]), "p": np.array([0.5, -0.5])}, {"t": 0.0}),
     CompletenessReport: lambda: ({"jacobian": np.eye(2)}, {"rank_tol": 1e-8}),
     StringField: lambda: (
-        {
-            "grid": string_grid(8),
-            "u": np.sin(string_grid(8)),
-            "v": np.sin(2.0 * string_grid(8)),
-        },
+        {"u": np.sin(string_grid(8)), "v": np.sin(2.0 * string_grid(8))},
         {"t": 0.0},
     ),
     SeparationData: lambda: ({"E": np.array([2.0, 4.0])}, {}),
@@ -49,17 +45,10 @@ VALUE_TYPES = {
         {},
     ),
     LineField: lambda: (
-        {
-            "grid": line_grid(2.0, 0.5),
-            "u": _bump(line_grid(2.0, 0.5), 0.3),
-            "v": -_bump(line_grid(2.0, 0.5), 0.3),
-        },
-        {"t": 0.0},
+        {"u": _bump(line_grid(2.0, 0.5), 0.3), "v": -_bump(line_grid(2.0, 0.5), 0.3)},
+        {"h": 0.5, "t": 0.0},
     ),
-    MomentCoordinates: lambda: (
-        {"q": np.array([1.0, 2.0]), "p": np.array([0.5, 1.0])},
-        {"scale": 1.0},
-    ),
+    MomentCoordinates: lambda: ({"q": np.array([1.0, 2.0]), "p": np.array([0.5, 1.0])}, {}),
     GSeries: lambda: ({"g": np.array([1.0, 0.5])}, {}),
 }
 
@@ -71,8 +60,8 @@ SCALAR_FIELDS = [
     (StringField, "t"),
     (PeriodicField, "L_domain"),
     (PeriodicField, "t"),
+    (LineField, "h"),
     (LineField, "t"),
-    (MomentCoordinates, "scale"),
 ]
 
 

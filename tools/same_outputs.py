@@ -12,9 +12,10 @@ exit code is 0 when every config matches and 1 otherwise, after listing
 the configs that differ; 2 for bad arguments.
 
 The config set is the eight experiments at their defaults, line-gseries
-at seeds 0-3 at defaults and with order 8 and sign -1, kdv-scattering and
-kdv-action-hamiltonian at kappa 0.95 and 1.05, and a shortened
-kdv-conservation at kappa 0.8.
+at seeds 0-3 at defaults and with order 8 and sign -1,
+line-velocity-moments with the cubic spline (spline_order 3),
+kdv-scattering and kdv-action-hamiltonian at kappa 0.95 and 1.05, and a
+shortened kdv-conservation at kappa 0.8.
 """
 
 import hashlib
@@ -43,6 +44,7 @@ CONFIGS = (
         for seed in range(4)
         for extra in ({}, {"order": 8, "sign": -1})
     ]
+    + [("line-velocity-moments", {"spline_order": 3})]
     + [("kdv-scattering", {"kappa": kappa}) for kappa in KAPPAS]
     + [("kdv-action-hamiltonian", {"kappa": kappa, "k_max_bound": kappa + 0.5}) for kappa in KAPPAS]
     + [("kdv-conservation", {"kappa": 0.8, "t_final": 0.5})]
