@@ -149,7 +149,9 @@ class HamiltonianSystem:
 
     hamlab calls ``hamiltonian(q, p)``, ``grad_q(q, p)`` and ``grad_p(q, p)``
     with raw coordinate and momentum arrays, so neither the Stormer-Verlet
-    stepper nor the gradient check builds states.
+    stepper nor the gradient check builds states.  Separability means that
+    ``grad_q`` reads only q and ``grad_p`` only p; the stepper relies on it
+    and reuses each step's last ``grad_q`` value as the next step's first.
     """
 
     dim: int
@@ -336,13 +338,13 @@ def poisson_bracket_analytic(f: Observable, g: Observable, s: CanonicalState) ->
     return float(np.dot(fq, gp) - np.dot(fp, gq))
 
 
-def involution_matrix(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Matrix of pairwise Poisson brackets B[i, j] = [f_i, f_j].
+def involution_and_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP):
+    """The involution matrix and the completeness Jacobian at ``s``, as
+    ``(B, J)``, from one q-side and one p-side gradient table.
 
-    Each observable is differentiated once.  Each unordered pair takes the
-    same index-ordered dot products as :func:`poisson_bracket` (so B[i, j]
-    equals it bit for bit) and is negated for the transpose entry, so B is
-    exactly antisymmetric with a zero diagonal.
+    B equals :func:`involution_matrix` and J equals
+    :func:`completeness_jacobian` bit for bit; the p side, which both
+    need, is differenced once.
     """
     Q = _gradients(obs.observables, s.q, s.p, h, "q")
     P = _gradients(obs.observables, s.q, s.p, h, "p")
@@ -353,7 +355,18 @@ def involution_matrix(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_
             b = float(np.dot(Q[i], P[j]) - np.dot(P[i], Q[j]))
             B[i, j] = b
             B[j, i] = -b
-    return B
+    return B, P
+
+
+def involution_matrix(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Matrix of pairwise Poisson brackets B[i, j] = [f_i, f_j].
+
+    Each observable is differentiated once.  Each unordered pair takes the
+    same index-ordered dot products as :func:`poisson_bracket` (so B[i, j]
+    equals it bit for bit) and is negated for the transpose entry, so B is
+    exactly antisymmetric with a zero diagonal.
+    """
+    return involution_and_jacobian(obs, s, h)[0]
 
 
 def completeness_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -446,28 +459,58 @@ def _verlet(
         q' = q + dt dH/dp(q, p_half)
         p' = p_half - (dt/2) dH/dq(q', p_half)
 
+    The loop relies on separability: ``grad_q`` reads only q and
+    ``grad_p`` only p.  So dH/dq(q', p_half) is also the next step's
+    dH/dq(q', p'), and each step makes one call of each gradient, plus one
+    ``grad_q`` call before the first step (first same as last).
+
     Each step makes new arrays (a gradient may return its input), and t
     accumulates as t + dt.  Returns ``s`` and the states after every
     ``stride``-th step and the last.  A step that leaves a non-finite entry
-    raises :class:`BlowUpError` with the last finite time.
+    raises :class:`BlowUpError` with the last finite time.  The steps run in
+    blocks that end at the record points, and only a block's end state is
+    checked: q and p change only by addition, so a non-finite entry stays
+    non-finite to the block's end.  A block that ends non-finite, or in
+    which a gradient raises, is run again from its start with a check
+    after every step, which raises the error of the first bad step.
     """
     if dt == 0 or not math.isfinite(dt):
         raise ValueError("dt must be nonzero and finite")
     half = 0.5 * dt
-    q, p, t = s.q, s.p, s.t
+
+    def steps(q, p, g, t, first, last, check):
+        # steps first..last; g is dH/dq at the current q
+        for k in range(first, last + 1):
+            p_half = p - half * g
+            q = q + dt * sys.dH_dp(q, p_half)
+            g = sys.dH_dq(q, p_half)
+            p = p_half - half * g
+            if check and not (np.isfinite(q).all() and np.isfinite(p).all()):
+                raise BlowUpError(t, k, s.t, stepper)
+            t = t + dt
+        return q, p, g, t
+
     states = [s]
+    if n_steps == 0:
+        return states
+    q, p, t = s.q, s.p, s.t
     # an unstable step overflows before the finiteness check catches it;
     # silence the intermediate numpy warnings so BlowUpError is the signal
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            p_half = p - half * sys.dH_dq(q, p)
-            q = q + dt * sys.dH_dp(q, p_half)
-            p = p_half - half * sys.dH_dq(q, p_half)
-            if not (np.isfinite(q).all() and np.isfinite(p).all()):
-                raise BlowUpError(t, k, s.t, stepper)
-            t = t + dt
-            if k % stride == 0 or k == n_steps:
-                states.append(CanonicalState(q, p, t))
+        g = sys.dH_dq(q, p)
+        for first in range(1, n_steps + 1, stride):
+            last = min(first + stride - 1, n_steps)
+            try:
+                block = steps(q, p, g, t, first, last, False)
+                ok = np.isfinite(block[0]).all() and np.isfinite(block[1]).all()
+            except Exception:
+                # a gradient given a non-finite state may raise; the replay
+                # tells that apart from an error on a finite state
+                ok = False
+            if not ok:
+                block = steps(q, p, g, t, first, last, True)
+            q, p, g, t = block
+            states.append(CanonicalState(q, p, t))
     return states
 
 

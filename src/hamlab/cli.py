@@ -153,8 +153,7 @@ def _run_string_completeness(p):
 
     obs = string.string_observable_set(n)
     kept = obs.without(*(f"mode_energy_{i}" for i in p["remove"]))
-    B = canonical.involution_matrix(kept, state, h=p["fd_step"])
-    J = canonical.completeness_jacobian(kept, state, h=p["fd_step"])
+    B, J = canonical.involution_and_jacobian(kept, state, h=p["fd_step"])
     rep = canonical.CompletenessReport(J, rank_tol=p["rank_tol"])
 
     checks = [_bounded("involution-max", float(np.max(np.abs(B))), p["involution_tol"])]
@@ -279,12 +278,14 @@ def _run_line_velocity_moments(p):
 
 
 def _segment_steps(p, count):
-    """dt steps in each of the p[count] - 1 segments of t_final; none is a
-    ConfigError, since a step anyway would run past t_final."""
-    steps = round(p["t_final"] / ((p[count] - 1) * p["dt"]))
-    if steps == 0:
+    """dt steps in each of the p[count] - 1 segments of t_final.  A count
+    that is not a positive whole number (to a relative 1e-9) is a
+    ConfigError: rounding it would end the run away from t_final."""
+    exact = p["t_final"] / ((p[count] - 1) * p["dt"])
+    steps = round(exact)
+    if abs(exact - steps) > 1e-9 * exact:
         got = f"t_final={p['t_final']:g}, {count}={p[count]} and dt={p['dt']:g}"
-        raise ConfigError(f"{got} leave 0 steps per segment")
+        raise ConfigError(f"{got} give {exact:.6g} steps per segment, not a positive whole number")
     return steps
 
 

@@ -24,6 +24,7 @@ from hamlab import (
     recover_momenta,
     symplectic_step,
 )
+from hamlab.string import string_system
 
 H_FD = 1e-5
 # Canonical relations hold to O(h^2) for central differences.
@@ -453,6 +454,116 @@ class TestEvolve:
         assert np.array_equal(traj.times, [0.0, 5.0])
         with pytest.raises(ValueError):
             traj.times[0] = 1.0
+
+
+def reference_verlet(sys, s, dt, n_steps, stride):
+    """Kick-drift-kick with three gradient calls and a finiteness check per
+    step; returns the recorded (q, p, t) or raises what the first bad step
+    raises."""
+    half = 0.5 * dt
+    q, p, t = s.q, s.p, s.t
+    out = [(q, p, t)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            p_half = p - half * sys.dH_dq(q, p)
+            q = q + dt * sys.dH_dp(q, p_half)
+            p = p_half - half * sys.dH_dq(q, p_half)
+            if not (np.isfinite(q).all() and np.isfinite(p).all()):
+                raise BlowUpError(t, k, s.t, "evolve")
+            t = t + dt
+            if k % stride == 0 or k == n_steps:
+                out.append((q, p, t))
+    return out
+
+
+def pendulum():
+    return HamiltonianSystem(
+        dim=1,
+        hamiltonian=lambda q, p: 0.5 * p[0] ** 2 - math.cos(q[0]),
+        grad_q=lambda q, p: np.sin(q),
+        grad_p=lambda q, p: p,
+    )
+
+
+def blow_up(call):
+    with pytest.raises(BlowUpError) as exc:
+        call()
+    return exc.value.step, exc.value.last_time
+
+
+class TestVerletLoop:
+    @pytest.mark.parametrize("stride", [1, 7, 1000])
+    @pytest.mark.parametrize("n_steps", [2500, 3000])
+    @pytest.mark.parametrize("system", ["string8", "pendulum"])
+    def test_equals_reference_loop(self, system, n_steps, stride):
+        if system == "string8":
+            sys, s = string_system(8), random_state(8, seed=30)
+        else:
+            sys, s = pendulum(), CanonicalState([2.5], [0.4], t=0.3)
+        traj = evolve(sys, s, 1e-2, n_steps, record_stride=stride)
+        want = reference_verlet(sys, s, 1e-2, n_steps, stride)
+        assert len(traj) == len(want)
+        for state, (q, p, t) in zip(traj.states, want):
+            assert np.array_equal(state.q, q) and np.array_equal(state.p, p) and state.t == t
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 25])
+    def test_one_grad_q_call_per_step_plus_one(self, n_steps):
+        calls = {"grad_q": 0, "grad_p": 0}
+
+        def counted(name, grad):
+            def fn(q, p):
+                calls[name] += 1
+                return grad(q, p)
+
+            return fn
+
+        sys = HamiltonianSystem(
+            dim=1,
+            hamiltonian=lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
+            grad_q=counted("grad_q", lambda q, p: q),
+            grad_p=counted("grad_p", lambda q, p: p),
+        )
+        evolve(sys, CanonicalState([1.0], [0.0]), 0.01, n_steps, record_stride=7)
+        assert calls == {"grad_q": n_steps + 1 if n_steps else 0, "grad_p": n_steps}
+
+    @pytest.mark.parametrize("stride", [1, 1000, 10000])
+    def test_blow_up_step_and_time_equal_reference(self, stride):
+        s = CanonicalState([1.0], [0.0], t=1.0)
+        got = blow_up(lambda: evolve(oscillator(), s, 2.5, 10000, record_stride=stride))
+        assert got == blow_up(lambda: reference_verlet(oscillator(), s, 2.5, 10000, stride))
+
+    @pytest.mark.parametrize("stride", [1, 7, 1000])
+    @pytest.mark.parametrize("on_non_finite", ["raise", "return 0"])
+    def test_gradient_past_blow_up_keeps_first_bad_step(self, on_non_finite, stride):
+        # q**3 overflows while q is finite, so p leaves the finite range
+        # first; the steps after it hand grad_q a non-finite q
+        def grad_q(q, p):
+            if np.isfinite(q).all():
+                return q**3
+            if on_non_finite == "raise":
+                raise ValueError("non-finite q")
+            return np.zeros(1)
+
+        sys = HamiltonianSystem(
+            dim=1,
+            hamiltonian=lambda q, p: 0.5 * p[0] ** 2 + 0.25 * q[0] ** 4,
+            grad_q=grad_q,
+            grad_p=lambda q, p: p,
+        )
+        s = CanonicalState([10.0], [0.0])
+        got = blow_up(lambda: evolve(sys, s, 1.0, 100, record_stride=stride))
+        assert got == blow_up(lambda: reference_verlet(sys, s, 1.0, 100, stride))
+
+    def test_gradient_length_checked_on_every_call(self):
+        # the wrong length comes only once q turns negative, mid-block
+        sys = HamiltonianSystem(
+            dim=1,
+            hamiltonian=lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
+            grad_q=lambda q, p: q if q[0] >= 0 else np.zeros(2),
+            grad_p=lambda q, p: p,
+        )
+        with pytest.raises(ValueError, match="grad_q returned length 2"):
+            evolve(sys, CanonicalState([1.0], [0.0]), 0.01, 1000, record_stride=1000)
 
 
 class TestConservationDrift:

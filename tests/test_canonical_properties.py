@@ -24,6 +24,7 @@ from hamlab.canonical import (
     _gradients,
     completeness_jacobian,
     evolve,
+    involution_and_jacobian,
     involution_matrix,
     poisson_bracket,
     symplectic_step,
@@ -84,6 +85,15 @@ def test_jacobian_is_the_p_gradients(case):
     assert np.array_equal(J, rows)
     dim = s.dim
     assert np.max(np.abs(J - grads[:, dim:])) < 1e-7
+
+
+@SETTINGS
+@given(CASES)
+def test_one_table_pair_gives_matrix_and_jacobian(case):
+    obs, s, _ = make_case(*case)
+    B, J = involution_and_jacobian(obs, s, H_FD)
+    assert np.array_equal(B, involution_matrix(obs, s, H_FD))
+    assert np.array_equal(J, completeness_jacobian(obs, s, H_FD))
 
 
 # (modes N, steps, seed, dt): dt * N <= 0.8 keeps every mode inside the

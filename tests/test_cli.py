@@ -16,7 +16,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import hamlab
-from hamlab import kdv, line
+from hamlab import Observable, ObservableSet, kdv, line, string
 from hamlab.cli import EXPERIMENTS, _config_schema, list_experiments_text, load_config, main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hamlab.__file__)))
@@ -197,6 +197,19 @@ class TestConfigValidation:
         assert f"t_final={t_final:g}" in err and count in err and "dt=0.0001" in err
         assert not (tmp_path / "out" / experiment / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "experiment, count, steps",
+        [("kdv-conservation", "n_samples", "1.5"), ("kdv-scattering", "n_times", "7.5")],
+    )
+    def test_fractional_steps_per_segment_exits_2(self, tmp_path, capsys, experiment, count, steps):
+        # rounding the count would end the run at another time than t_final
+        code = run_cli(tmp_path, {"experiment": experiment, "parameters": {"t_final": 0.0015}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "t_final=0.0015" in err and count in err and "dt=0.0001" in err
+        assert f"give {steps} steps per segment" in err
+        assert not (tmp_path / "out" / experiment / "report.json").exists()
+
     def test_repeated_y_value_exits_2(self, tmp_path, capsys):
         code = run_cli(
             tmp_path,
@@ -339,6 +352,26 @@ class TestRunPaths:
         monkeypatch.setattr(line, "moments", counting)
         assert run_cli(tmp_path, {"experiment": "line-gseries"}) == 0
         assert len(calls) == 1
+
+    def test_string_completeness_differences_each_side_once(self, tmp_path, monkeypatch):
+        # 24 observables x 24 entries x (+h, -h) x (q side, p side)
+        calls = []
+        real = string.string_observable_set
+
+        def counting(n):
+            def wrap(o):
+                def fn(q, p):
+                    calls.append(o.name)
+                    return o.fn(q, p)
+
+                return Observable(o.name, fn)
+
+            return ObservableSet([wrap(o) for o in real(n)])
+
+        monkeypatch.setattr(string, "string_observable_set", counting)
+        payload = {"experiment": "string-completeness", "parameters": {"n_modes": 24}}
+        assert run_cli(tmp_path, payload) == 0
+        assert len(calls) == 2304
 
     def test_seed_override_changes_artifacts(self, tmp_path):
         payload = {"experiment": "string-hj", "parameters": {"samples": 3}}

@@ -11,7 +11,8 @@ the same sha256 for every CSV artifact, and the same report.json checks
 exit code is 0 when every config matches and 1 otherwise, after listing
 the configs that differ; 2 for bad arguments.
 
-The config set is the eight experiments at their defaults, line-gseries
+The config set is the eight experiments at their defaults, string-modes
+with 2500 steps at stride 1000 and with 3000 steps at stride 1, line-gseries
 at seeds 0-3 at defaults and with order 8 and sign -1,
 line-velocity-moments with the cubic spline (spline_order 3),
 kdv-scattering and kdv-action-hamiltonian at kappa 0.95 and 1.05, and a
@@ -39,6 +40,7 @@ EXPERIMENTS = (
 KAPPAS = (0.95, 1.05)
 CONFIGS = (
     [(name, {}) for name in EXPERIMENTS]
+    + [("string-modes", {"steps": 2500, "stride": 1000}), ("string-modes", {"steps": 3000, "stride": 1})]
     + [
         ("line-gseries", {"seed": seed, **extra})
         for seed in range(4)
