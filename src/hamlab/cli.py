@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -63,7 +64,7 @@ def _bounded(name, value, threshold):
 
 # ---------------------------------------------------------------------------
 # experiment runners: params dict in, (checks, artifacts) out; artifacts map
-# filename -> (header, rows)
+# filename -> (header, columns), one 1-d integer or float column per header name
 
 
 def _run_string_modes(p):
@@ -74,16 +75,15 @@ def _run_string_modes(p):
     amp = 4.0 ** (1.0 - idx)
     phase = rng.uniform(0.0, 2.0 * np.pi, n)
     m0 = canonical.CanonicalState(amp * np.cos(phase), -idx * amp * np.sin(phase))
-    e0 = np.array([string.mode_energy(k, m0.q[k - 1], m0.p[k - 1]) for k in idx])
+    obs = string.string_observable_set(n)
+    e0 = obs.evaluate(m0)
 
     worst_exact = 0.0
     for t in np.linspace(0.0, p["t_exact"], p["exact_samples"]):
-        mt = string.exact_mode_evolution(m0, t)
-        et = np.array([string.mode_energy(k, mt.q[k - 1], mt.p[k - 1]) for k in idx])
+        et = obs.evaluate(string.exact_mode_evolution(m0, t))
         worst_exact = max(worst_exact, float(np.max(np.abs(et - e0) / np.maximum(np.abs(e0), 1.0))))
 
     sys_ = string.string_system(n)
-    obs = string.string_observable_set(n)
     traj = canonical.evolve(sys_, m0, p["dt"], p["steps"], record_stride=p["stride"])
     drift = canonical.conservation_drift(obs, traj)
 
@@ -92,18 +92,9 @@ def _run_string_modes(p):
         _bounded("verlet-energy-drift", float(np.max(drift)), p["drift_tol"]),
     ]
     artifacts = {
-        "modes.csv": (
-            ("n", "a_n", "adot_n"),
-            [(int(k), float(m0.q[k - 1]), float(m0.p[k - 1])) for k in idx],
-        ),
-        "energy_drift.csv": (
-            ("n", "E_n", "verlet_drift"),
-            [(int(k), float(e0[k - 1]), float(drift[k - 1])) for k in idx],
-        ),
-        "hamiltonian.csv": (
-            ("t", "H"),
-            [(float(t), sys_.energy(s)) for t, s in zip(traj.times, traj.states)],
-        ),
+        "modes.csv": (("n", "a_n", "adot_n"), (idx, m0.q, m0.p)),
+        "energy_drift.csv": (("n", "E_n", "verlet_drift"), (idx, e0, drift)),
+        "hamiltonian.csv": (("t", "H"), (traj.times, [sys_.energy(s) for s in traj.states])),
     }
     return checks, artifacts
 
@@ -119,22 +110,17 @@ def _run_string_hj(p):
     beta = string.beta_for_state(m0)
     at = string.hj_trajectory(sep, beta)
 
-    rows = []
-    worst = 0.0
-    for t in np.linspace(0.0, p["t_final"], p["samples"]):
+    times = np.linspace(0.0, p["t_final"], p["samples"])
+    errors = []
+    for t in times:
         exact = string.exact_mode_evolution(m0, t)
         hj = at(t)
-        err = float(max(np.max(np.abs(hj.q - exact.q)), np.max(np.abs(hj.p - exact.p))))
-        worst = max(worst, err)
-        rows.append((float(t), err))
+        errors.append(max(np.max(np.abs(hj.q - exact.q)), np.max(np.abs(hj.p - exact.p))))
 
-    checks = [_bounded("hj-vs-exact", worst, p["match_tol"])]
+    checks = [_bounded("hj-vs-exact", max(0.0, *errors), p["match_tol"])]
     artifacts = {
-        "hj_error.csv": (("t", "error"), rows),
-        "modes.csv": (
-            ("n", "a_n", "adot_n"),
-            [(k + 1, float(a[k]), float(adot[k])) for k in range(n)],
-        ),
+        "hj_error.csv": (("t", "error"), (times, errors)),
+        "modes.csv": (("n", "a_n", "adot_n"), (np.arange(1, n + 1), a, adot)),
     }
     return checks, artifacts
 
@@ -170,16 +156,12 @@ def _run_string_completeness(p):
     else:
         checks.append(_check("expects-complete", rep.numerical_rank, n, rep.complete))
 
-    kept_idx = [int(name.rsplit("_", 1)[1]) for name in kept.names]
-    inv_rows = [
-        (kept_idx[i], kept_idx[j], float(B[i, j]))
-        for i in range(len(kept_idx))
-        for j in range(len(kept_idx))
-    ]
-    sv_rows = [(i + 1, float(s)) for i, s in enumerate(rep.singular_values)]
+    kept_idx = np.array([i for i in range(1, n + 1) if i not in p["remove"]])
+    i, j = np.meshgrid(kept_idx, kept_idx, indexing="ij")
+    sv = rep.singular_values
     artifacts = {
-        "involution.csv": (("i", "j", "bracket"), inv_rows),
-        "singular_values.csv": (("index", "sigma"), sv_rows),
+        "involution.csv": (("i", "j", "bracket"), (i.ravel(), j.ravel(), B.ravel())),
+        "singular_values.csv": (("index", "sigma"), (np.arange(1, sv.size + 1), sv)),
     }
     return checks, artifacts
 
@@ -211,30 +193,21 @@ def _run_line_gseries(p):
     f = _make_gseries_field(p["seed"], p["sign"])
     mc = line.moments(f, p["order"])
     g = line.g_from_moments(mc)
-    rows = line.gseries_comparison(mc)
+    comparison = line.gseries_comparison(mc)
     p_rec = line.recover_momenta_triangular(g, mc.q, p["sign"])
 
     rel_err = float(np.max(np.abs(p_rec - mc.p)) / np.max(np.abs(mc.p)))
-    max_diff = max(abs(r["abs_diff"]) for r in rows)
+    n_rows = comparison["k"].size
     checks = [
         _bounded("roundtrip-relative-error", rel_err, p["roundtrip_tol"]),
-        _check("comparison-rows", len(rows), p["order"], len(rows) == p["order"]),
-        _bounded("formula-vs-oracle-max-diff", max_diff, p["oracle_tol"]),
+        _check("comparison-rows", n_rows, p["order"], n_rows == p["order"]),
+        _bounded("formula-vs-oracle-max-diff", max(comparison["abs_diff"]), p["oracle_tol"]),
     ]
     artifacts = {
-        "gseries.csv": (
-            ("k", "g_formula", "g_oracle", "ratio", "abs_diff"),
-            [
-                (r["k"], float(r["g_formula"]), float(r["g_oracle"]), float(r["ratio"]), float(r["abs_diff"]))
-                for r in rows
-            ],
-        ),
+        "gseries.csv": (tuple(comparison), tuple(comparison.values())),
         "recovery.csv": (
             ("n", "p_true", "p_recovered", "abs_error"),
-            [
-                (k, float(mc.p[k]), float(p_rec[k]), float(abs(p_rec[k] - mc.p[k])))
-                for k in range(p["order"])
-            ],
+            (np.arange(mc.K), mc.p, p_rec, np.abs(p_rec - mc.p)),
         ),
     }
     return checks, artifacts
@@ -269,10 +242,14 @@ def _run_line_velocity_moments(p):
         _check("moment-drift-n2", m_drift[2], None, True),
     ]
     artifacts = {
-        "energy_drift.csv": (("y", "drift"), [(float(y), float(drifts[y])) for y in y_values]),
-        "moment_drift.csv": (("n", "drift"), [(n, float(m_drift[n])) for n in orders]),
-        "field_u.csv": (("x", "value"), list(zip(map(float, x), map(float, f0.u)))),
-        "field_v.csv": (("x", "value"), list(zip(map(float, x), map(float, f0.v)))),
+        # a JSON integer y would make an int or object column
+        "energy_drift.csv": (
+            ("y", "drift"),
+            (np.asarray(y_values, dtype=float), [drifts[y] for y in y_values]),
+        ),
+        "moment_drift.csv": (("n", "drift"), (orders, [m_drift[n] for n in orders])),
+        "field_u.csv": (("x", "value"), (x, f0.u)),
+        "field_v.csv": (("x", "value"), (x, f0.v)),
     }
     return checks, artifacts
 
@@ -298,14 +275,16 @@ def _run_kdv_conservation(p):
         return c.I, c.even, kdv.direct_hamiltonian(field)
 
     I0, even0, H0 = sample(f)
-    rows = [(0.0, float(I0[0]), float(I0[1]), float(I0[2]), float(H0))]
+    times, integrals, hamiltonians = [f.t], [I0], [H0]
     worst_I = np.zeros(3)
     worst_even = float(np.max(np.abs(even0)))
     worst_mass = 0.0
     for _ in range(p["n_samples"] - 1):
         f = kdv.kdv_evolve(f, p["dt"], seg_steps)
         I, even, H = sample(f)
-        rows.append((float(f.t), float(I[0]), float(I[1]), float(I[2]), float(H)))
+        times.append(f.t)
+        integrals.append(I)
+        hamiltonians.append(H)
         worst_I = np.maximum(worst_I, np.abs(I - I0) / np.abs(I0))
         worst_even = max(worst_even, float(np.max(np.abs(even))))
         # the mass int u dx is -I_1
@@ -319,30 +298,20 @@ def _run_kdv_conservation(p):
         _bounded("mass-drift", worst_mass, p["mass_tol"]),
     ]
     artifacts = {
-        "conserved.csv": (("t", "I_1", "I_2", "I_3", "H_direct"), rows),
-        "field.csv": (("x", "value"), list(zip(map(float, f.x), map(float, f.u)))),
+        "conserved.csv": (
+            ("t", "I_1", "I_2", "I_3", "H_direct"),
+            (times, *np.transpose(integrals), hamiltonians),
+        ),
+        "field.csv": (("x", "value"), (f.x, f.u)),
     }
     return checks, artifacts
-
-
-def _sech2_callable(kappa):
-    return lambda x: -2.0 * kappa**2 / np.cosh(kappa * np.asarray(x)) ** 2
 
 
 def _scattering_artifacts(sd):
     """scattering.csv (a(k) and n(k)) and bound.csv (k_l and N_l = k_l^2)."""
     return {
-        "scattering.csv": (
-            ("k", "re_a", "im_a", "n_k"),
-            [
-                (float(k), float(a.real), float(a.imag), float(nk))
-                for k, a, nk in zip(sd.k_grid, sd.a, sd.n_of_k)
-            ],
-        ),
-        "bound.csv": (
-            ("l", "k_l", "N_l"),
-            [(i + 1, float(kl), float(Nl)) for i, (kl, Nl) in enumerate(zip(sd.bound_k, sd.N_l))],
-        ),
+        "scattering.csv": (("k", "re_a", "im_a", "n_k"), (sd.k_grid, sd.a.real, sd.a.imag, sd.n_of_k)),
+        "bound.csv": (("l", "k_l", "N_l"), (np.arange(1, sd.bound_k.size + 1), sd.bound_k, sd.N_l)),
     }
 
 
@@ -359,7 +328,7 @@ def _run_kdv_scattering(p):
         f = kdv.kdv_evolve(f, p["dt"], seg_steps)
         drift = max(drift, abs(probe(f) - a0))
 
-    pot = kdv.sample_potential(_sech2_callable(p["kappa"]))
+    pot = kdv.sample_potential(lambda x: kdv.soliton(x, p["kappa"], 0.0))
     k_grid = np.linspace(p["k_min"], p["k_max"], p["n_k"])
     sd = kdv.scattering_data(pot, k_grid, k_max_bound=p["kappa"] + 0.5)
 
@@ -376,7 +345,7 @@ def _run_kdv_action_hamiltonian(p):
     kappa = p["kappa"]
     # the field goes first: a bad M fails before any sweep work
     H_dir = kdv.direct_hamiltonian(kdv.soliton_field(kappa, L_domain=p["L_domain"], M=p["M"]))
-    pot = kdv.sample_potential(_sech2_callable(kappa))
+    pot = kdv.sample_potential(lambda x: kdv.soliton(x, kappa, 0.0))
     k_grid = np.linspace(p["k_min"], p["k_max"], p["n_k"])
     sd = kdv.scattering_data(pot, k_grid, k_max_bound=p["k_max_bound"])
     H_act = kdv.hamiltonian_from_actions(sd)
@@ -547,6 +516,14 @@ def _reject_constant(token):
     raise ConfigError(f"{token} is not a JSON number")
 
 
+def _finite_float(literal):
+    # a literal such as 1e400 is valid JSON but reads as inf
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"{literal} overflows a double to {value}")
+    return value
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -554,7 +531,7 @@ def load_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     try:
-        cfg = json.loads(text, parse_constant=_reject_constant)
+        cfg = json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(cfg, dict):
@@ -647,8 +624,8 @@ def run_experiment(cfg, output_dir=None, seed_override=None, strict=False):
         checks.append(_check("no-warnings", len(warn_msgs), 0, not warn_msgs))
     overall = error is None and all(c["pass"] for c in checks)
 
-    for fname, (header, rows) in artifacts.items():
-        _write_artifact(write_csv, os.path.join(exp_dir, fname), header, rows)
+    for fname, (header, columns) in artifacts.items():
+        _write_artifact(write_csv, os.path.join(exp_dir, fname), header, columns)
 
     report = {
         "experiment": name,

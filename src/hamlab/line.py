@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 import scipy
@@ -339,33 +339,27 @@ def taylor_oracle(mc: MomentCoordinates) -> np.ndarray:
     return c
 
 
-def gseries_comparison(mc: MomentCoordinates) -> List[dict]:
+def gseries_comparison(mc: MomentCoordinates) -> Dict[str, np.ndarray]:
     """Per-order comparison of the closed-form g_k against the oracle,
     for k = 1..mc.K.
 
-    Returns one row per k with the two values, their ratio (where the
-    oracle is nonzero) and the absolute difference of g_k against
+    Returns five columns keyed by their CSV header names: ``k``, the two
+    values ``g_formula`` and ``g_oracle``, their ``ratio`` (nan where the
+    oracle is 0) and ``abs_diff``, the absolute difference of g_k against
     8 pi^2 times the oracle.  The closed forms track the oracle up to the
     constant 8 pi^2: the oracle carries the (1/2pi)^2 and 1/2 prefactors
     of the energy functional while the g_k drop them.  The ratio column
     reports this factor as measured data.
     """
-    gs = g_from_moments(mc)
+    g = g_from_moments(mc).g
     c = taylor_oracle(mc)
-    rows = []
-    for k in range(1, mc.K + 1):
-        gk = float(gs.g[k - 1])
-        ck = float(c[k - 1])
-        rows.append(
-            {
-                "k": k,
-                "g_formula": gk,
-                "g_oracle": ck,
-                "ratio": gk / ck if ck != 0.0 else float("nan"),
-                "abs_diff": abs(gk - 8.0 * np.pi**2 * ck),
-            }
-        )
-    return rows
+    return {
+        "k": np.arange(1, mc.K + 1),
+        "g_formula": g,
+        "g_oracle": c,
+        "ratio": np.divide(g, c, out=np.full(mc.K, np.nan), where=c != 0.0),
+        "abs_diff": np.abs(g - 8.0 * np.pi**2 * c),
+    }
 
 
 def recover_momenta_triangular(g, q, sign_p0: int) -> np.ndarray:

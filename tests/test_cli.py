@@ -118,6 +118,9 @@ class TestConfigValidation:
             ("Infinity", "line-velocity-moments", "energy_tol"),
             ("-Infinity", "kdv-conservation", "t_final"),
             ("NaN", "string-completeness", "fd_step"),
+            # valid JSON, but the literal overflows a double to inf
+            ("1e400", "string-hj", "match_tol"),
+            ("1e400", "kdv-conservation", "t_final"),
         ],
     )
     def test_non_json_constant_exits_2(self, tmp_path, capsys, token, experiment, name):
@@ -339,6 +342,14 @@ class TestRunPaths:
             != 0
         ]
         assert failed == []
+
+    def test_integer_y_values_write_a_float_column(self, tmp_path):
+        # JSON integers, one of them beyond int64, are y values like any other
+        payload = {"experiment": "line-velocity-moments", "parameters": {"y_values": [10**20, 2]}}
+        run_cli(tmp_path, payload)
+        rows = (tmp_path / "out" / payload["experiment"] / "energy_drift.csv").read_text().splitlines()
+        assert rows[1].startswith("1e+20,")
+        assert rows[2].startswith("2,")
 
     def test_line_gseries_takes_moments_once(self, tmp_path, monkeypatch):
         # the closed forms, the oracle and the recovery share one quadrature

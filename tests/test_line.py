@@ -211,12 +211,18 @@ class TestTaylorOracle:
         assert np.max(np.abs(taylor_oracle(moments(cur, 5)) - ref)) < 1e-8
 
     def test_comparison_report_constant_ratio(self, generic_field):
-        rows = gseries_comparison(moments(generic_field, 5))
-        assert [r["k"] for r in rows] == [1, 2, 3, 4, 5]
-        for r in rows:
-            # closed forms drop the energy functional's 1/(8 pi^2) prefactor
-            assert r["ratio"] == pytest.approx(8.0 * np.pi**2, rel=1e-12)
-            assert r["abs_diff"] < 1e-12 * max(1.0, abs(r["g_formula"]))
+        cols = gseries_comparison(moments(generic_field, 5))
+        assert list(cols) == ["k", "g_formula", "g_oracle", "ratio", "abs_diff"]
+        assert cols["k"].tolist() == [1, 2, 3, 4, 5]
+        # closed forms drop the energy functional's 1/(8 pi^2) prefactor
+        assert cols["ratio"] == pytest.approx(np.full(5, 8.0 * np.pi**2), rel=1e-12)
+        assert np.all(cols["abs_diff"] < 1e-12 * np.maximum(1.0, np.abs(cols["g_formula"])))
+
+    def test_comparison_ratio_nan_where_oracle_zero(self):
+        cols = gseries_comparison(MomentCoordinates(np.zeros(3), np.zeros(3)))
+        assert np.all(cols["g_oracle"] == 0.0)
+        assert np.all(np.isnan(cols["ratio"]))
+        assert np.all(cols["abs_diff"] == 0.0)
 
 
 class TestRecovery:

@@ -14,9 +14,12 @@ the configs that differ; 2 for bad arguments.
 The config set is the eight experiments at their defaults, string-modes
 with 2500 steps at stride 1000 and with 3000 steps at stride 1, line-gseries
 at seeds 0-3 at defaults and with order 8 and sign -1,
-line-velocity-moments with the cubic spline (spline_order 3),
-kdv-scattering and kdv-action-hamiltonian at kappa 0.95 and 1.05, and a
-shortened kdv-conservation at kappa 0.8.
+line-velocity-moments with the cubic spline (spline_order 3) and with the
+JSON integers 1 and 2 as y_values (integers in a float column),
+kdv-scattering and kdv-action-hamiltonian at kappa 0.95 and 1.05,
+kdv-action-hamiltonian with k_max_bound 0.04 (no bound state: a
+header-only bound.csv and exit 1), and a shortened kdv-conservation at
+kappa 0.8.
 """
 
 import hashlib
@@ -46,9 +49,10 @@ CONFIGS = (
         for seed in range(4)
         for extra in ({}, {"order": 8, "sign": -1})
     ]
-    + [("line-velocity-moments", {"spline_order": 3})]
+    + [("line-velocity-moments", {"spline_order": 3}), ("line-velocity-moments", {"y_values": [1, 2]})]
     + [("kdv-scattering", {"kappa": kappa}) for kappa in KAPPAS]
     + [("kdv-action-hamiltonian", {"kappa": kappa, "k_max_bound": kappa + 0.5}) for kappa in KAPPAS]
+    + [("kdv-action-hamiltonian", {"k_max_bound": 0.04})]
     + [("kdv-conservation", {"kappa": 0.8, "t_final": 0.5})]
 )
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
