@@ -33,7 +33,9 @@ Conserved quantities come from two independent routes:
 
 Evolution is periodic while scattering theory lives on the line; the bridge
 is a window extraction that recenters the periodic field and demands decay
-at the window edges.
+at the window edges.  A line potential is one callable on a window; the
+window's interpolant, a cubic spline of the periodic samples, lives in
+``line_window``.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ DEFAULT_DOMAIN = 40.0
 DEFAULT_MODES = 512
 # real-axis stability radius of the classical RK4 scheme
 _RK4_STABILITY = 2.8
-# a line window's edge samples must stay below this
+# a line potential must stay below this at both window edges
 _DECAY_TOL = 1e-10
+# share of H the upper half of the k range may carry without a warning
+_TAIL_TOL = 0.01
 
 
 def kdv_grid(L_domain: float = DEFAULT_DOMAIN, M: int = DEFAULT_MODES) -> np.ndarray:
@@ -278,50 +282,36 @@ def riccati_residual(f: PeriodicField, order: int, k_value: float) -> float:
 
 @dataclass(frozen=True)
 class LinePotential:
-    """Potential samples on a uniform line window with decaying edges.
+    """A potential u(x) on the line window [x_left, x_right].
 
-    The edge samples must be below 1e-10.  ``fn``, when given, is the
-    exact profile and is what the scattering integrator evaluates;
-    otherwise a cubic spline of the samples stands in, extended by zero
-    outside the window.
+    ``fn`` is vectorised and is only evaluated inside the window; it must
+    stay below 1e-10 in magnitude at both edges.  A window cut from a
+    periodic field carries the cubic spline that :func:`line_window`
+    builds; there is no other interpolant.
     """
 
-    x: np.ndarray
-    u: np.ndarray
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    fn: Callable[[np.ndarray], np.ndarray]
+    x_left: float
+    x_right: float
 
     def __post_init__(self):
-        x = freeze(self, "x", self.x)
-        u = freeze(self, "u", self.u)
-        if x.ndim != 1 or x.shape != u.shape or x.size < 16:
-            raise ValueError("x and u must be equal-length 1-d arrays, >= 16 points")
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("x must be strictly increasing")
-        edge = max(abs(u[0]), abs(u[-1]))
+        lo = finite(self, "x_left", self.x_left)
+        hi = finite(self, "x_right", self.x_right)
+        if not lo < hi:
+            raise ValueError("x_left must be below x_right")
+        edge = float(np.max(np.abs(self.fn(np.array([lo, hi])))))
         if edge > _DECAY_TOL:
             raise DecayError(
                 f"potential reaches {edge:.3e} > {_DECAY_TOL:.1e} at the "
                 "window edge; enlarge the window or recenter the data"
             )
 
-    def evaluate(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorised u(x): ``fn`` when given, else the cubic spline of the
-        samples extended by zero outside the window."""
-        if self.fn is not None:
-            return self.fn
-        spline = scipy.interpolate.CubicSpline(self.x, self.u)
-        lo, hi = self.x[0], self.x[-1]
-        return lambda xq: np.where((xq >= lo) & (xq <= hi), spline(xq), 0.0)
-
 
 def sample_potential(
-    fn: Callable[[np.ndarray], np.ndarray],
-    half_width: float = 20.0,
-    n_points: int = 8192,
+    fn: Callable[[np.ndarray], np.ndarray], half_width: float = 20.0
 ) -> LinePotential:
-    """Sample a callable potential on a symmetric window."""
-    x = np.linspace(-half_width, half_width, n_points)
-    return LinePotential(x, fn(x), fn)
+    """A callable potential on the symmetric window [-half_width, half_width]."""
+    return LinePotential(fn, -half_width, half_width)
 
 
 def line_window(f: PeriodicField) -> LinePotential:
@@ -329,12 +319,13 @@ def line_window(f: PeriodicField) -> LinePotential:
 
     The field is rolled by a whole number of cells so the deepest sample
     sits at the window center; the decay requirement at the edges then
-    certifies that the periodic images do not overlap the window.
+    certifies that the periodic images do not overlap the window.  Between
+    the samples the potential is their cubic spline, built once here.
     """
     shift = f.M // 2 - int(np.argmin(f.u))
     u = np.roll(f.u, shift)
     x = (np.arange(f.M) - f.M // 2) * f.h
-    return LinePotential(x, u)
+    return LinePotential(scipy.interpolate.CubicSpline(x, u), x[0], x[-1])
 
 
 def solve_ivp(*args, **kwargs):
@@ -368,16 +359,15 @@ def schrodinger_a(pot: LinePotential, k: complex) -> complex:
         raise ValueError("k must be nonzero")
     if k.imag < 0:
         raise ValueError("need Im k >= 0")
-    u_of = pot.evaluate()
     ksq = k * k
 
     def rhs(x, y):
         phi = y[0] + 1j * y[1]
         dphi = y[2] + 1j * y[3]
-        ddphi = (u_of(x) - ksq) * phi
+        ddphi = (pot.fn(x) - ksq) * phi
         return [dphi.real, dphi.imag, ddphi.real, ddphi.imag]
 
-    x_l, x_r = float(pot.x[0]), float(pot.x[-1])
+    x_l, x_r = pot.x_left, pot.x_right
     phi0 = np.exp(-1j * k * x_l)
     y0 = [phi0.real, phi0.imag, (-1j * k * phi0).real, (-1j * k * phi0).imag]
     sol = solve_ivp(
@@ -466,12 +456,11 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
         raise ValueError("k must be real or on the positive imaginary axis")
     ksq = (ks * ks).real
 
-    x_l, x_r = float(pot.x[0]), float(pot.x[-1])
+    x_l, x_r = pot.x_left, pot.x_right
     h_max = min(_MAX_CELL, _MAX_PHASE / float(np.max(np.abs(ks))))
     n_chunks = math.ceil((x_r - x_l) / (h_max * _CHUNK_CELLS))
     n_cells = n_chunks * _CHUNK_CELLS
     h = (x_r - x_l) / n_cells
-    u_of = pot.evaluate()
     cell_nodes = np.arange(_CHUNK_CELLS)[:, None] + _GAUSS_NODES
 
     phi0 = np.exp(-1j * ks * x_l)
@@ -480,7 +469,7 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
     # overflows; the range check below, not a numpy warning, reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_cells, _CHUNK_CELLS):
-            u = np.asarray(u_of(x_l + h * (start + cell_nodes)), dtype=float)
+            u = np.asarray(pot.fn(x_l + h * (start + cell_nodes)), dtype=float)
             q1, q2, q3 = (u[:, j, None] - ksq for j in range(3))
             p00, p01, p10, p11 = _chunk_propagator(*_magnus_cells(h, q1, q2, q3))
             phi, dphi = p00 * phi + p01 * dphi, p10 * phi + p11 * dphi
@@ -601,13 +590,13 @@ def scattering_data(
     return ScatteringData(k_grid, scattering_a(pot, k_grid), bound_states(pot, k_max_bound))
 
 
-def hamiltonian_from_actions(sd: ScatteringData, tail_tol: float = 0.01) -> float:
+def hamiltonian_from_actions(sd: ScatteringData) -> float:
     """H = -(32/5) sum_l N_l^(5/2) + 8 int k^3 n(k) dk from the action
     variables of ``sd``.
 
     The integral runs over the sampled k range by trapezoid; the
     contribution of the upper half of the range estimates the unconverged
-    tail and triggers a warning when it is not small against the total.
+    tail and triggers a warning when it exceeds 1% of the total (or 1e-6).
     """
     discrete = -6.4 * float(np.sum(np.sort(sd.N_l) ** 2.5))
     if sd.k_grid.size >= 2:
@@ -616,7 +605,7 @@ def hamiltonian_from_actions(sd: ScatteringData, tail_tol: float = 0.01) -> floa
         half = sd.k_grid.size // 2
         tail = 8.0 * abs(float(np.trapezoid(integrand[half:], sd.k_grid[half:])))
         total = discrete + integral
-        if tail > max(1e-6, tail_tol * abs(total)):
+        if tail > max(1e-6, _TAIL_TOL * abs(total)):
             warnings.warn(
                 f"upper-half k-range contributes {tail:.3e} to the action integral; "
                 "extend the k grid",

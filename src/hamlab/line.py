@@ -122,14 +122,14 @@ def sample_line_field(
     return LineField(u_fn(x), v, step, t)
 
 
-def _sym_trapezoid(w: np.ndarray, h: float) -> float:
-    """Trapezoid rule summed in mirror pairs.
+def _sym_trapezoid(w: np.ndarray, h: float):
+    """Trapezoid rule over the last axis, summed in mirror pairs.
 
     s[i] = w[i] + w[-1-i] vanishes exactly for odd integrands on the
     symmetric grid, so their quadrature is exactly zero.
     """
-    s = w + w[::-1]
-    return 0.5 * h * float(np.sum(s) - s[0])
+    s = w + w[..., ::-1]
+    return 0.5 * h * (np.sum(s, axis=-1) - s[..., 0])
 
 
 def support_margin(f: LineField) -> float:
@@ -197,23 +197,24 @@ def line_energy(f: LineField, spline_order: int = 2) -> float:
     """
     x = f.grid
     ux = scipy.interpolate.make_interp_spline(x, f.u, k=spline_order).derivative()(x)
-    return _sym_trapezoid(0.5 * (ux**2 + f.v**2), f.h)
+    return float(_sym_trapezoid(0.5 * (ux**2 + f.v**2), f.h))
 
 
-def continuous_mode_energy(f: LineField, y: float) -> float:
-    """Energy of the mode with wavenumber y:
+def continuous_mode_energy(f: LineField, ys) -> np.ndarray:
+    """Energy of the mode with wavenumber y, for each y of a 1-d array:
 
     (1/2) [ ((1/2pi) int v sin(xy) dx)**2 + y**2 ((1/2pi) int u sin(xy) dx)**2 ].
 
     A first integral of the evolution for every y; identically zero at
     y = 0.
     """
-    if not math.isfinite(y):
-        raise ValueError("y must be finite")
-    s = np.sin(f.grid * y)
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 1 or not np.isfinite(ys).all():
+        raise ValueError("ys must be a 1-d array of finite wavenumbers")
+    s = np.sin(ys[:, None] * f.grid)
     iv = _sym_trapezoid(f.v * s, f.h) / (2.0 * np.pi)
     iu = _sym_trapezoid(f.u * s, f.h) / (2.0 * np.pi)
-    return 0.5 * (iv**2 + (y * iu) ** 2)
+    return 0.5 * (iv**2 + (ys * iu) ** 2)
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ def _moment_quadrature(f: LineField, orders, *samples: np.ndarray) -> np.ndarray
         if n % 2:
             weight = np.sign(xs) * weight
         for j, w in enumerate(samples):
-            out[i, j] = L**n * _sym_trapezoid(weight * w, f.h)
+            out[i, j] = L**n * float(_sym_trapezoid(weight * w, f.h))
         if not np.isfinite(out[i]).all():
             raise ScalingError(
                 f"moment of order {n} overflowed; nondimensionalize the field "
@@ -407,13 +408,16 @@ def recover_momenta_triangular(g, q, sign_p0: int) -> np.ndarray:
     return p
 
 
-def velocity_moment(f: LineField, n: int) -> float:
-    """int x^n u_t dx for any integer power n >= 0; the quadrature is that
-    of :func:`moments`, so velocity_moment(f, 2k+1) == moments(f, K).p[k].
+def velocity_moment(f: LineField, orders) -> np.ndarray:
+    """int x^n u_t dx for each integer power n >= 0 of ``orders``; the
+    quadrature is that of :func:`moments`, so
+    velocity_moment(f, [2k+1])[0] == moments(f, K).p[k].
 
     Conserved by the wave flow for n = 0 and n = 1; for n >= 2 its time
     derivative is n (n-1) int x^(n-2) u dx.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return float(_moment_quadrature(f, (n,), f.v)[0, 0])
+    orders = np.asarray(orders)
+    if orders.ndim != 1 or orders.dtype.kind not in "iu" or np.any(orders < 0):
+        raise ValueError("orders must be a 1-d array of integers >= 0")
+    # Python ints: L**n then takes the same path as in moments
+    return _moment_quadrature(f, orders.tolist(), f.v)[:, 0]

@@ -23,6 +23,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(hamlab.__file__)))
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
+# a valid JSON integer that overflows a double
+BIG_INT = "1" + "0" * 400
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -121,6 +124,11 @@ class TestConfigValidation:
             # valid JSON, but the literal overflows a double to inf
             ("1e400", "string-hj", "match_tol"),
             ("1e400", "kdv-conservation", "t_final"),
+            # an integer literal too large for a double
+            pytest.param(
+                BIG_INT, "kdv-conservation", "t_final", id="int400-kdv-conservation-t_final"
+            ),
+            pytest.param(BIG_INT, "string-hj", "match_tol", id="int400-string-hj-match_tol"),
         ],
     )
     def test_non_json_constant_exits_2(self, tmp_path, capsys, token, experiment, name):
@@ -131,6 +139,15 @@ class TestConfigValidation:
         assert main(["run", str(path), "--output-dir", str(out)]) == 2
         assert token in capsys.readouterr().err
         assert not (out / experiment / "report.json").exists()
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # int() refuses more than 4300 digits from inside json.loads
+        path = tmp_path / "config.json"
+        path.write_text('{"experiment": "string-hj", "parameters": {"n_modes": 1%s}}' % ("0" * 5000))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        assert "does not fit a double" in capsys.readouterr().err
+        assert not (out / "string-hj" / "report.json").exists()
 
     @pytest.mark.parametrize(
         "experiment", ["kdv-conservation", "kdv-scattering", "kdv-action-hamiltonian"]
@@ -462,7 +479,7 @@ class TestColdStart:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(kdv, "solve_ivp", counting)
-        pot = kdv.sample_potential(lambda x: -2.0 / np.cosh(x) ** 2, half_width=15.0, n_points=512)
+        pot = kdv.sample_potential(lambda x: -2.0 / np.cosh(x) ** 2, half_width=15.0)
         kdv.schrodinger_a(pot, 1.0)
         assert len(calls) == 1
 

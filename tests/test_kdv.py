@@ -281,43 +281,63 @@ class TestRiccatiResidual:
             riccati_residual(soliton_field(1.0), 4, 0.0)
 
 
+def window_knots(f):
+    """The sample positions line_window puts under the rolled field."""
+    return (np.arange(f.M) - f.M // 2) * f.h
+
+
 class TestLinePotential:
     def test_edge_decay_enforced(self):
-        x = np.linspace(-20.0, 20.0, 256)
         with pytest.raises(DecayError):
-            LinePotential(x, 0.1 * np.cos(x))
+            sample_potential(lambda x: 0.1 * np.cos(x))
+
+    def test_window_of_non_decaying_field_rejected(self):
+        x = kdv_grid()
+        with pytest.raises(DecayError):
+            line_window(PeriodicField(0.1 * np.cos(2.0 * np.pi * x / 40.0)))
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="below x_right"):
+            LinePotential(np.zeros_like, 1.0, 1.0)
 
     def test_window_recenters_soliton(self):
         f = soliton_field(1.0, x0=7.0)
         w = line_window(f)
-        assert abs(w.u[0]) < 1e-10 and abs(w.u[-1]) < 1e-10
-        assert w.x[np.argmin(w.u)] == pytest.approx(0.0, abs=f.h)
+        x = window_knots(f)
+        assert (w.x_left, w.x_right) == (x[0], x[-1])
+        u = w.fn(x)
+        assert abs(u[0]) < 1e-10 and abs(u[-1]) < 1e-10
+        assert x[np.argmin(u)] == pytest.approx(0.0, abs=f.h)
 
     def test_window_values_match_profile(self):
         # center on a grid node so the integer roll lands exactly
         h = 40.0 / 512
         f = soliton_field(1.0, x0=168 * h)
-        w = line_window(f)
-        assert np.max(np.abs(w.u - soliton(w.x, 1.0, 0.0))) < 1e-10
+        x = window_knots(f)
+        assert np.max(np.abs(line_window(f).fn(x) - soliton(x, 1.0, 0.0))) < 1e-10
 
-    def test_spline_route_zero_outside(self, sech_pot):
-        samples = LinePotential(sech_pot.x, sech_pot.u)  # no callable attached
-        ev = samples.evaluate()
-        assert ev(21.0) == 0.0
-        assert ev(0.0) == pytest.approx(-2.0, abs=1e-9)
-        values = ev(np.array([-25.0, 0.0, 21.0]))
-        assert values[0] == 0.0 and values[2] == 0.0
-        assert values[1] == pytest.approx(-2.0, abs=1e-9)
+    def test_one_spline_per_window(self, monkeypatch):
+        # the window's interpolant is built once, by line_window; the
+        # bound-state scan, its Brent refinements and later sweeps reuse it
+        import scipy.interpolate
 
-    def test_monotone_grid_required(self):
-        x = np.zeros(32)
-        with pytest.raises(ValueError):
-            LinePotential(x, np.zeros(32))
+        built = []
+        real = scipy.interpolate.CubicSpline
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
+        w = line_window(soliton_field(1.0))
+        assert bound_states(w, 1.5).size == 1
+        scattering_a(w, [1.3])
+        assert len(built) == 1
 
 
 class TestSchrodingerA:
     def test_free_potential_gives_unity(self):
-        zero = LinePotential(np.linspace(-20.0, 20.0, 64), np.zeros(64))
+        zero = LinePotential(np.zeros_like, -20.0, 20.0)
         assert abs(schrodinger_a(zero, 1.3) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("k", [0.3, 0.7, 1.3, 2.0])
@@ -389,14 +409,13 @@ class TestScatteringA:
         assert np.max(np.abs(scattering_a(w, ks) - oracle)) < 1e-8
 
     def test_free_potential_gives_unity(self):
-        zero = LinePotential(np.linspace(-20.0, 20.0, 64), np.zeros(64))
+        zero = LinePotential(np.zeros_like, -20.0, 20.0)
         assert np.max(np.abs(scattering_a(zero, [0.1, 1.3, 7.0, 0.4j]) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("x", [(-40.0, 40.0), (-40.0, 0.0), (0.0, 40.0)])
     def test_out_of_range_raises(self, x):
         # exp(20 x) underflows at the left edge or overflows at the right one
-        grid = np.linspace(x[0], x[1], 64)
-        pot = LinePotential(grid, np.zeros(64))
+        pot = LinePotential(np.zeros_like, *x)
         with pytest.raises(ConvergenceError, match="floating-point range"):
             scattering_a(pot, [1.0, 20j])
 

@@ -117,18 +117,29 @@ class TestDalembertEvolve:
 class TestContinuousModeEnergy:
     def test_zero_field(self):
         f = sample_line_field(lambda x: np.zeros_like(x))
-        assert continuous_mode_energy(f, 1.3) == 0.0
+        assert np.all(continuous_mode_energy(f, [1.3, 0.2]) == 0.0)
 
     def test_zero_wavenumber(self, generic_field):
-        assert continuous_mode_energy(generic_field, 0.0) == 0.0
+        assert np.array_equal(continuous_mode_energy(generic_field, [0.0]), [0.0])
 
     @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
     def test_conserved_under_evolution(self, generic_field, y):
-        ref = continuous_mode_energy(generic_field, y)
+        ref = continuous_mode_energy(generic_field, [y])[0]
         cur = generic_field
         for _ in range(4):
             cur = dalembert_evolve(cur, 0.25)
-            assert abs(continuous_mode_energy(cur, y) - ref) < 1e-8
+            assert abs(continuous_mode_energy(cur, [y])[0] - ref) < 1e-8
+
+    def test_one_value_per_wavenumber(self, generic_field):
+        # the batched quadrature gives each y what a call for it alone gives
+        ys = np.array([0.05, 0.5, 1.0, 3.0, 7.5, 12.0])
+        batched = continuous_mode_energy(generic_field, ys)
+        assert np.array_equal(batched, [continuous_mode_energy(generic_field, [y])[0] for y in ys])
+
+    @pytest.mark.parametrize("ys", [[[1.0]], [np.nan], [np.inf]])
+    def test_wavenumbers_validated(self, generic_field, ys):
+        with pytest.raises(ValueError):
+            continuous_mode_energy(generic_field, ys)
 
     def test_matches_closed_form_on_gaussian(self):
         # u = exp(-x^2) has sine transform 0 (even u gives odd u*sin? no:
@@ -137,7 +148,7 @@ class TestContinuousModeEnergy:
         f = sample_line_field(lambda x: np.exp(-(x**2)), lambda x: x * np.exp(-(x**2)))
         y = 1.1
         iv = math.sqrt(math.pi) * y / 2.0 * math.exp(-(y**2) / 4.0) / (2.0 * math.pi)
-        assert continuous_mode_energy(f, y) == pytest.approx(0.5 * iv**2, rel=1e-12)
+        assert continuous_mode_energy(f, [y])[0] == pytest.approx(0.5 * iv**2, rel=1e-12)
 
 
 class TestMoments:
@@ -200,7 +211,7 @@ class TestTaylorOracle:
         c = taylor_oracle(moments(generic_field, 8))
         for y in (0.05, 0.1):
             series = sum(c[k] * y ** (2 * (k + 1)) for k in range(8))
-            direct = continuous_mode_energy(generic_field, y)
+            direct = continuous_mode_energy(generic_field, [y])[0]
             assert series == pytest.approx(direct, rel=1e-10)
 
     def test_coefficients_conserved_under_evolution(self, generic_field):
@@ -304,12 +315,12 @@ PARITY = st.sampled_from(["even", "odd", "none"])
 
 def moment_drifts(f, T, steps, orders):
     """Max |int x^n u_t dx - initial| for each order n along one evolution."""
-    ref = [velocity_moment(f, n) for n in orders]
-    worst = [0.0] * len(orders)
+    ref = velocity_moment(f, orders)
+    worst = np.zeros(len(orders))
     cur = f
     for _ in range(steps):
         cur = dalembert_evolve(cur, T / steps)
-        worst = [max(w, abs(velocity_moment(cur, n) - r)) for w, n, r in zip(worst, orders, ref)]
+        worst = np.maximum(worst, np.abs(velocity_moment(cur, orders) - ref))
     return worst
 
 
@@ -339,13 +350,17 @@ class TestVelocityMoments:
         cur = f
         for _ in range(steps):
             cur = dalembert_evolve(cur, T / steps, spline_order)
-        moved = velocity_moment(cur, 2) - velocity_moment(f, 2)
+        moved = velocity_moment(cur, [2])[0] - velocity_moment(f, [2])[0]
         want = 2.0 * T * np.trapezoid(f.u, f.grid) + T**2 * np.trapezoid(f.v, f.grid)
         assert abs(moved - want) <= ORDER_TWO_LAW_TOL
+
+    @pytest.mark.parametrize("orders", [[-1], [1.5], [[0, 1]]])
+    def test_orders_validated(self, generic_field, orders):
+        with pytest.raises(ValueError):
+            velocity_moment(generic_field, orders)
 
     def test_odd_moment_equals_canonical_p(self, generic_field):
         # one quadrature serves both, so the values agree bit for bit
         K = 6
         mc = moments(generic_field, K)
-        for n in range(K):
-            assert velocity_moment(generic_field, 2 * n + 1) == mc.p[n]
+        assert np.array_equal(velocity_moment(generic_field, range(1, 2 * K, 2)), mc.p)

@@ -26,7 +26,7 @@ from hamlab.string import (
     field_hamiltonian,
     hj_action,
     hj_trajectory,
-    mode_energy,
+    mode_energies,
     modes_hamiltonian,
     reconstruct_field,
     sample_field,
@@ -109,15 +109,23 @@ class TestSineModes:
 
 class TestModeEnergy:
     def test_pure_displacement(self):
-        assert mode_energy(2, 1.0, 0.0) == pytest.approx(2.0)
+        assert mode_energies(CanonicalState([0.0, 1.0], [0.0, 0.0]))[1] == pytest.approx(2.0)
 
     def test_pure_velocity(self):
-        assert mode_energy(1, 0.0, 3.0) == pytest.approx(4.5)
+        assert mode_energies(CanonicalState([0.0], [3.0]))[0] == pytest.approx(4.5)
 
     def test_sum_equals_hamiltonian(self):
         m = random_modes(7, seed=22)
-        total = sum(mode_energy(n, m.q[n - 1], m.p[n - 1]) for n in range(1, 8))
+        total = sum(0.5 * (m.p[n - 1] ** 2 + (n * m.q[n - 1]) ** 2) for n in range(1, 8))
         assert modes_hamiltonian(m) == pytest.approx(total, rel=1e-14)
+
+    def test_equals_the_mode_energy_observables(self):
+        # bit for bit, over enough squares that a last-bit difference
+        # between pow() and multiplication would show
+        obs = string_observable_set(64)
+        for seed in range(40):
+            m = random_modes(64, seed=seed)
+            assert np.array_equal(mode_energies(m), obs.evaluate(m))
 
     def test_parseval_field_vs_modes(self):
         m = random_modes(5, seed=23)
@@ -139,7 +147,7 @@ class TestFieldEnergyIntegral:
         m = random_modes(4, seed=24)
         f = reconstruct_field(m, M=128)
         for n in range(1, 5):
-            want = np.pi**2 * mode_energy(n, m.q[n - 1], m.p[n - 1])
+            want = np.pi**2 * mode_energies(m)[n - 1]
             assert field_energy_integral(f, n) == pytest.approx(want, rel=1e-11)
 
     def test_constant_along_exact_evolution(self):
@@ -171,10 +179,9 @@ class TestExactModeEvolution:
 
     def test_energies_invariant_to_machine_precision(self):
         m = random_modes(8, seed=28)
-        e0 = np.array([mode_energy(n, m.q[n - 1], m.p[n - 1]) for n in range(1, 9)])
+        e0 = mode_energies(m)
         for t in (0.1, 2.7, 15.0):
-            mt = exact_mode_evolution(m, t)
-            e = np.array([mode_energy(n, mt.q[n - 1], mt.p[n - 1]) for n in range(1, 9)])
+            e = mode_energies(exact_mode_evolution(m, t))
             assert np.max(np.abs(e - e0)) < 1e-12
 
 

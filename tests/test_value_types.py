@@ -32,10 +32,7 @@ VALUE_TYPES = {
     SeparationData: lambda: ({"E": np.array([2.0, 4.0])}, {}),
     PeriodicField: lambda: ({"u": _bump(np.arange(8) - 4.0, 1.0)}, {"L_domain": 8.0}),
     ConservedIntegrals: lambda: ({"I": np.array([1.0, 2.0]), "even": np.array([0.0, 0.0])}, {}),
-    LinePotential: lambda: (
-        {"x": np.linspace(-20.0, 20.0, 32), "u": -_bump(np.linspace(-20.0, 20.0, 32), 2.0)},
-        {},
-    ),
+    LinePotential: lambda: ({}, {"fn": lambda x: -_bump(x, 2.0), "x_left": -20.0, "x_right": 20.0}),
     ScatteringData: lambda: (
         {
             "k_grid": np.array([0.5, 1.0, 2.0]),
@@ -60,6 +57,8 @@ SCALAR_FIELDS = [
     (StringField, "t"),
     (PeriodicField, "L_domain"),
     (PeriodicField, "t"),
+    (LinePotential, "x_left"),
+    (LinePotential, "x_right"),
     (LineField, "h"),
     (LineField, "t"),
 ]

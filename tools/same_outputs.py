@@ -12,11 +12,13 @@ exit code is 0 when every config matches and 1 otherwise, after listing
 the configs that differ; 2 for bad arguments.
 
 The config set is the eight experiments at their defaults, string-modes
-with 2500 steps at stride 1000 and with 3000 steps at stride 1, line-gseries
-at seeds 0-3 at defaults and with order 8 and sign -1,
-line-velocity-moments with the cubic spline (spline_order 3) and with the
-JSON integers 1 and 2 as y_values (integers in a float column),
+with 2500 steps at stride 1000 and with 3000 steps at stride 1, string-hj
+at seed 1 and at seed 99 with 16 modes, line-gseries at seeds 0-3 at
+defaults and with order 8 and sign -1, line-velocity-moments with the
+cubic spline (spline_order 3), with the JSON integers 1 and 2 as y_values
+(integers in a float column) and with five y values over 6 steps,
 kdv-scattering and kdv-action-hamiltonian at kappa 0.95 and 1.05,
+kdv-scattering with 5 sample times (more line windows),
 kdv-action-hamiltonian with k_max_bound 0.04 (no bound state: a
 header-only bound.csv and exit 1), and a shortened kdv-conservation at
 kappa 0.8.
@@ -44,13 +46,16 @@ KAPPAS = (0.95, 1.05)
 CONFIGS = (
     [(name, {}) for name in EXPERIMENTS]
     + [("string-modes", {"steps": 2500, "stride": 1000}), ("string-modes", {"steps": 3000, "stride": 1})]
+    + [("string-hj", {"seed": 1}), ("string-hj", {"seed": 99, "n_modes": 16})]
     + [
         ("line-gseries", {"seed": seed, **extra})
         for seed in range(4)
         for extra in ({}, {"order": 8, "sign": -1})
     ]
     + [("line-velocity-moments", {"spline_order": 3}), ("line-velocity-moments", {"y_values": [1, 2]})]
+    + [("line-velocity-moments", {"y_values": [0.05, 0.5, 3.0, 7.5, 12.0], "steps": 6})]
     + [("kdv-scattering", {"kappa": kappa}) for kappa in KAPPAS]
+    + [("kdv-scattering", {"n_times": 5})]
     + [("kdv-action-hamiltonian", {"kappa": kappa, "k_max_bound": kappa + 0.5}) for kappa in KAPPAS]
     + [("kdv-action-hamiltonian", {"k_max_bound": 0.04})]
     + [("kdv-conservation", {"kappa": 0.8, "t_final": 0.5})]
