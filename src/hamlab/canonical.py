@@ -88,7 +88,9 @@ class Observable:
 
     hamlab calls ``fn`` and the optional analytic gradients ``grad_q(q, p)``
     and ``grad_p(q, p)`` with raw coordinate and momentum arrays, which they
-    must not modify; the finite-difference operations use ``fn`` only.
+    must not modify; the finite-difference operations use ``fn`` only.  A
+    Hamiltonian is an observable with both gradients; :func:`evolve` needs
+    it separable: ``grad_q`` reads only q and ``grad_p`` only p.
     """
 
     name: str
@@ -141,55 +143,6 @@ class ObservableSet:
             raise ValueError(f"unknown observable(s): {sorted(missing)}")
         kept = [o for o in self.observables if o.name not in names]
         return ObservableSet(kept)
-
-
-@dataclass(frozen=True)
-class HamiltonianSystem:
-    """A separable Hamiltonian H = T(p) + V(q) with its analytic gradients.
-
-    hamlab calls ``hamiltonian(q, p)``, ``grad_q(q, p)`` and ``grad_p(q, p)``
-    with raw coordinate and momentum arrays, so neither the Stormer-Verlet
-    stepper nor the gradient check builds states.  Separability means that
-    ``grad_q`` reads only q and ``grad_p`` only p; the stepper relies on it
-    and reuses each step's last ``grad_q`` value as the next step's first.
-    """
-
-    dim: int
-    hamiltonian: Callable[[np.ndarray, np.ndarray], float]
-    grad_q: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def energy(self, s: CanonicalState) -> float:
-        return float(self.hamiltonian(s.q, s.p))
-
-    def dH_dq(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.grad_q(q, p), dtype=float)
-        if g.size != self.dim:
-            raise ValueError(f"grad_q returned length {g.size}, expected {self.dim}")
-        return g
-
-    def dH_dp(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.grad_p(q, p), dtype=float)
-        if g.size != self.dim:
-            raise ValueError(f"grad_p returned length {g.size}, expected {self.dim}")
-        return g
-
-    def check_gradients(self, s: CanonicalState, tol: float = 1e-6) -> float:
-        """Max abs difference between analytic and finite-difference gradients.
-
-        Raises ``ValueError`` when they disagree beyond tol or an analytic
-        gradient is NaN.
-        """
-        H = [Observable("hamiltonian", self.hamiltonian)]
-        fd_q = _gradients(H, s.q, s.p, DEFAULT_FD_STEP, "q")[0]
-        fd_p = _gradients(H, s.q, s.p, DEFAULT_FD_STEP, "p")[0]
-        diff = np.concatenate([fd_q - self.dH_dq(s.q, s.p), fd_p - self.dH_dp(s.q, s.p)])
-        worst = float(np.max(np.abs(diff)))
-        if not worst <= tol:
-            raise ValueError(
-                f"analytic and finite-difference gradients disagree: {worst:.3e} > {tol:.3e}"
-            )
-        return worst
 
 
 @dataclass(frozen=True)
@@ -326,16 +279,42 @@ def poisson_bracket(f, g, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> floa
     return float(np.dot(fq, gp) - np.dot(fp, gq))
 
 
+def _analytic_gradients(o: Observable):
+    """``o``'s gradients as calls ``(dq, dp)`` that check each returned length
+    against q's; ``ValueError`` naming ``o`` when it lacks one."""
+    if o.grad_q is None or o.grad_p is None:
+        raise ValueError(f"observable '{o.name}' has no analytic gradients")
+
+    def checked(side, grad):
+        def call(q, p):
+            g = np.asarray(grad(q, p), dtype=float)
+            if g.size != q.size:
+                raise ValueError(f"'{o.name}' {side} returned length {g.size}, expected {q.size}")
+            return g
+
+        return call
+
+    return checked("grad_q", o.grad_q), checked("grad_p", o.grad_p)
+
+
+def check_gradients(o: Observable, s: CanonicalState, tol: float = 1e-6) -> float:
+    """Max abs difference between ``o``'s analytic and finite-difference
+    gradients at ``s``; ``ValueError`` when they disagree beyond tol or an
+    analytic gradient is NaN."""
+    analytic = [d(s.q, s.p) for d in _analytic_gradients(o)]
+    fd = [_gradients([o], s.q, s.p, DEFAULT_FD_STEP, wrt)[0] for wrt in "qp"]
+    worst = float(np.max(np.abs(np.concatenate(fd) - np.concatenate(analytic))))
+    if not worst <= tol:
+        raise ValueError(
+            f"analytic and finite-difference gradients disagree: {worst:.3e} > {tol:.3e}"
+        )
+    return worst
+
+
 def poisson_bracket_analytic(f: Observable, g: Observable, s: CanonicalState) -> float:
     """Poisson bracket using the observables' analytic gradients."""
-    for o in (f, g):
-        if o.grad_q is None or o.grad_p is None:
-            raise ValueError(f"observable '{o.name}' has no analytic gradients")
-    fq = np.asarray(f.grad_q(s.q, s.p), dtype=float)
-    fp = np.asarray(f.grad_p(s.q, s.p), dtype=float)
-    gq = np.asarray(g.grad_q(s.q, s.p), dtype=float)
-    gp = np.asarray(g.grad_p(s.q, s.p), dtype=float)
-    return float(np.dot(fq, gp) - np.dot(fp, gq))
+    (fdq, fdp), (gdq, gdp) = _analytic_gradients(f), _analytic_gradients(g)
+    return float(np.dot(fdq(s.q, s.p), gdp(s.q, s.p)) - np.dot(fdp(s.q, s.p), gdq(s.q, s.p)))
 
 
 def involution_and_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP):
@@ -451,7 +430,7 @@ def recover_momenta(
 
 
 def _verlet(
-    sys: HamiltonianSystem, s: CanonicalState, dt: float, n_steps: int, stride: int, stepper: str
+    H: Observable, s: CanonicalState, dt: float, n_steps: int, stride: int, stepper: str
 ) -> list:
     """The one Stormer-Verlet (kick-drift-kick) loop, on raw arrays:
 
@@ -476,14 +455,15 @@ def _verlet(
     """
     if dt == 0 or not math.isfinite(dt):
         raise ValueError("dt must be nonzero and finite")
+    dH_dq, dH_dp = _analytic_gradients(H)
     half = 0.5 * dt
 
     def steps(q, p, g, t, first, last, check):
         # steps first..last; g is dH/dq at the current q
         for k in range(first, last + 1):
             p_half = p - half * g
-            q = q + dt * sys.dH_dp(q, p_half)
-            g = sys.dH_dq(q, p_half)
+            q = q + dt * dH_dp(q, p_half)
+            g = dH_dq(q, p_half)
             p = p_half - half * g
             if check and not (np.isfinite(q).all() and np.isfinite(p).all()):
                 raise BlowUpError(t, k, s.t, stepper)
@@ -497,7 +477,7 @@ def _verlet(
     # an unstable step overflows before the finiteness check catches it;
     # silence the intermediate numpy warnings so BlowUpError is the signal
     with np.errstate(over="ignore", invalid="ignore"):
-        g = sys.dH_dq(q, p)
+        g = dH_dq(q, p)
         for first in range(1, n_steps + 1, stride):
             last = min(first + stride - 1, n_steps)
             try:
@@ -514,25 +494,29 @@ def _verlet(
     return states
 
 
-def symplectic_step(sys: HamiltonianSystem, s: CanonicalState, dt: float) -> CanonicalState:
-    """One Stormer-Verlet step of Hamilton's equations; ``dt`` may be negative."""
-    return _verlet(sys, s, dt, 1, 1, "symplectic_step")[-1]
+def symplectic_step(H: Observable, s: CanonicalState, dt: float) -> CanonicalState:
+    """One :func:`evolve` step; ``dt`` may be negative."""
+    return _verlet(H, s, dt, 1, 1, "symplectic_step")[-1]
 
 
 def evolve(
-    sys: HamiltonianSystem,
+    H: Observable,
     s: CanonicalState,
     dt: float,
     n_steps: int,
     record_stride: int = 1,
 ) -> Trajectory:
     """Apply ``n_steps`` Stormer-Verlet steps, recording every ``record_stride``-th
-    state (the initial and final states are always recorded)."""
+    state (the initial and final states are always recorded).
+
+    ``H`` needs both analytic gradients (else ``ValueError`` naming it) and
+    separability: ``grad_q`` may read only q and ``grad_p`` only p, as each
+    step's last ``grad_q`` value is the next step's first."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
-    states = _verlet(sys, s, dt, n_steps, record_stride, "evolve")
+    states = _verlet(H, s, dt, n_steps, record_stride, "evolve")
     return Trajectory(states)
 
 

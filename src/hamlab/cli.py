@@ -83,8 +83,8 @@ def _run_string_modes(p):
         et = obs.evaluate(string.exact_mode_evolution(m0, t))
         worst_exact = max(worst_exact, float(np.max(np.abs(et - e0) / np.maximum(np.abs(e0), 1.0))))
 
-    sys_ = string.string_system(n)
-    traj = canonical.evolve(sys_, m0, p["dt"], p["steps"], record_stride=p["stride"])
+    H = string.string_hamiltonian(n)
+    traj = canonical.evolve(H, m0, p["dt"], p["steps"], record_stride=p["stride"])
     drift = canonical.conservation_drift(obs, traj)
 
     checks = [
@@ -94,7 +94,7 @@ def _run_string_modes(p):
     artifacts = {
         "modes.csv": (("n", "a_n", "adot_n"), (idx, m0.q, m0.p)),
         "energy_drift.csv": (("n", "E_n", "verlet_drift"), (idx, e0, drift)),
-        "hamiltonian.csv": (("t", "H"), (traj.times, [sys_.energy(s) for s in traj.states])),
+        "hamiltonian.csv": (("t", "H"), (traj.times, [H.fn(s.q, s.p) for s in traj.states])),
     }
     return checks, artifacts
 
@@ -207,7 +207,7 @@ def _run_line_gseries(p):
         "gseries.csv": (tuple(comparison), tuple(comparison.values())),
         "recovery.csv": (
             ("n", "p_true", "p_recovered", "abs_error"),
-            (np.arange(mc.K), mc.p, p_rec, np.abs(p_rec - mc.p)),
+            (np.arange(mc.dim), mc.p, p_rec, np.abs(p_rec - mc.p)),
         ),
     }
     return checks, artifacts

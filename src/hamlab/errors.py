@@ -57,7 +57,7 @@ class DomainExitError(HamlabError):
 
 
 class ScalingError(HamlabError):
-    """High-order moment quadrature overflowed; nondimensionalize the field."""
+    """A high-order moment or factorial overflowed; nondimensionalize or lower the order."""
 
 
 class InvalidIntegralsError(HamlabError):

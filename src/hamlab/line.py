@@ -10,13 +10,13 @@ become proper integrals over the grid.  The module provides
  - the continuous mode energy f(y): the per-wavenumber energy functional,
    conserved for every y,
  - odd-moment canonical coordinates q_n = int x^(2n+1) u dx and
-   p_n = int x^(2n+1) u_t dx,
+   p_n = int x^(2n+1) u_t dx, a :class:`~hamlab.canonical.CanonicalState`,
  - the g-series: the closed-form coefficients of y^2, y^4, ... in the
    small-y expansion of f(y), quadratic forms in the moments,
  - an independent Taylor-coefficient oracle for the same expansion,
    obtained by expanding sin(xy) inside the energy functional and
    collecting moment products (shares only the moment quadrature with the
-   closed forms); both take the computed MomentCoordinates, so one
+   closed forms); both take the computed moment state, so one
    verdict runs the quadrature once,
  - triangular momentum recovery: p from the g values and the q moments,
    one new momentum per order, dividing by p_0 from order one on,
@@ -40,6 +40,7 @@ import numpy as np
 import scipy
 
 from ._frozen import finite, freeze
+from .canonical import CanonicalState
 from .errors import (
     DecayError,
     DomainExitError,
@@ -217,25 +218,6 @@ def continuous_mode_energy(f: LineField, ys) -> np.ndarray:
     return 0.5 * (iv**2 + (ys * iu) ** 2)
 
 
-@dataclass(frozen=True)
-class MomentCoordinates:
-    """Odd-moment canonical coordinates q[n] = int x^(2n+1) u dx and
-    p[n] = int x^(2n+1) u_t dx for n = 0..K-1."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = freeze(self, "q", self.q)
-        p = freeze(self, "p", self.p)
-        if q.ndim != 1 or q.size < 1 or p.shape != q.shape:
-            raise ValueError("q and p must be nonempty vectors of equal length K")
-
-    @property
-    def K(self) -> int:
-        return self.q.size
-
-
 def _moment_quadrature(f: LineField, orders, *samples: np.ndarray) -> np.ndarray:
     """int x^n w dx for each order n (rows) and each sample w (columns).
 
@@ -250,8 +232,10 @@ def _moment_quadrature(f: LineField, orders, *samples: np.ndarray) -> np.ndarray
         weight = np.abs(xs) ** n
         if n % 2:
             weight = np.sign(xs) * weight
-        for j, w in enumerate(samples):
-            out[i, j] = L**n * float(_sym_trapezoid(weight * w, f.h))
+        try:
+            out[i] = [L**n * float(_sym_trapezoid(weight * w, f.h)) for w in samples]
+        except OverflowError:
+            out[i] = math.inf
         if not np.isfinite(out[i]).all():
             raise ScalingError(
                 f"moment of order {n} overflowed; nondimensionalize the field "
@@ -260,13 +244,13 @@ def _moment_quadrature(f: LineField, orders, *samples: np.ndarray) -> np.ndarray
     return out
 
 
-def moments(f: LineField, K: int) -> MomentCoordinates:
-    """Odd moments q_n = int x^(2n+1) u dx and p_n = int x^(2n+1) v dx,
-    n = 0..K-1; each order's weight is built once for both u and v."""
+def moments(f: LineField, K: int) -> CanonicalState:
+    """Odd moments q_n = int x^(2n+1) u dx, p_n = int x^(2n+1) v dx, n < K, as
+    a CanonicalState at f.t; each order's weight serves both u and v."""
     if K < 1:
         raise ValueError("K must be >= 1")
     qp = _moment_quadrature(f, range(1, 2 * K, 2), f.u, f.v)
-    return MomentCoordinates(qp[:, 0], qp[:, 1])
+    return CanonicalState(qp[:, 0], qp[:, 1], f.t)
 
 
 @dataclass(frozen=True)
@@ -289,10 +273,12 @@ class GSeries:
 
 
 def _fact(n: int) -> float:
+    if n > 170:
+        raise ScalingError(f"{n}! overflows a double; the g-series reaches order 85 at most")
     return float(math.factorial(n))
 
 
-def g_from_moments(mc: MomentCoordinates) -> GSeries:
+def g_from_moments(mc: CanonicalState) -> GSeries:
     """The quadratic-form closed expressions for g_k in the moments.
 
     g_1 = p_0**2 and, for k >= 2,
@@ -301,7 +287,7 @@ def g_from_moments(mc: MomentCoordinates) -> GSeries:
         + sum_{m=0}^{k-2} (-1)^k / ((2m+1)! (2(k-m)-3)!)
           * ( q_{k-m-2} q_m - p_{k-m-1} p_m / ((2(k-m)-2)(2(k-m)-1)) ).
     """
-    q, p, K = mc.q, mc.p, mc.K
+    q, p, K = mc.q, mc.p, mc.dim
     g = np.empty(K)
     g[0] = p[0] ** 2
     for k in range(2, K + 1):
@@ -316,8 +302,8 @@ def g_from_moments(mc: MomentCoordinates) -> GSeries:
     return GSeries(g)
 
 
-def taylor_oracle(mc: MomentCoordinates) -> np.ndarray:
-    """Coefficients of y^2, y^4, ..., y^(2K) of the mode energy f(y), K = mc.K.
+def taylor_oracle(mc: CanonicalState) -> np.ndarray:
+    """Coefficients of y^2, y^4, ..., y^(2K) of the mode energy f(y), K = mc.dim.
 
     Built directly from the definition: expand sin(xy) inside each
     integral of continuous_mode_energy, so
@@ -327,7 +313,7 @@ def taylor_oracle(mc: MomentCoordinates) -> np.ndarray:
     and collect the products landing on y^(2k).  Shares only the moment
     quadrature with g_from_moments; the combination rule is independent.
     """
-    q, p, K = mc.q, mc.p, mc.K
+    q, p, K = mc.q, mc.p, mc.dim
     c = np.empty(K)
     for k in range(1, K + 1):
         vv = 0.0
@@ -340,9 +326,9 @@ def taylor_oracle(mc: MomentCoordinates) -> np.ndarray:
     return c
 
 
-def gseries_comparison(mc: MomentCoordinates) -> Dict[str, np.ndarray]:
+def gseries_comparison(mc: CanonicalState) -> Dict[str, np.ndarray]:
     """Per-order comparison of the closed-form g_k against the oracle,
-    for k = 1..mc.K.
+    for k = 1..mc.dim.
 
     Returns five columns keyed by their CSV header names: ``k``, the two
     values ``g_formula`` and ``g_oracle``, their ``ratio`` (nan where the
@@ -355,10 +341,10 @@ def gseries_comparison(mc: MomentCoordinates) -> Dict[str, np.ndarray]:
     g = g_from_moments(mc).g
     c = taylor_oracle(mc)
     return {
-        "k": np.arange(1, mc.K + 1),
+        "k": np.arange(1, mc.dim + 1),
         "g_formula": g,
         "g_oracle": c,
-        "ratio": np.divide(g, c, out=np.full(mc.K, np.nan), where=c != 0.0),
+        "ratio": np.divide(g, c, out=np.full(mc.dim, np.nan), where=c != 0.0),
         "abs_diff": np.abs(g - 8.0 * np.pi**2 * c),
     }
 

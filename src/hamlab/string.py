@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._frozen import finite, freeze
-from .canonical import CanonicalState, HamiltonianSystem, Observable, ObservableSet
+from .canonical import CanonicalState, Observable, ObservableSet
 from .errors import DomainExitError, ResolutionError
 
 LENGTH = 2.0 * np.pi
@@ -171,11 +171,6 @@ def mode_energies(m: CanonicalState) -> np.ndarray:
     return 0.5 * (np.float_power(m.p, 2) + np.float_power(n * m.q, 2))
 
 
-def modes_hamiltonian(m: CanonicalState) -> float:
-    """Total mode energy."""
-    return float(np.sum(mode_energies(m)))
-
-
 def field_energy_integral(f: StringField, n: int) -> float:
     """First integral of the field as printed: uses bare sine integrals.
 
@@ -210,7 +205,7 @@ def field_derivative(f: StringField) -> np.ndarray:
 def field_hamiltonian(f: StringField) -> float:
     """Field energy int (v**2 + u_x**2)/2 dx by trapezoid quadrature.
 
-    Equals pi times modes_hamiltonian(sine_modes(f, N)) for fields
+    Equals pi times string_hamiltonian(N) at sine_modes(f, N) for fields
     band-limited to N modes.
     """
     ux = field_derivative(f)
@@ -337,15 +332,15 @@ def string_observable_set(N: int) -> ObservableSet:
     return ObservableSet([make(n) for n in range(1, N + 1)])
 
 
-def string_system(N: int) -> HamiltonianSystem:
-    """Separable Hamiltonian system for the first N modes."""
+def string_hamiltonian(N: int) -> Observable:
+    """Separable Hamiltonian of the first N modes, with analytic gradients."""
     if N < 1:
         raise ValueError("N must be >= 1")
     n2 = np.arange(1, N + 1, dtype=float) ** 2
 
-    return HamiltonianSystem(
-        dim=N,
-        hamiltonian=lambda q, p: 0.5 * float(np.dot(p, p) + np.dot(n2 * q, q)),
+    return Observable(
+        "hamiltonian",
+        lambda q, p: 0.5 * float(np.dot(p, p) + np.dot(n2 * q, q)),
         grad_q=lambda q, p: n2 * q,
         grad_p=lambda q, p: p,
     )

@@ -76,7 +76,7 @@ def test_criterion_2_string_conservation_and_hj():
     phase = rng.uniform(0.0, 2.0 * np.pi, n)
     mv = canonical.CanonicalState(amp * np.cos(phase), -idx * amp * np.sin(phase))
     traj = canonical.evolve(
-        string.string_system(n), mv, 1e-3, 100000, record_stride=1000
+        string.string_hamiltonian(n), mv, 1e-3, 100000, record_stride=1000
     )
     verlet_drift = float(
         np.max(canonical.conservation_drift(string.string_observable_set(n), traj))

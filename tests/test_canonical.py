@@ -12,19 +12,20 @@ from hamlab import (
     CompletenessReport,
     DivergenceError,
     EvaluationError,
-    HamiltonianSystem,
     Observable,
     ObservableSet,
     Trajectory,
+    check_gradients,
     completeness_jacobian,
     conservation_drift,
     evolve,
     involution_matrix,
     poisson_bracket,
+    poisson_bracket_analytic,
     recover_momenta,
     symplectic_step,
 )
-from hamlab.string import string_system
+from hamlab.string import string_hamiltonian
 
 H_FD = 1e-5
 # Canonical relations hold to O(h^2) for central differences.
@@ -54,9 +55,9 @@ def random_state(n, seed):
 
 
 def oscillator():
-    return HamiltonianSystem(
-        dim=1,
-        hamiltonian=lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
+    return Observable(
+        "oscillator",
+        lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
         grad_q=lambda q, p: q,
         grad_p=lambda q, p: p,
     )
@@ -351,32 +352,32 @@ class TestRecoverMomenta:
 
 class TestSymplecticStep:
     def test_free_particle_exact(self):
-        sys = HamiltonianSystem(
-            dim=1,
-            hamiltonian=lambda q, p: 0.5 * p[0] ** 2,
+        H = Observable(
+            "free",
+            lambda q, p: 0.5 * p[0] ** 2,
             grad_q=lambda q, p: np.zeros(1),
             grad_p=lambda q, p: p,
         )
         s = CanonicalState([1.5], [0.75])
-        out = symplectic_step(sys, s, 0.125)
+        out = symplectic_step(H, s, 0.125)
         assert out.q[0] == pytest.approx(1.5 + 0.75 * 0.125, abs=1e-14)
         assert out.p[0] == pytest.approx(0.75, abs=1e-14)
         assert out.t == pytest.approx(0.125)
 
     def test_oscillator_period_return(self):
-        sys = oscillator()
+        H = oscillator()
         dt = 2 * np.pi / 2000
         s = CanonicalState([1.0], [0.0])
         for _ in range(2000):
-            s = symplectic_step(sys, s, dt)
+            s = symplectic_step(H, s, dt)
         # second-order scheme: endpoint error O(dt^2)
         assert abs(s.q[0] - 1.0) < 100 * dt**2
         assert abs(s.p[0]) < 100 * dt**2
 
     def test_two_step_reversibility(self):
-        sys = oscillator()
+        H = oscillator()
         s0 = CanonicalState([0.8], [-0.3])
-        back = symplectic_step(sys, symplectic_step(sys, s0, 0.05), -0.05)
+        back = symplectic_step(H, symplectic_step(H, s0, 0.05), -0.05)
         assert abs(back.q[0] - s0.q[0]) < 1e-12
         assert abs(back.p[0] - s0.p[0]) < 1e-12
 
@@ -385,26 +386,44 @@ class TestSymplecticStep:
             symplectic_step(oscillator(), CanonicalState([1.0], [0.0]), 0.0)
 
     def test_fd_gradients_match_analytic(self):
-        sys = oscillator()
-        assert sys.check_gradients(random_state(1, seed=20)) < 1e-9
+        assert check_gradients(oscillator(), random_state(1, seed=20)) < 1e-9
 
     @pytest.mark.parametrize("side", ["grad_q", "grad_p"])
     def test_nan_analytic_gradient_fails_check(self, side):
         grads = {"grad_q": lambda q, p: q, "grad_p": lambda q, p: p}
         grads[side] = lambda q, p: np.array([math.nan])
-        sys = HamiltonianSystem(dim=1, hamiltonian=lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2), **grads)
+        H = Observable("oscillator", lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2), **grads)
         with pytest.raises(ValueError, match="disagree"):
-            sys.check_gradients(random_state(1, seed=21))
+            check_gradients(H, random_state(1, seed=21))
 
     def test_nan_hamiltonian_on_stencil_fails_check(self):
-        sys = HamiltonianSystem(
-            dim=1,
-            hamiltonian=lambda q, p: math.sqrt(q[0]) if q[0] >= 0.5 else math.nan,
+        H = Observable(
+            "hamiltonian",
+            lambda q, p: math.sqrt(q[0]) if q[0] >= 0.5 else math.nan,
             grad_q=lambda q, p: 0.5 / np.sqrt(q),
             grad_p=lambda q, p: np.zeros(1),
         )
         with pytest.raises(EvaluationError, match="hamiltonian"):
-            sys.check_gradients(CanonicalState([0.5], [0.0]))
+            check_gradients(H, CanonicalState([0.5], [0.0]))
+
+
+class TestAnalyticGradients:
+    CALLS = {
+        "evolve": lambda H, s: evolve(H, s, 0.01, 3),
+        "symplectic_step": lambda H, s: symplectic_step(H, s, 0.01),
+        "check_gradients": check_gradients,
+        "poisson_bracket_analytic": lambda H, s: poisson_bracket_analytic(oscillator(), H, s),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("missing", ["grad_q", "grad_p", "both"])
+    def test_observable_without_gradients_rejected(self, call, missing):
+        grads = {"grad_q": lambda q, p: q, "grad_p": lambda q, p: p}
+        for side in ["grad_q", "grad_p"] if missing == "both" else [missing]:
+            del grads[side]
+        H = Observable("no_grads", lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2), **grads)
+        with pytest.raises(ValueError, match="'no_grads' has no analytic gradients"):
+            self.CALLS[call](H, CanonicalState([1.0], [0.0]))
 
 
 class TestEvolve:
@@ -456,7 +475,7 @@ class TestEvolve:
             traj.times[0] = 1.0
 
 
-def reference_verlet(sys, s, dt, n_steps, stride):
+def reference_verlet(H, s, dt, n_steps, stride):
     """Kick-drift-kick with three gradient calls and a finiteness check per
     step; returns the recorded (q, p, t) or raises what the first bad step
     raises."""
@@ -465,9 +484,9 @@ def reference_verlet(sys, s, dt, n_steps, stride):
     out = [(q, p, t)]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            p_half = p - half * sys.dH_dq(q, p)
-            q = q + dt * sys.dH_dp(q, p_half)
-            p = p_half - half * sys.dH_dq(q, p_half)
+            p_half = p - half * H.grad_q(q, p)
+            q = q + dt * H.grad_p(q, p_half)
+            p = p_half - half * H.grad_q(q, p_half)
             if not (np.isfinite(q).all() and np.isfinite(p).all()):
                 raise BlowUpError(t, k, s.t, "evolve")
             t = t + dt
@@ -477,9 +496,9 @@ def reference_verlet(sys, s, dt, n_steps, stride):
 
 
 def pendulum():
-    return HamiltonianSystem(
-        dim=1,
-        hamiltonian=lambda q, p: 0.5 * p[0] ** 2 - math.cos(q[0]),
+    return Observable(
+        "pendulum",
+        lambda q, p: 0.5 * p[0] ** 2 - math.cos(q[0]),
         grad_q=lambda q, p: np.sin(q),
         grad_p=lambda q, p: p,
     )
@@ -497,11 +516,11 @@ class TestVerletLoop:
     @pytest.mark.parametrize("system", ["string8", "pendulum"])
     def test_equals_reference_loop(self, system, n_steps, stride):
         if system == "string8":
-            sys, s = string_system(8), random_state(8, seed=30)
+            H, s = string_hamiltonian(8), random_state(8, seed=30)
         else:
-            sys, s = pendulum(), CanonicalState([2.5], [0.4], t=0.3)
-        traj = evolve(sys, s, 1e-2, n_steps, record_stride=stride)
-        want = reference_verlet(sys, s, 1e-2, n_steps, stride)
+            H, s = pendulum(), CanonicalState([2.5], [0.4], t=0.3)
+        traj = evolve(H, s, 1e-2, n_steps, record_stride=stride)
+        want = reference_verlet(H, s, 1e-2, n_steps, stride)
         assert len(traj) == len(want)
         for state, (q, p, t) in zip(traj.states, want):
             assert np.array_equal(state.q, q) and np.array_equal(state.p, p) and state.t == t
@@ -517,13 +536,13 @@ class TestVerletLoop:
 
             return fn
 
-        sys = HamiltonianSystem(
-            dim=1,
-            hamiltonian=lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
+        H = Observable(
+            "oscillator",
+            lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
             grad_q=counted("grad_q", lambda q, p: q),
             grad_p=counted("grad_p", lambda q, p: p),
         )
-        evolve(sys, CanonicalState([1.0], [0.0]), 0.01, n_steps, record_stride=7)
+        evolve(H, CanonicalState([1.0], [0.0]), 0.01, n_steps, record_stride=7)
         assert calls == {"grad_q": n_steps + 1 if n_steps else 0, "grad_p": n_steps}
 
     @pytest.mark.parametrize("stride", [1, 1000, 10000])
@@ -544,26 +563,26 @@ class TestVerletLoop:
                 raise ValueError("non-finite q")
             return np.zeros(1)
 
-        sys = HamiltonianSystem(
-            dim=1,
-            hamiltonian=lambda q, p: 0.5 * p[0] ** 2 + 0.25 * q[0] ** 4,
+        H = Observable(
+            "quartic",
+            lambda q, p: 0.5 * p[0] ** 2 + 0.25 * q[0] ** 4,
             grad_q=grad_q,
             grad_p=lambda q, p: p,
         )
         s = CanonicalState([10.0], [0.0])
-        got = blow_up(lambda: evolve(sys, s, 1.0, 100, record_stride=stride))
-        assert got == blow_up(lambda: reference_verlet(sys, s, 1.0, 100, stride))
+        got = blow_up(lambda: evolve(H, s, 1.0, 100, record_stride=stride))
+        assert got == blow_up(lambda: reference_verlet(H, s, 1.0, 100, stride))
 
     def test_gradient_length_checked_on_every_call(self):
         # the wrong length comes only once q turns negative, mid-block
-        sys = HamiltonianSystem(
-            dim=1,
-            hamiltonian=lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
+        H = Observable(
+            "oscillator",
+            lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
             grad_q=lambda q, p: q if q[0] >= 0 else np.zeros(2),
             grad_p=lambda q, p: p,
         )
-        with pytest.raises(ValueError, match="grad_q returned length 2"):
-            evolve(sys, CanonicalState([1.0], [0.0]), 0.01, 1000, record_stride=1000)
+        with pytest.raises(ValueError, match="'oscillator' grad_q returned length 2, expected 1"):
+            evolve(H, CanonicalState([1.0], [0.0]), 0.01, 1000, record_stride=1000)
 
 
 class TestConservationDrift:
@@ -575,9 +594,9 @@ class TestConservationDrift:
         assert np.all(drift == 0.0)
 
     def test_energy_conserved_along_verlet_flow(self):
-        sys = oscillator()
-        traj = evolve(sys, CanonicalState([1.0], [0.0]), 1e-3, 5000)
-        energy = ObservableSet([Observable("H", sys.hamiltonian)])
+        H = oscillator()
+        traj = evolve(H, CanonicalState([1.0], [0.0]), 1e-3, 5000)
+        energy = ObservableSet([H])
         assert conservation_drift(energy, traj)[0] < 1e-6
 
     def test_non_integral_observable_drifts(self):

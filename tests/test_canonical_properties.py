@@ -29,7 +29,7 @@ from hamlab.canonical import (
     poisson_bracket,
     symplectic_step,
 )
-from hamlab.string import string_system
+from hamlab.string import string_hamiltonian
 
 H_FD = 1e-5
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -112,11 +112,11 @@ def random_state(n, seed):
 @given(STEPPER_CASES)
 def test_evolve_equals_chained_steps(case):
     n, steps, seed, dt = case
-    sys, s = string_system(n), random_state(n, seed)
-    end = evolve(sys, s, dt, steps, record_stride=7).states[-1]
+    H, s = string_hamiltonian(n), random_state(n, seed)
+    end = evolve(H, s, dt, steps, record_stride=7).states[-1]
     cur = s
     for _ in range(steps):
-        cur = symplectic_step(sys, cur, dt)
+        cur = symplectic_step(H, cur, dt)
     assert np.array_equal(end.q, cur.q)
     assert np.array_equal(end.p, cur.p)
     assert end.t == cur.t
@@ -126,12 +126,12 @@ def test_evolve_equals_chained_steps(case):
 @given(STEPPER_CASES)
 def test_forward_then_backward_returns(case):
     n, steps, seed, dt = case
-    sys, s = string_system(n), random_state(n, seed)
+    H, s = string_hamiltonian(n), random_state(n, seed)
     cur = s
     for _ in range(steps):
-        cur = symplectic_step(sys, cur, dt)
+        cur = symplectic_step(H, cur, dt)
     for _ in range(steps):
-        cur = symplectic_step(sys, cur, -dt)
+        cur = symplectic_step(H, cur, -dt)
     assert np.max(np.abs(cur.q - s.q)) < 1e-12
     assert np.max(np.abs(cur.p - s.p)) < 1e-12
     assert abs(cur.t - s.t) < 1e-12
@@ -142,10 +142,10 @@ def test_forward_then_backward_returns(case):
 def test_one_step_map_is_symplectic(n, dt):
     # the string system is linear, so the step is z -> M z with column j of
     # M the image of the j-th unit vector of z = (q, p)
-    sys = string_system(n)
+    H = string_hamiltonian(n)
     M = np.empty((2 * n, 2 * n))
     for j, z in enumerate(np.eye(2 * n)):
-        out = symplectic_step(sys, CanonicalState(z[:n], z[n:]), dt)
+        out = symplectic_step(H, CanonicalState(z[:n], z[n:]), dt)
         M[:, j] = np.concatenate([out.q, out.p])
     omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     assert np.max(np.abs(M.T @ omega @ M - omega)) < 1e-13

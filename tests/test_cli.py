@@ -328,6 +328,17 @@ class TestRunPaths:
         assert 1 < error["step"] < 20000
         assert error["last_time"] == dt * (error["step"] - 1)
 
+    @pytest.mark.parametrize(("order", "source"), [(86, "171!"), (200, "moment of order")])
+    def test_gseries_order_past_double_range_exits_3(self, tmp_path, capsys, order, source):
+        # order 86 needs 171!; at order 200 the moment scale L**n overflows first
+        code = run_cli(tmp_path, {"experiment": "line-gseries", "parameters": {"order": order}})
+        assert code == 3
+        assert "ScalingError" in capsys.readouterr().err
+        report = load_report(tmp_path, "line-gseries")
+        assert report["overall_pass"] is False
+        assert report["error"]["type"] == "ScalingError"
+        assert source in report["error"]["message"]
+
     def test_strict_turns_warning_into_failure(self, tmp_path):
         payload = {
             "experiment": "kdv-conservation",

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamlab import (
+    CanonicalState,
     DecayError,
     DomainExitError,
     InvalidIntegralsError,
@@ -17,7 +18,6 @@ from hamlab import (
 from hamlab.line import (
     GSeries,
     LineField,
-    MomentCoordinates,
     continuous_mode_energy,
     dalembert_evolve,
     g_from_moments,
@@ -174,12 +174,27 @@ class TestMoments:
         with pytest.raises(ScalingError):
             moments(f, 60)
 
-    def test_moment_coordinates_validation(self):
-        with pytest.raises(ValueError):
-            MomentCoordinates(np.zeros(3), np.zeros(2))
+    def test_window_past_double_range_raises_scaling_error(self):
+        # L**n itself overflows at L = 20 for odd orders up to 399
+        f = sample_line_field(lambda x: np.exp(-(x**2)))
+        with pytest.raises(ScalingError, match="order"):
+            moments(f, 200)
+
+    def test_canonical_state_at_field_time(self):
+        f = sample_line_field(u_generic, v_generic, t=1.25)
+        mc = moments(f, 4)
+        assert isinstance(mc, CanonicalState)
+        assert mc.t == f.t and mc.dim == 4
 
 
 class TestGSeries:
+    @pytest.mark.parametrize("series", [g_from_moments, taylor_oracle])
+    def test_order_past_factorial_range_raises_scaling_error(self, series):
+        # order K needs (2K-1)!, and 171! is past the largest double
+        series(CanonicalState(np.zeros(85), np.zeros(85)))
+        with pytest.raises(ScalingError, match="171!"):
+            series(CanonicalState(np.zeros(86), np.zeros(86)))
+
     def test_g1_is_p0_squared(self, generic_field):
         mc = moments(generic_field, 3)
         gs = g_from_moments(mc)
@@ -230,7 +245,7 @@ class TestTaylorOracle:
         assert np.all(cols["abs_diff"] < 1e-12 * np.maximum(1.0, np.abs(cols["g_formula"])))
 
     def test_comparison_ratio_nan_where_oracle_zero(self):
-        cols = gseries_comparison(MomentCoordinates(np.zeros(3), np.zeros(3)))
+        cols = gseries_comparison(CanonicalState(np.zeros(3), np.zeros(3)))
         assert np.all(cols["g_oracle"] == 0.0)
         assert np.all(np.isnan(cols["ratio"]))
         assert np.all(cols["abs_diff"] == 0.0)

@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamlab.canonical import CanonicalState
-from hamlab.line import MomentCoordinates, g_from_moments, recover_momenta_triangular
+from hamlab.line import g_from_moments, recover_momenta_triangular
 from hamlab.string import reconstruct_field, sine_modes
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -50,7 +50,7 @@ def test_triangular_recovery_inverts_g_from_moments(K, seed):
     a, b = rng.uniform(-1.0, 1.0, (2, K))
     rho = float(np.max(np.abs(b))) / abs(b[0])
     assume(rho <= 1.0 / MIN_REL_P0)
-    mc = MomentCoordinates(fact * a, fact * b)
+    mc = CanonicalState(fact * a, fact * b)
     p = recover_momenta_triangular(g_from_moments(mc), mc.q, int(np.sign(mc.p[0])))
     err = np.max(np.abs(p - mc.p) / fact) / np.max(np.abs(b))
     assert err <= 1000.0 * EPS * rho ** (K - 1)

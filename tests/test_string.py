@@ -7,6 +7,7 @@ import pytest
 
 from hamlab import (
     CanonicalState,
+    check_gradients,
     DomainExitError,
     ResolutionError,
     completeness_jacobian,
@@ -27,14 +28,13 @@ from hamlab.string import (
     hj_action,
     hj_trajectory,
     mode_energies,
-    modes_hamiltonian,
     reconstruct_field,
     sample_field,
     separation_constants,
     sine_modes,
     string_grid,
+    string_hamiltonian,
     string_observable_set,
-    string_system,
 )
 
 H_FD = 1e-5
@@ -117,7 +117,7 @@ class TestModeEnergy:
     def test_sum_equals_hamiltonian(self):
         m = random_modes(7, seed=22)
         total = sum(0.5 * (m.p[n - 1] ** 2 + (n * m.q[n - 1]) ** 2) for n in range(1, 8))
-        assert modes_hamiltonian(m) == pytest.approx(total, rel=1e-14)
+        assert string_hamiltonian(7).fn(m.q, m.p) == pytest.approx(total, rel=1e-14)
 
     def test_equals_the_mode_energy_observables(self):
         # bit for bit, over enough squares that a last-bit difference
@@ -130,7 +130,8 @@ class TestModeEnergy:
     def test_parseval_field_vs_modes(self):
         m = random_modes(5, seed=23)
         f = reconstruct_field(m, M=256)
-        assert field_hamiltonian(f) == pytest.approx(np.pi * modes_hamiltonian(m), rel=1e-11)
+        H = string_hamiltonian(5).fn(m.q, m.p)
+        assert field_hamiltonian(f) == pytest.approx(np.pi * H, rel=1e-11)
 
 
 class TestFieldEnergyIntegral:
@@ -222,7 +223,7 @@ class TestSeparationData:
     def test_from_mode_state(self):
         m = random_modes(6, seed=29)
         sep = separation_constants(m)
-        assert sep.E.sum() == pytest.approx(2 * modes_hamiltonian(m), rel=1e-14)
+        assert sep.E.sum() == pytest.approx(2 * np.sum(mode_energies(m)), rel=1e-14)
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
@@ -334,12 +335,22 @@ class TestStringObservables:
 class TestStringSystem:
     def test_hamiltonian_matches_mode_sum(self):
         m = random_modes(5, seed=39)
-        sys = string_system(5)
-        assert sys.energy(m) == pytest.approx(modes_hamiltonian(m), rel=1e-14)
+        H = string_hamiltonian(5)
+        assert H.name == "hamiltonian"
+        assert H.fn(m.q, m.p) == pytest.approx(np.sum(mode_energies(m)), rel=1e-14)
 
     def test_gradients_consistent(self):
-        sys = string_system(6)
-        assert sys.check_gradients(random_modes(6, seed=40)) < 1e-8
+        assert check_gradients(string_hamiltonian(6), random_modes(6, seed=40)) < 1e-8
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_mode_energy_gradients_consistent(self, n):
+        # the gradients poisson_bracket_analytic uses, each checked
+        # against the finite-difference stencil
+        obs = string_observable_set(n)
+        for seed in range(3):
+            s = random_modes(n, seed=60 + seed)
+            for o in obs:
+                assert check_gradients(o, s) < 1e-8, o.name
 
     def test_verlet_matches_exact_evolution_at_second_order(self):
         n, horizon = 8, 2.0
@@ -348,7 +359,7 @@ class TestStringSystem:
         errs = []
         for steps in (2000, 4000):
             dt = horizon / steps
-            traj = evolve(string_system(n), m0, dt, steps, record_stride=steps)
+            traj = evolve(string_hamiltonian(n), m0, dt, steps, record_stride=steps)
             end = traj.states[-1]
             errs.append(max(np.max(np.abs(end.q - want.q)), np.max(np.abs(end.p - want.p))))
         # halving dt must cut the endpoint error by about 4 (second order)
@@ -359,7 +370,7 @@ class TestStringSystem:
         n = 8
         idx = np.arange(1, n + 1, dtype=float)
         m0 = CanonicalState(4.0 ** (1 - idx), np.zeros(n))
-        traj = evolve(string_system(n), m0, 1e-3, 20000, record_stride=100)
+        traj = evolve(string_hamiltonian(n), m0, 1e-3, 20000, record_stride=100)
         drift = conservation_drift(string_observable_set(n), traj)
         assert np.max(drift) < 1e-6
 

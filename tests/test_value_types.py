@@ -12,7 +12,7 @@ from hamlab.kdv import (
     PeriodicField,
     ScatteringData,
 )
-from hamlab.line import GSeries, LineField, MomentCoordinates, line_grid
+from hamlab.line import GSeries, LineField, line_grid
 from hamlab.string import SeparationData, StringField, string_grid
 
 
@@ -45,7 +45,6 @@ VALUE_TYPES = {
         {"u": _bump(line_grid(2.0, 0.5), 0.3), "v": -_bump(line_grid(2.0, 0.5), 0.3)},
         {"h": 0.5, "t": 0.0},
     ),
-    MomentCoordinates: lambda: ({"q": np.array([1.0, 2.0]), "p": np.array([0.5, 1.0])}, {}),
     GSeries: lambda: ({"g": np.array([1.0, 0.5])}, {}),
 }
 

@@ -14,7 +14,8 @@ the configs that differ; 2 for bad arguments.
 The config set is the eight experiments at their defaults, string-modes
 with 2500 steps at stride 1000 and with 3000 steps at stride 1, string-hj
 at seed 1 and at seed 99 with 16 modes, line-gseries at seeds 0-3 at
-defaults and with order 8 and sign -1, line-velocity-moments with the
+defaults and with order 8 and sign -1, line-gseries at order 85 (the
+highest order whose factorials fit a double), line-velocity-moments with the
 cubic spline (spline_order 3), with the JSON integers 1 and 2 as y_values
 (integers in a float column) and with five y values over 6 steps,
 kdv-scattering and kdv-action-hamiltonian at kappa 0.95 and 1.05,
@@ -52,6 +53,7 @@ CONFIGS = (
         for seed in range(4)
         for extra in ({}, {"order": 8, "sign": -1})
     ]
+    + [("line-gseries", {"order": 85})]
     + [("line-velocity-moments", {"spline_order": 3}), ("line-velocity-moments", {"y_values": [1, 2]})]
     + [("line-velocity-moments", {"y_values": [0.05, 0.5, 3.0, 7.5, 12.0], "steps": 6})]
     + [("kdv-scattering", {"kappa": kappa}) for kappa in KAPPAS]
