@@ -59,6 +59,8 @@ _RK4_STABILITY = 2.8
 _DECAY_TOL = 1e-10
 # share of H the upper half of the k range may carry without a warning
 _TAIL_TOL = 0.01
+# kdv_evolve checks finiteness once per this many steps
+_CHECK_STEPS = 64
 
 
 def kdv_grid(L_domain: float = DEFAULT_DOMAIN, M: int = DEFAULT_MODES) -> np.ndarray:
@@ -161,6 +163,12 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
     the rounding of the final inverse transform, a few eps times
     int |u| dx.  A step larger than the stability guard triggers a warning;
     non-finite coefficients abort with the last stable time.
+
+    The steps reuse preallocated buffers and run in blocks of 64; only a
+    block's end coefficients are checked, since a non-finite coefficient
+    spreads through the transforms and stays non-finite to the block's end.
+    A block that ends non-finite is run again from its start with a check
+    after every step, so :class:`BlowUpError` names the first bad step.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -180,24 +188,68 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
     lin = 1j * k**3
     E = np.exp(lin * (dt / 2.0))
     E2 = E * E
+    two_E = 2.0 * E
+    three_ik = 3j * k
     keep = np.arange(k.size) <= M // 3
+    u = np.empty(M)
+    a, b, c, d, s, *ends = (np.empty_like(E) for _ in range(7))
 
-    def nonlinear(vhat):
-        u = np.fft.irfft(vhat, M)
-        return 3j * k * (np.fft.rfft(u * u) * keep)
+    def nonlinear(vhat, out):
+        # out = dt 3ik rfft(irfft(vhat)^2), dealiased; vhat may be out
+        np.fft.irfft(vhat, M, out=u)
+        np.multiply(u, u, out=u)
+        np.fft.rfft(u, out=out)
+        np.multiply(out, keep, out=out)
+        np.multiply(three_ik, out, out=out)
+        np.multiply(dt, out, out=out)
+
+    def step(vhat, out):
+        # the RK4 stages, one ufunc per operation of these expressions and
+        # in their order, so the result is the same double as theirs:
+        #   a = dt N(vhat),  b = dt N(E (vhat + a/2)),  c = dt N(E vhat + b/2),
+        #   d = dt N(E2 vhat + E c),
+        #   out = E2 vhat + (E2 a + 2E (b + c) + d) / 6
+        nonlinear(vhat, a)
+        np.divide(a, 2.0, out=s)
+        np.add(vhat, s, out=s)
+        np.multiply(E, s, out=s)
+        nonlinear(s, b)
+        np.multiply(E, vhat, out=s)
+        np.divide(b, 2.0, out=c)
+        np.add(s, c, out=c)
+        nonlinear(c, c)
+        np.multiply(E2, vhat, out=s)
+        np.multiply(E, c, out=d)
+        np.add(s, d, out=d)
+        nonlinear(d, d)
+        np.multiply(E2, a, out=a)
+        np.add(b, c, out=b)
+        np.multiply(two_E, b, out=b)
+        np.add(a, b, out=a)
+        np.add(a, d, out=a)
+        np.divide(a, 6.0, out=a)
+        np.add(s, a, out=out)
+
+    def steps(vhat, first, last, check):
+        # steps first..last-1 from vhat, which is read but never written
+        for n in range(first, last):
+            out = ends[(n - first) % 2]
+            step(vhat, out)
+            vhat = out
+            if check and not np.all(np.isfinite(vhat)):
+                raise BlowUpError(f.t + n * dt, n + 1, f.t, "kdv_evolve")
+        return vhat
 
     vhat = np.fft.rfft(f.u)
     # an unstable step overflows before the finiteness check catches it;
     # silence the intermediate numpy warnings so BlowUpError is the signal
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
-            a = dt * nonlinear(vhat)
-            b = dt * nonlinear(E * (vhat + a / 2.0))
-            c = dt * nonlinear(E * vhat + b / 2.0)
-            d = dt * nonlinear(E2 * vhat + E * c)
-            vhat = E2 * vhat + (E2 * a + 2.0 * E * (b + c) + d) / 6.0
-            if not np.all(np.isfinite(vhat)):
-                raise BlowUpError(f.t + step * dt, step + 1, f.t, "kdv_evolve")
+        for first in range(0, n_steps, _CHECK_STEPS):
+            last = min(first + _CHECK_STEPS, n_steps)
+            end = steps(vhat, first, last, False)
+            if not np.all(np.isfinite(end)):
+                end = steps(vhat, first, last, True)
+            vhat[:] = end
     return PeriodicField(np.fft.irfft(vhat, M), f.L_domain, f.t + n_steps * dt)
 
 
@@ -383,12 +435,21 @@ def schrodinger_a(pot: LinePotential, k: complex) -> complex:
 # Sixth-order Magnus integrator (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 # 2009) on three Gauss-Legendre nodes per cell.  The cell width keeps
 # h <= _MAX_CELL and |k| h <= _MAX_PHASE; cells are grouped _CHUNK_CELLS at a
-# time (a power of two, for the pairwise product) so the working set stays
-# a few arrays of _CHUNK_CELLS x len(k).
+# time (a power of two, for the pairwise product).  The chunks are taken a
+# block at a time: one potential call, one Magnus evaluation and one pairwise
+# product per block, then a short loop applies the block's chunk
+# propagators in order.  A block holds as many chunks as fit in
+# _BLOCK_ENTRIES entries per array of chunks x _CHUNK_CELLS x len(k), and at
+# least one, so the working set stays a few arrays of at most
+# max(_BLOCK_ENTRIES, _CHUNK_CELLS x len(k)) entries.  2**12 entries still
+# take a one-k sweep over a 40-wide window (63 chunks) in one block; larger
+# budgets measured slower for 15 k and more (the temporaries of a block leave
+# the cache) and raise the peak memory.
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 _MAX_CELL = 0.01
 _MAX_PHASE = 0.2
 _CHUNK_CELLS = 64
+_BLOCK_ENTRIES = 2**12
 
 
 def _magnus_cells(h, q1, q2, q3):
@@ -423,14 +484,15 @@ def _magnus_cells(h, q1, q2, q3):
     return c + sh * w0, sh * w1, sh * w2, c - sh * w0
 
 
-def _chunk_propagator(e00, e01, e10, e11):
-    """Ordered product E_{n-1} ... E_1 E_0 over axis 0 by pairwise halving."""
-    while e00.shape[0] > 1:
-        l00, l01, l10, l11 = e00[1::2], e01[1::2], e10[1::2], e11[1::2]
-        r00, r01, r10, r11 = e00[0::2], e01[0::2], e10[0::2], e11[0::2]
+def _chunk_propagators(e00, e01, e10, e11):
+    """Ordered product E_{n-1} ... E_1 E_0 over axis 1, the cells of each
+    chunk, by pairwise halving; returns (chunk, k) arrays."""
+    while e00.shape[1] > 1:
+        l00, l01, l10, l11 = e00[:, 1::2], e01[:, 1::2], e10[:, 1::2], e11[:, 1::2]
+        r00, r01, r10, r11 = e00[:, 0::2], e01[:, 0::2], e10[:, 0::2], e11[:, 0::2]
         e00, e01 = l00 * r00 + l01 * r10, l00 * r01 + l01 * r11
         e10, e11 = l10 * r00 + l11 * r10, l10 * r01 + l11 * r11
-    return e00[0], e01[0], e10[0], e11[0]
+    return e00[:, 0], e01[:, 0], e10[:, 0], e11[:, 0]
 
 
 def scattering_a(pot: LinePotential, ks) -> np.ndarray:
@@ -444,6 +506,13 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
     edge.  The full-window product is never formed: on the imaginary axis
     it overflows long before the vector does.  a(k) is read off at the
     right edge as in :func:`schrodinger_a`, the DOP853 oracle route.
+
+    The chunks are computed in blocks of up to 2**12 // (64 len(ks)) chunks
+    (at least one): ``pot.fn`` is called once per block, on all of its
+    nodes, so a one-k sweep over a 40-wide window calls it once.
+    Every k is computed independently of the others and of the blocking,
+    so a(k) depends on ks only through the cell width, which the largest
+    |k| sets.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     if ks.ndim != 1 or ks.size == 0:
@@ -459,20 +528,21 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
     x_l, x_r = pot.x_left, pot.x_right
     h_max = min(_MAX_CELL, _MAX_PHASE / float(np.max(np.abs(ks))))
     n_chunks = math.ceil((x_r - x_l) / (h_max * _CHUNK_CELLS))
-    n_cells = n_chunks * _CHUNK_CELLS
-    h = (x_r - x_l) / n_cells
+    h = (x_r - x_l) / (n_chunks * _CHUNK_CELLS)
     cell_nodes = np.arange(_CHUNK_CELLS)[:, None] + _GAUSS_NODES
+    per_block = max(1, _BLOCK_ENTRIES // (_CHUNK_CELLS * ks.size))
 
     phi0 = np.exp(-1j * ks * x_l)
     phi, dphi = phi0, -1j * ks * phi0
     # deep on the imaginary axis the launch value underflows or phi
     # overflows; the range check below, not a numpy warning, reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_cells, _CHUNK_CELLS):
-            u = np.asarray(pot.fn(x_l + h * (start + cell_nodes)), dtype=float)
-            q1, q2, q3 = (u[:, j, None] - ksq for j in range(3))
-            p00, p01, p10, p11 = _chunk_propagator(*_magnus_cells(h, q1, q2, q3))
-            phi, dphi = p00 * phi + p01 * dphi, p10 * phi + p11 * dphi
+        for first in range(0, n_chunks, per_block):
+            starts = _CHUNK_CELLS * np.arange(first, min(first + per_block, n_chunks))
+            u = np.asarray(pot.fn(x_l + h * (starts[:, None, None] + cell_nodes)), dtype=float)
+            q1, q2, q3 = (u[..., j, None] - ksq for j in range(3))
+            for p00, p01, p10, p11 in zip(*_chunk_propagators(*_magnus_cells(h, q1, q2, q3))):
+                phi, dphi = p00 * phi + p01 * dphi, p10 * phi + p11 * dphi
         a = 0.5 * (phi + 1j * dphi / ks) * np.exp(1j * ks * x_r)
     lost = ~np.isfinite(a) | (np.abs(phi0) < np.finfo(float).tiny)
     if np.any(lost):

@@ -128,6 +128,16 @@ class TestKdvEvolve:
         assert exc.value.last_time == pytest.approx(0.5 + 2e-2 * (exc.value.step - 1))
         assert "kdv_evolve call that began at t=0.5;" in str(exc.value)
 
+    def test_blow_up_past_the_first_block(self):
+        # the steps are checked once per block; a failure in a later block
+        # is replayed step by step and still names the first bad step
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(BlowUpError) as exc:
+                kdv_evolve(soliton_field(1.0), 0.012, 3000)
+        assert exc.value.step == 158
+        assert exc.value.last_time == pytest.approx(157 * 0.012)
+
     def test_oversized_step_warns(self):
         f = soliton_field(1.0)
         guard = cfl_timestep(f)
@@ -423,6 +433,29 @@ class TestScatteringA:
     def test_k_validation(self, sech_pot, ks):
         with pytest.raises(ValueError):
             scattering_a(sech_pot, np.array(ks, dtype=complex))
+
+    def test_independent_of_company_and_blocking(self):
+        # 300 k make blocks of one chunk, 1-2 k blocks of 32 or more chunks;
+        # with the same largest |k| (the same cells) each a(k) is the same
+        # double
+        w = line_window(soliton_field(1.0, x0=13.0))
+        ks = np.concatenate([np.linspace(0.05, 4.0, 250), 1j * np.linspace(0.1, 3.0, 50)])
+        together = scattering_a(w, ks)
+        assert np.array_equal(scattering_a(w, [4.0]), together[249:250])
+        for i in range(0, ks.size, 23):
+            assert np.array_equal(scattering_a(w, [ks[i], 4.0])[0], together[i])
+
+    def test_one_potential_call_per_block(self):
+        calls = []
+
+        def fn(x):
+            calls.append(np.shape(x))
+            return sech2_potential()(x)
+
+        pot = sample_potential(fn)
+        calls.clear()
+        scattering_a(pot, [1.3])
+        assert len(calls) <= 2
 
 
 class TestBoundStates:

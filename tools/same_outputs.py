@@ -21,8 +21,10 @@ cubic spline (spline_order 3), with the JSON integers 1 and 2 as y_values
 kdv-scattering and kdv-action-hamiltonian at kappa 0.95 and 1.05,
 kdv-scattering with 5 sample times (more line windows),
 kdv-action-hamiltonian with k_max_bound 0.04 (no bound state: a
-header-only bound.csv and exit 1), and a shortened kdv-conservation at
-kappa 0.8.
+header-only bound.csv and exit 1) and with 300 k (one chunk per block of
+the Magnus sweep), a shortened kdv-conservation at kappa 0.8, and
+kdv-conservation over one segment of 203 steps (a kdv_evolve call that
+ends in a partial block of its finiteness check).
 """
 
 import hashlib
@@ -59,8 +61,9 @@ CONFIGS = (
     + [("kdv-scattering", {"kappa": kappa}) for kappa in KAPPAS]
     + [("kdv-scattering", {"n_times": 5})]
     + [("kdv-action-hamiltonian", {"kappa": kappa, "k_max_bound": kappa + 0.5}) for kappa in KAPPAS]
-    + [("kdv-action-hamiltonian", {"k_max_bound": 0.04})]
+    + [("kdv-action-hamiltonian", {"k_max_bound": 0.04}), ("kdv-action-hamiltonian", {"n_k": 300})]
     + [("kdv-conservation", {"kappa": 0.8, "t_final": 0.5})]
+    + [("kdv-conservation", {"t_final": 0.0203, "n_samples": 2})]
 )
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
