@@ -11,7 +11,6 @@ from .errors import (
     EvaluationError,
     HamlabError,
     InvalidIntegralsError,
-    ResolutionError,
     ScalingError,
     SingularPointError,
 )
@@ -26,7 +25,6 @@ from .canonical import (
     conservation_drift,
     evolve,
     involution_and_jacobian,
-    involution_matrix,
     poisson_bracket,
     poisson_bracket_analytic,
     recover_momenta,
@@ -46,7 +44,6 @@ __all__ = [
     "EvaluationError",
     "HamlabError",
     "InvalidIntegralsError",
-    "ResolutionError",
     "ScalingError",
     "SingularPointError",
     "CanonicalState",
@@ -59,7 +56,6 @@ __all__ = [
     "conservation_drift",
     "evolve",
     "involution_and_jacobian",
-    "involution_matrix",
     "poisson_bracket",
     "poisson_bracket_analytic",
     "recover_momenta",

@@ -99,21 +99,18 @@ class Observable:
     grad_p: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
-def _as_observable(f) -> Observable:
-    if isinstance(f, Observable):
-        return f
-    name = getattr(f, "__name__", "<callable>")
-    return Observable(name, f)
-
-
 @dataclass(frozen=True)
 class ObservableSet:
-    """An ordered family of first-integral candidates with distinct names."""
+    """An ordered family of first-integral candidates, each an
+    :class:`Observable`, with distinct names."""
 
     observables: Sequence[Observable]
 
     def __post_init__(self):
-        obs = tuple(_as_observable(f) for f in self.observables)
+        obs = tuple(self.observables)
+        for i, o in enumerate(obs):
+            if not isinstance(o, Observable):
+                raise ValueError(f"entry {i} is a {type(o).__name__}, not an Observable")
         names = [o.name for o in obs]
         if len(set(names)) != len(names):
             raise ValueError(f"observable names must be distinct, got {names}")
@@ -266,16 +263,15 @@ def _gradients(
     return G
 
 
-def poisson_bracket(f, g, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> float:
+def poisson_bracket(f: Observable, g: Observable, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> float:
     """Poisson bracket [f, g] at ``s`` via central-difference gradients.
 
     Returns sum_k (df/dq_k dg/dp_k - df/dp_k dg/dq_k).  The combination of a
     fixed index-ordered dot product with an IEEE subtraction makes the result
     exactly antisymmetric under swapping f and g.
     """
-    pair = (_as_observable(f), _as_observable(g))
-    fq, gq = _gradients(pair, s.q, s.p, h, "q")
-    fp, gp = _gradients(pair, s.q, s.p, h, "p")
+    fq, gq = _gradients((f, g), s.q, s.p, h, "q")
+    fp, gp = _gradients((f, g), s.q, s.p, h, "p")
     return float(np.dot(fq, gp) - np.dot(fp, gq))
 
 
@@ -318,12 +314,16 @@ def poisson_bracket_analytic(f: Observable, g: Observable, s: CanonicalState) ->
 
 
 def involution_and_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP):
-    """The involution matrix and the completeness Jacobian at ``s``, as
-    ``(B, J)``, from one q-side and one p-side gradient table.
+    """The involution matrix B[i, j] = [f_i, f_j] and the completeness
+    Jacobian at ``s``, as ``(B, J)``, from one q-side and one p-side
+    gradient table.
 
-    B equals :func:`involution_matrix` and J equals
-    :func:`completeness_jacobian` bit for bit; the p side, which both
-    need, is differenced once.
+    Each observable is differentiated once per side, and the p side, which
+    both need, is shared.  Each unordered pair takes the same index-ordered
+    dot products as :func:`poisson_bracket` (so B[i, j] equals it bit for
+    bit) and is negated for the transpose entry, so B is exactly
+    antisymmetric with a zero diagonal.  J equals
+    :func:`completeness_jacobian` bit for bit.
     """
     Q = _gradients(obs.observables, s.q, s.p, h, "q")
     P = _gradients(obs.observables, s.q, s.p, h, "p")
@@ -335,17 +335,6 @@ def involution_and_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DE
             B[i, j] = b
             B[j, i] = -b
     return B, P
-
-
-def involution_matrix(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Matrix of pairwise Poisson brackets B[i, j] = [f_i, f_j].
-
-    Each observable is differentiated once.  Each unordered pair takes the
-    same index-ordered dot products as :func:`poisson_bracket` (so B[i, j]
-    equals it bit for bit) and is negated for the transpose entry, so B is
-    exactly antisymmetric with a zero diagonal.
-    """
-    return involution_and_jacobian(obs, s, h)[0]
 
 
 def completeness_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -509,9 +498,15 @@ def evolve(
     """Apply ``n_steps`` Stormer-Verlet steps, recording every ``record_stride``-th
     state (the initial and final states are always recorded).
 
-    ``H`` needs both analytic gradients (else ``ValueError`` naming it) and
+    ``dt`` must be finite and positive, since a trajectory's times
+    increase; :func:`symplectic_step` takes a backward step.  ``H`` needs
+    both analytic gradients (else ``ValueError`` naming it) and
     separability: ``grad_q`` may read only q and ``grad_p`` only p, as each
     step's last ``grad_q`` value is the next step's first."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(
+            f"evolve needs a finite dt > 0, got dt={dt!r}; use symplectic_step for a backward step"
+        )
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     if record_stride < 1:

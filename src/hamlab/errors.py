@@ -86,9 +86,5 @@ class BlowUpError(HamlabError):
         )
 
 
-class ResolutionError(HamlabError):
-    """The requested mode count is not resolvable on the given grid."""
-
-
 class DecayError(HamlabError):
     """Field data does not decay below tolerance at the domain edges."""

@@ -1,4 +1,4 @@
-"""Finite vibrating string on [0, 2*pi] with Dirichlet ends.
+"""Finite vibrating string on [0, 2*pi] with Dirichlet ends, in mode space.
 
 The displacement field decomposes over sine modes; each mode is an
 independent unit-mass harmonic oscillator with frequency n, and the family
@@ -10,18 +10,9 @@ is a complete involutive set of first integrals at any truncation, as long
 as every p_n is nonzero at the evaluation point.  A mode state is a
 :class:`~hamlab.canonical.CanonicalState` with q = a_n and p = a'_n, the
 sine-mode coefficients and their velocities.  This module supplies the
-sine-mode transform and its inverse, the mode/field energy functionals, the
-exact rotation evolution, the separated Hamilton-Jacobi action and the
-trajectory it generates, plus packaged observables for the completeness
-machinery in :mod:`hamlab.canonical`.
-
-Normalization notes (both quantities are exposed on purpose):
- - ``field_energy_integral`` evaluates
-   n**2/2*(int u sin(nx) dx)**2 + 1/2*(int u_t sin(nx) dx)**2,
-   which equals pi**2 times ``mode_energies`` because int sin(nx)**2 dx = pi
-   on [0, 2*pi].
- - The field Hamiltonian int (u_t**2 + u_x**2)/2 dx equals pi times the
-   mode-sum Hamiltonian for the same reason.
+mode energies, the exact rotation evolution, the separated Hamilton-Jacobi
+action and the trajectory it generates, plus packaged observables for the
+completeness machinery in :mod:`hamlab.canonical`.
 """
 
 from __future__ import annotations
@@ -29,69 +20,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from ._frozen import finite, freeze
+from ._frozen import freeze
 from .canonical import CanonicalState, Observable, ObservableSet
-from .errors import DomainExitError, ResolutionError
-
-LENGTH = 2.0 * np.pi
-DEFAULT_GRID_M = 256
-
-
-def string_grid(M: int) -> np.ndarray:
-    """Uniform grid of M+1 points covering [0, 2*pi] inclusive."""
-    if M < 2:
-        raise ValueError("grid needs M >= 2 intervals")
-    return np.linspace(0.0, LENGTH, M + 1)
-
-
-@dataclass(frozen=True)
-class StringField:
-    """Displacement/velocity samples on ``grid``, the M+1 points
-    ``string_grid(M)`` covering [0, 2*pi].
-
-    Endpoint samples must vanish (Dirichlet); values within round-off of
-    zero are snapped to exact zeros so the invariant is literal.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        u = freeze(self, "u", self.u)
-        v = freeze(self, "v", self.v)
-        if u.shape != v.shape or u.ndim != 1 or u.size < 3:
-            raise ValueError("u and v must be 1-d arrays of equal length >= 3")
-        for name, w in (("u", u), ("v", v)):
-            scale = max(1.0, float(np.max(np.abs(w))))
-            if abs(w[0]) > 1e-9 * scale or abs(w[-1]) > 1e-9 * scale:
-                raise ValueError(f"{name} violates the Dirichlet condition at the ends")
-            freeze(self, name, np.concatenate(([0.0], w[1:-1], [0.0])))
-        finite(self, "t", self.t)
-
-    @property
-    def M(self) -> int:
-        return self.u.size - 1
-
-    @property
-    def grid(self) -> np.ndarray:
-        return string_grid(self.M)
-
-
-def sample_field(
-    u_fn: Callable[[np.ndarray], np.ndarray],
-    v_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    M: int = DEFAULT_GRID_M,
-    t: float = 0.0,
-) -> StringField:
-    """Sample callables on the uniform grid into a StringField."""
-    x = string_grid(M)
-    v = np.zeros_like(x) if v_fn is None else v_fn(x)
-    return StringField(u_fn(x), v, t)
+from .errors import DomainExitError
 
 
 @dataclass(frozen=True)
@@ -115,101 +50,12 @@ class SeparationData:
         return self.E.size
 
 
-def _sine_coefficients(samples: np.ndarray, grid: np.ndarray, N: int) -> np.ndarray:
-    """(1/pi) * int w sin(n x) dx for n = 1..N by composite trapezoid.
-
-    The integrand vanishes at both ends, so the trapezoid rule reduces to a
-    plain interior sum; it is exact for fields band-limited below the grid
-    Nyquist mode n = M/2.  sin(M x / 2) vanishes at every grid point, so N
-    modes need M > 2N intervals.
-    """
-    M = grid.size - 1
-    h = LENGTH / M
-    x = grid[1:-1]
-    w = samples[1:-1]
-    out = np.empty(N)
-    for n in range(1, N + 1):
-        out[n - 1] = (h / np.pi) * float(np.dot(w, np.sin(n * x)))
-    return out
-
-
-def sine_modes(f: StringField, N: int) -> CanonicalState:
-    """Project a field onto its first N sine modes: (q, p) = (a_n, a'_n)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if f.M <= 2 * N:
-        raise ResolutionError(
-            f"grid with M={f.M} intervals cannot resolve N={N} modes (need M > 2N)"
-        )
-    x = f.grid
-    a = _sine_coefficients(f.u, x, N)
-    adot = _sine_coefficients(f.v, x, N)
-    return CanonicalState(a, adot, f.t)
-
-
-def reconstruct_field(m: CanonicalState, M: int = DEFAULT_GRID_M) -> StringField:
-    """Synthesize u = sum a_n sin(nx), v = sum a'_n sin(nx) on an M-grid."""
-    if M <= 2 * m.dim:
-        raise ResolutionError(
-            f"grid with M={M} intervals cannot carry N={m.dim} modes (need M > 2N)"
-        )
-    x = string_grid(M)
-    u = np.zeros_like(x)
-    v = np.zeros_like(x)
-    for n in range(1, m.dim + 1):
-        s = np.sin(n * x)
-        u += m.q[n - 1] * s
-        v += m.p[n - 1] * s
-    return StringField(u, v, m.t)
-
-
 def mode_energies(m: CanonicalState) -> np.ndarray:
     """Energy of every mode n = 1..N: (adot_n**2 + n**2 a_n**2) / 2."""
     n = np.arange(1, m.dim + 1)
     # pow(), as in the mode-energy observables: ** squares by multiplying,
     # which differs from pow() in the last bit for ~1 double in 1000
     return 0.5 * (np.float_power(m.p, 2) + np.float_power(n * m.q, 2))
-
-
-def field_energy_integral(f: StringField, n: int) -> float:
-    """First integral of the field as printed: uses bare sine integrals.
-
-    Returns n**2/2 * (int u sin(nx) dx)**2 + 1/2 * (int v sin(nx) dx)**2,
-    which is pi**2 times mode_energies(m)[n - 1].
-    """
-    if n < 1:
-        raise ValueError("mode index must be >= 1")
-    if f.M <= 2 * n:
-        raise ResolutionError(f"grid with M={f.M} intervals cannot resolve mode n={n}")
-    x = f.grid
-    iu = np.pi * _sine_coefficients(f.u, x, n)[-1]
-    iv = np.pi * _sine_coefficients(f.v, x, n)[-1]
-    return 0.5 * (n * iu) ** 2 + 0.5 * iv**2
-
-
-def field_derivative(f: StringField) -> np.ndarray:
-    """du/dx on the grid via sine-series differentiation.
-
-    Exact for fields band-limited below the grid Nyquist mode, which is the
-    regime every consumer of this module works in.
-    """
-    N = f.M // 2
-    x = f.grid
-    a = _sine_coefficients(f.u, x, N)
-    du = np.zeros_like(x)
-    for n in range(1, N + 1):
-        du += n * a[n - 1] * np.cos(n * x)
-    return du
-
-
-def field_hamiltonian(f: StringField) -> float:
-    """Field energy int (v**2 + u_x**2)/2 dx by trapezoid quadrature.
-
-    Equals pi times string_hamiltonian(N) at sine_modes(f, N) for fields
-    band-limited to N modes.
-    """
-    ux = field_derivative(f)
-    return float(np.trapezoid(0.5 * (f.v**2 + ux**2), f.grid))
 
 
 def exact_mode_evolution(m: CanonicalState, t1: float) -> CanonicalState:

@@ -34,7 +34,7 @@ def test_criterion_1_involution_and_completeness():
     state = _random_string_state(17, n)
     obs = string.string_observable_set(n)
 
-    B = canonical.involution_matrix(obs, state, h=1e-5)
+    B = canonical.involution_and_jacobian(obs, state, h=1e-5)[0]
     max_b = float(np.max(np.abs(B)))
     rep_full = canonical.CompletenessReport(canonical.completeness_jacobian(obs, state, h=1e-5))
     dropped = obs.without("mode_energy_1")

@@ -19,7 +19,7 @@ from hamlab import (
     completeness_jacobian,
     conservation_drift,
     evolve,
-    involution_matrix,
+    involution_and_jacobian,
     poisson_bracket,
     poisson_bracket_analytic,
     recover_momenta,
@@ -90,6 +90,15 @@ class TestCanonicalState:
         assert s.q[0] == 1.0
 
 
+class TestObservableSet:
+    def test_bare_callable_rejected(self):
+        def energy(q, p):
+            return 0.5 * (p[0] ** 2 + q[0] ** 2)
+
+        with pytest.raises(ValueError, match="entry 1 is a function, not an Observable"):
+            ObservableSet([coord(0), energy])
+
+
 class TestEvaluate:
     # math.exp raises OverflowError where numpy would return inf
     @pytest.mark.parametrize(
@@ -153,14 +162,14 @@ class TestPoissonBracket:
         with pytest.raises(ValueError, match="fd step h"):
             poisson_bracket(coord(0), momentum(0), s, h)
         with pytest.raises(ValueError, match="fd step h"):
-            involution_matrix(quadratic_energies(2), s, h)
+            involution_and_jacobian(quadratic_energies(2), s, h)
         with pytest.raises(ValueError, match="fd step h"):
             completeness_jacobian(quadratic_energies(2), s, h)
 
     def test_stencil_leaves_state_untouched(self):
         s = random_state(3, seed=6)
         q, p = s.q.copy(), s.p.copy()
-        involution_matrix(quadratic_energies(3), s, H_FD)
+        involution_and_jacobian(quadratic_energies(3), s, H_FD)
         assert np.array_equal(s.q, q) and np.array_equal(s.p, p)
 
 
@@ -259,14 +268,14 @@ class TestCompletenessReport:
 class TestInvolutionMatrix:
     def test_canonical_pair_matrix(self):
         s = random_state(1, seed=12)
-        B = involution_matrix(ObservableSet([coord(0), momentum(0)]), s, H_FD)
+        B = involution_and_jacobian(ObservableSet([coord(0), momentum(0)]), s, H_FD)[0]
         assert B[0, 0] == 0.0 and B[1, 1] == 0.0
         assert B[0, 1] == pytest.approx(1.0, abs=FD_TOL)
         assert B[1, 0] == -B[0, 1]
 
     def test_single_observable_zero(self):
         s = random_state(1, seed=13)
-        B = involution_matrix(ObservableSet([coord(0)]), s, H_FD)
+        B = involution_and_jacobian(ObservableSet([coord(0)]), s, H_FD)[0]
         assert B.shape == (1, 1) and B[0, 0] == 0.0
 
     def test_exact_antisymmetry(self):
@@ -274,12 +283,12 @@ class TestInvolutionMatrix:
         obs = ObservableSet(
             [Observable(f"g{k}", lambda q, p, k=k: math.sin(q[k]) * p[(k + 1) % 3]) for k in range(3)]
         )
-        B = involution_matrix(obs, s, H_FD)
+        B = involution_and_jacobian(obs, s, H_FD)[0]
         assert np.array_equal(B, -B.T)
 
     def test_quadratic_energies_in_involution(self):
         s = random_state(5, seed=15)
-        B = involution_matrix(quadratic_energies(5), s, H_FD)
+        B = involution_and_jacobian(quadratic_energies(5), s, H_FD)[0]
         assert np.max(np.abs(B)) < 1e-6
 
 
@@ -432,6 +441,27 @@ class TestEvolve:
         traj = evolve(oscillator(), s, 0.01, 0)
         assert len(traj) == 1
         assert traj.states[0] is s
+
+    @pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan, math.inf])
+    def test_bad_dt_rejected_before_any_gradient_call(self, dt):
+        calls = []
+
+        def counted(grad):
+            def fn(q, p):
+                calls.append(grad)
+                return grad(q, p)
+
+            return fn
+
+        H = Observable(
+            "oscillator",
+            lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
+            grad_q=counted(lambda q, p: q),
+            grad_p=counted(lambda q, p: p),
+        )
+        with pytest.raises(ValueError, match=r"dt=.*symplectic_step for a backward step"):
+            evolve(H, CanonicalState([1.0], [0.0]), dt, 10)
+        assert calls == []
 
     def test_stride_records_endpoints(self):
         traj = evolve(oscillator(), CanonicalState([1.0], [0.0]), 0.01, 10, record_stride=3)

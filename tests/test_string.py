@@ -9,30 +9,22 @@ from hamlab import (
     CanonicalState,
     check_gradients,
     DomainExitError,
-    ResolutionError,
     completeness_jacobian,
     conservation_drift,
     evolve,
-    involution_matrix,
+    involution_and_jacobian,
     poisson_bracket,
     poisson_bracket_analytic,
 )
 from hamlab.canonical import CompletenessReport, Trajectory
 from hamlab.string import (
     SeparationData,
-    StringField,
     beta_for_state,
     exact_mode_evolution,
-    field_energy_integral,
-    field_hamiltonian,
     hj_action,
     hj_trajectory,
     mode_energies,
-    reconstruct_field,
-    sample_field,
     separation_constants,
-    sine_modes,
-    string_grid,
     string_hamiltonian,
     string_observable_set,
 )
@@ -43,68 +35,6 @@ H_FD = 1e-5
 def random_modes(n, seed, t=0.0):
     rng = np.random.default_rng(seed)
     return CanonicalState(rng.normal(size=n), rng.normal(size=n), t)
-
-
-class TestStringField:
-    def test_dirichlet_violation_rejected(self):
-        x = string_grid(8)
-        u = np.ones_like(x)
-        with pytest.raises(ValueError, match="Dirichlet"):
-            StringField(u, np.zeros_like(x))
-
-    def test_roundoff_endpoints_snapped_to_zero(self):
-        f = sample_field(lambda x: np.sin(3 * x), M=64)
-        assert f.u[0] == 0.0 and f.u[-1] == 0.0
-
-
-
-class TestSineModes:
-    def test_single_mode(self):
-        f = sample_field(lambda x: np.sin(x), M=64)
-        m = sine_modes(f, 4)
-        assert m.q[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(m.q[1:])) < 1e-12
-        assert np.max(np.abs(m.p)) < 1e-12
-
-    def test_zero_field(self):
-        f = sample_field(lambda x: np.zeros_like(x), M=32)
-        m = sine_modes(f, 8)
-        assert np.all(m.q == 0.0) and np.all(m.p == 0.0)
-
-    def test_two_mode_combination(self):
-        f = sample_field(lambda x: np.sin(3 * x) - 2 * np.sin(5 * x), M=128)
-        m = sine_modes(f, 8)
-        assert m.q[2] == pytest.approx(1.0, abs=1e-12)
-        assert m.q[4] == pytest.approx(-2.0, abs=1e-12)
-        others = np.delete(m.q, [2, 4])
-        assert np.max(np.abs(others)) < 1e-12
-
-    def test_velocity_channel(self):
-        f = sample_field(lambda x: np.zeros_like(x), lambda x: 0.5 * np.sin(2 * x), M=64)
-        m = sine_modes(f, 4)
-        assert m.p[1] == pytest.approx(0.5, abs=1e-12)
-
-    def test_resolution_guard(self):
-        f = sample_field(lambda x: np.sin(x), M=16)
-        with pytest.raises(ResolutionError):
-            sine_modes(f, 9)
-
-    def test_resolution_guard_at_nyquist(self):
-        # sin(4x) vanishes at every point of the 8-interval grid, so four
-        # modes need at least 9 intervals
-        f = sample_field(lambda x: np.sin(4 * x), M=8)
-        with pytest.raises(ResolutionError):
-            sine_modes(f, 4)
-        with pytest.raises(ResolutionError):
-            field_energy_integral(f, 4)
-        with pytest.raises(ResolutionError):
-            reconstruct_field(CanonicalState(np.ones(4), np.zeros(4)), M=8)
-
-    def test_round_trip_band_limited(self):
-        m = random_modes(6, seed=21)
-        back = sine_modes(reconstruct_field(m, M=128), 6)
-        assert np.max(np.abs(back.q - m.q)) < 1e-12
-        assert np.max(np.abs(back.p - m.p)) < 1e-12
 
 
 class TestModeEnergy:
@@ -126,38 +56,6 @@ class TestModeEnergy:
         for seed in range(40):
             m = random_modes(64, seed=seed)
             assert np.array_equal(mode_energies(m), obs.evaluate(m))
-
-    def test_parseval_field_vs_modes(self):
-        m = random_modes(5, seed=23)
-        f = reconstruct_field(m, M=256)
-        H = string_hamiltonian(5).fn(m.q, m.p)
-        assert field_hamiltonian(f) == pytest.approx(np.pi * H, rel=1e-11)
-
-
-class TestFieldEnergyIntegral:
-    def test_single_mode_value(self):
-        f = sample_field(lambda x: np.sin(x), M=64)
-        # integral of sin^2 over the full interval is pi
-        assert field_energy_integral(f, 1) == pytest.approx(0.5 * np.pi**2, rel=1e-12)
-
-    def test_zero_field(self):
-        f = sample_field(lambda x: np.zeros_like(x), M=32)
-        assert field_energy_integral(f, 3) == 0.0
-
-    def test_pi_squared_times_mode_energy(self):
-        m = random_modes(4, seed=24)
-        f = reconstruct_field(m, M=128)
-        for n in range(1, 5):
-            want = np.pi**2 * mode_energies(m)[n - 1]
-            assert field_energy_integral(f, n) == pytest.approx(want, rel=1e-11)
-
-    def test_constant_along_exact_evolution(self):
-        m = random_modes(4, seed=25)
-        vals0 = [field_energy_integral(reconstruct_field(m, 128), n) for n in range(1, 5)]
-        for t in (0.37, 1.9, 6.0):
-            mt = exact_mode_evolution(m, t)
-            vals = [field_energy_integral(reconstruct_field(mt, 128), n) for n in range(1, 5)]
-            assert np.max(np.abs(np.array(vals) - vals0)) < 1e-12
 
 
 class TestExactModeEvolution:
@@ -257,20 +155,19 @@ class TestHJTrajectory:
             assert np.max(np.abs(got.p - want.p)) < 1e-10
 
     def test_wave_equation_residual_band_limited(self):
-        # u_tt - u_xx on the reconstructed field via a five-point stencil in
-        # t; spatial derivative is exact through the sine series.
+        # u_tt - u_xx on the field u = sum_n a_n sin(n x) via a five-point
+        # stencil in t; the spatial derivative is exact through the sine series.
         m0 = random_modes(4, seed=31)
         traj = hj_trajectory(separation_constants(m0), beta_for_state(m0))
         t0, dt, M = 0.8, 1e-3, 64
-        x = string_grid(M)
-        snaps = [reconstruct_field(traj(t0 + k * dt), M).u for k in (-2, -1, 0, 1, 2)]
+        x = np.linspace(0, 2 * np.pi, M + 1)
+        n = np.arange(1, 5)
+        modes = np.sin(np.outer(x, n))
+        snaps = [modes @ traj(t0 + k * dt).q for k in (-2, -1, 0, 1, 2)]
         u_tt = (
             -snaps[0] / 12 + 4 * snaps[1] / 3 - 5 * snaps[2] / 2 + 4 * snaps[3] / 3 - snaps[4] / 12
         ) / dt**2
-        mid = traj(t0)
-        u_xx = np.zeros_like(x)
-        for n in range(1, 5):
-            u_xx += -(n**2) * mid.q[n - 1] * np.sin(n * x)
+        u_xx = modes @ (-(n**2) * traj(t0).q)
         assert np.max(np.abs(u_tt - u_xx)) < 1e-8
 
     def test_hamilton_equations_residual(self):
@@ -289,7 +186,7 @@ class TestStringObservables:
     def test_involution_matrix_vanishes(self):
         obs = string_observable_set(8)
         s = random_modes(8, seed=33)
-        B = involution_matrix(obs, s, H_FD)
+        B = involution_and_jacobian(obs, s, H_FD)[0]
         assert np.max(np.abs(B)) < 1e-6
 
     def test_cross_module_bracket_f2_f3(self):

@@ -13,7 +13,7 @@ from hamlab.kdv import (
     ScatteringData,
 )
 from hamlab.line import GSeries, LineField, line_grid
-from hamlab.string import SeparationData, StringField, string_grid
+from hamlab.string import SeparationData
 
 
 def _bump(x, width):
@@ -25,10 +25,6 @@ def _bump(x, width):
 VALUE_TYPES = {
     CanonicalState: lambda: ({"q": np.array([1.0, 2.0]), "p": np.array([0.5, -0.5])}, {"t": 0.0}),
     CompletenessReport: lambda: ({"jacobian": np.eye(2)}, {"rank_tol": 1e-8}),
-    StringField: lambda: (
-        {"u": np.sin(string_grid(8)), "v": np.sin(2.0 * string_grid(8))},
-        {"t": 0.0},
-    ),
     SeparationData: lambda: ({"E": np.array([2.0, 4.0])}, {}),
     PeriodicField: lambda: ({"u": _bump(np.arange(8) - 4.0, 1.0)}, {"L_domain": 8.0}),
     ConservedIntegrals: lambda: ({"I": np.array([1.0, 2.0]), "even": np.array([0.0, 0.0])}, {}),
@@ -53,7 +49,6 @@ ARRAY_FIELDS = [(cls, name) for cls, make in VALUE_TYPES.items() for name in mak
 SCALAR_FIELDS = [
     (CanonicalState, "t"),
     (CompletenessReport, "rank_tol"),
-    (StringField, "t"),
     (PeriodicField, "L_domain"),
     (PeriodicField, "t"),
     (LinePotential, "x_left"),
