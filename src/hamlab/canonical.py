@@ -99,6 +99,13 @@ class Observable:
     grad_p: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
+def _require_observables(named):
+    """``ValueError`` naming the key and type of a value that is no Observable."""
+    for key, o in named.items():
+        if not isinstance(o, Observable):
+            raise ValueError(f"{key} is a {type(o).__name__}, not an Observable")
+
+
 @dataclass(frozen=True)
 class ObservableSet:
     """An ordered family of first-integral candidates, each an
@@ -108,9 +115,7 @@ class ObservableSet:
 
     def __post_init__(self):
         obs = tuple(self.observables)
-        for i, o in enumerate(obs):
-            if not isinstance(o, Observable):
-                raise ValueError(f"entry {i} is a {type(o).__name__}, not an Observable")
+        _require_observables({f"entry {i}": o for i, o in enumerate(obs)})
         names = [o.name for o in obs]
         if len(set(names)) != len(names):
             raise ValueError(f"observable names must be distinct, got {names}")
@@ -270,6 +275,7 @@ def poisson_bracket(f: Observable, g: Observable, s: CanonicalState, h: float = 
     fixed index-ordered dot product with an IEEE subtraction makes the result
     exactly antisymmetric under swapping f and g.
     """
+    _require_observables({"f": f, "g": g})
     fq, gq = _gradients((f, g), s.q, s.p, h, "q")
     fp, gp = _gradients((f, g), s.q, s.p, h, "p")
     return float(np.dot(fq, gp) - np.dot(fp, gq))
@@ -309,6 +315,7 @@ def check_gradients(o: Observable, s: CanonicalState, tol: float = 1e-6) -> floa
 
 def poisson_bracket_analytic(f: Observable, g: Observable, s: CanonicalState) -> float:
     """Poisson bracket using the observables' analytic gradients."""
+    _require_observables({"f": f, "g": g})
     (fdq, fdp), (gdq, gdp) = _analytic_gradients(f), _analytic_gradients(g)
     return float(np.dot(fdq(s.q, s.p), gdp(s.q, s.p)) - np.dot(fdp(s.q, s.p), gdq(s.q, s.p)))
 

@@ -11,9 +11,9 @@ Config format::
      "parameters": {"t_final": 0.5},
      "output_dir": "out"}
 
-Unknown parameter keys are rejected, every tolerance must be positive,
-and all defaults live in the versioned table below, which is echoed into
-every report so the thresholds a run was judged against are auditable.
+``load_config`` checks a config against the versioned table below, which
+holds every parameter's default and rule and is echoed into every report
+so the thresholds a run was judged against are auditable.
 Runs are deterministic: a fixed seed is part of the defaults, so
 re-running a config byte-reproduces every CSV artifact.
 """
@@ -28,11 +28,9 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import namedtuple
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
-from jsonschema.validators import extend
 
 from . import canonical, kdv, line, string
 from .csvio import write_csv, write_json
@@ -40,9 +38,25 @@ from .errors import HamlabError
 
 DEFAULTS_VERSION = 1
 
-_POS_NUMBER = {"type": "number", "exclusiveMinimum": 0}
-_POS_INT = {"type": "integer", "minimum": 1}
-_SEED = {"type": "integer", "minimum": 0}
+
+# a config value's rule: a predicate on the parsed JSON value, and its
+# words; type(), not isinstance(), since JSON true and false are not numbers
+_Rule = namedtuple("_Rule", "accepts words")
+_POS_NUMBER = _Rule(lambda x: type(x) in (int, float) and x > 0, "a number > 0")
+_POS_INT = _Rule(lambda x: type(x) is int and x >= 1, "an integer >= 1")
+_SEED_MIN = 0
+_SEED = _Rule(lambda x: type(x) is int and x >= _SEED_MIN, f"an integer >= {_SEED_MIN}")
+_AT_LEAST_2 = _Rule(lambda x: type(x) is int and x >= 2, "an integer >= 2")
+_SIGN = _Rule(lambda x: type(x) is int and x in (1, -1), "one of the integers 1, -1")
+_SPLINE_ORDER = _Rule(lambda x: type(x) is int and x in (2, 3), "one of the integers 2, 3")
+
+
+def _distinct_list(item, min_len=0):
+    # entries compare as numbers, so 1 and 1.0 are a repeat
+    return _Rule(
+        lambda x: type(x) is list and all(map(item.accepts, x)) and min_len <= len(set(x)) == len(x),
+        f"a list of {min_len} or more distinct entries, each {item.words}",
+    )
 
 
 class ConfigError(Exception):
@@ -358,7 +372,7 @@ def _run_kdv_action_hamiltonian(p):
 
 
 # ---------------------------------------------------------------------------
-# experiment registry: topic tags, parameter schemas with defaults, runners
+# experiment registry: topic tags, parameter defaults and rules, runners
 
 EXPERIMENTS = {
     "string-modes": {
@@ -396,7 +410,7 @@ EXPERIMENTS = {
             "fd_step": (1e-5, _POS_NUMBER),
             "rank_tol": (1e-8, _POS_NUMBER),
             "involution_tol": (1e-6, _POS_NUMBER),
-            "remove": ([], {"type": "array", "items": _POS_INT, "uniqueItems": True}),
+            "remove": ([], _distinct_list(_POS_INT)),
         },
     },
     "line-gseries": {
@@ -405,7 +419,7 @@ EXPERIMENTS = {
         "parameters": {
             "order": (5, _POS_INT),
             "seed": (5, _SEED),
-            "sign": (1, {"enum": [1, -1]}),
+            "sign": (1, _SIGN),
             "roundtrip_tol": (1e-8, _POS_NUMBER),
             "oracle_tol": (1e-10, _POS_NUMBER),
         },
@@ -414,13 +428,10 @@ EXPERIMENTS = {
         "topic": "infinite-string",
         "runner": _run_line_velocity_moments,
         "parameters": {
-            "y_values": (
-                [0.5, 1.0, 2.0],
-                {"type": "array", "items": _POS_NUMBER, "minItems": 1, "uniqueItems": True},
-            ),
+            "y_values": ([0.5, 1.0, 2.0], _distinct_list(_POS_NUMBER, min_len=1)),
             "t_final": (1.0, _POS_NUMBER),
             "steps": (4, _POS_INT),
-            "spline_order": (2, {"enum": [2, 3]}),
+            "spline_order": (2, _SPLINE_ORDER),
             "energy_tol": (1e-8, _POS_NUMBER),
             "moment_tol": (1e-10, _POS_NUMBER),
         },
@@ -434,7 +445,7 @@ EXPERIMENTS = {
             "M": (512, _POS_INT),
             "dt": (1e-4, _POS_NUMBER),
             "t_final": (1.0, _POS_NUMBER),
-            "n_samples": (11, {"type": "integer", "minimum": 2}),
+            "n_samples": (11, _AT_LEAST_2),
             "drift_tol": (1e-6, _POS_NUMBER),
             "even_tol": (1e-10, _POS_NUMBER),
             "mass_tol": (1e-13, _POS_NUMBER),
@@ -447,7 +458,7 @@ EXPERIMENTS = {
             "kappa": (1.0, _POS_NUMBER),
             "k_probe": (1.3, _POS_NUMBER),
             "t_final": (1.0, _POS_NUMBER),
-            "n_times": (3, {"type": "integer", "minimum": 2}),
+            "n_times": (3, _AT_LEAST_2),
             "dt": (1e-4, _POS_NUMBER),
             "L_domain": (40.0, _POS_NUMBER),
             "M": (512, _POS_INT),
@@ -479,31 +490,20 @@ def _defaults(experiment):
     return {name: spec[0] for name, spec in EXPERIMENTS[experiment]["parameters"].items()}
 
 
-def _config_schema(experiment):
-    props = {name: spec[1] for name, spec in EXPERIMENTS[experiment]["parameters"].items()}
-    return {
-        "type": "object",
-        "required": ["experiment"],
-        "additionalProperties": False,
-        "properties": {
-            "experiment": {"const": experiment},
-            "output_dir": {"type": "string"},
-            "parameters": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": props,
-            },
-        },
-    }
+_TOP_LEVEL = {
+    "experiment": _Rule(lambda x: type(x) is str and x in EXPERIMENTS, f"one of {sorted(EXPERIMENTS)}"),
+    "parameters": _Rule(lambda x: type(x) is dict, "an object"),
+    "output_dir": _Rule(lambda x: type(x) is str, "a string"),
+}
 
 
-# JSON Schema counts 8.0 as an integer; the runners need a Python int
-_Validator = extend(
-    Draft202012Validator,
-    type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)
-    ),
-)
+def _check_fields(values, rules, prefix=""):
+    # a ConfigError for the first key without a rule or with a value it rejects
+    for key, value in values.items():
+        if key not in rules:
+            raise ConfigError(f"field {prefix}{key}: unknown; expected one of {', '.join(rules)}")
+        if not rules[key].accepts(value):
+            raise ConfigError(f"field {prefix}{key}: expected {rules[key].words}, got {json.dumps(value)}")
 
 
 def _reject_constant(token):
@@ -531,6 +531,9 @@ def _double_int(literal):
 
 
 def load_config(path):
+    """The config at ``path``, checked against the experiment table, or a
+    :class:`ConfigError` whose message starts ``field <key>:`` or ``field
+    parameters/<name>:`` and names what was expected and what was given."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -544,15 +547,10 @@ def load_config(path):
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    name = cfg.get("experiment")
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {sorted(EXPERIMENTS)}; got {name!r}")
-    # the schemas are ours and fixed, so they are not re-checked per run
-    # (tests check them against the metaschema once)
-    exc = best_match(_Validator(_config_schema(name)).iter_errors(cfg))
-    if exc is not None:
-        field = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"field {field}: {exc.message}")
+    # the experiment goes first, as null when it is missing
+    _check_fields({"experiment": None, **cfg}, _TOP_LEVEL)
+    rules = {key: spec[1] for key, spec in EXPERIMENTS[cfg["experiment"]]["parameters"].items()}
+    _check_fields(cfg.get("parameters", {}), rules, "parameters/")
     return cfg
 
 
@@ -684,8 +682,8 @@ def _seed_arg(text):
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < _SEED["minimum"]:
-        raise argparse.ArgumentTypeError(f"must be >= {_SEED['minimum']}, got {value}")
+    if not _SEED.accepts(value):
+        raise argparse.ArgumentTypeError(f"must be >= {_SEED_MIN}, got {value}")
     return value
 
 

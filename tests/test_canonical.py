@@ -166,6 +166,22 @@ class TestPoissonBracket:
         with pytest.raises(ValueError, match="fd step h"):
             completeness_jacobian(quadratic_energies(2), s, h)
 
+    @pytest.mark.parametrize("bracket", [poisson_bracket, poisson_bracket_analytic])
+    @pytest.mark.parametrize("arg", ["f", "g"])
+    def test_bare_function_rejected(self, bracket, arg):
+        def energy(q, p):
+            return 0.5 * (p[0] ** 2 + q[0] ** 2)
+
+        args = {"f": oscillator(), "g": oscillator(), arg: energy}
+        with pytest.raises(ValueError, match=f"^{arg} is a function, not an Observable$"):
+            bracket(args["f"], args["g"], CanonicalState([1.0], [0.5]))
+
+    @pytest.mark.parametrize("bracket", [poisson_bracket, poisson_bracket_analytic])
+    def test_bracket_of_an_observable_with_itself_is_zero(self, bracket):
+        # unlike an ObservableSet, a bracket takes the same observable twice
+        f = oscillator()
+        assert bracket(f, f, CanonicalState([1.0], [0.5])) == 0.0
+
     def test_stencil_leaves_state_untouched(self):
         s = random_state(3, seed=6)
         q, p = s.q.copy(), s.p.copy()

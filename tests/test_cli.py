@@ -13,11 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from jsonschema import Draft202012Validator
-
 import hamlab
 from hamlab import Observable, ObservableSet, kdv, line, string
-from hamlab.cli import EXPERIMENTS, _config_schema, list_experiments_text, load_config, main
+from hamlab.cli import EXPERIMENTS, list_experiments_text, load_config, main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hamlab.__file__)))
 
@@ -238,9 +236,62 @@ class TestConfigValidation:
         assert code == 2
         assert "y_values" in capsys.readouterr().err
 
-    def test_schemas_are_valid_against_the_metaschema(self):
-        for name in EXPERIMENTS:
-            Draft202012Validator.check_schema(_config_schema(name))
+    @pytest.mark.parametrize(
+        "experiment, name, value",
+        [
+            ("line-velocity-moments", "spline_order", 2.0),
+            ("line-gseries", "sign", 1.0),
+            ("line-gseries", "sign", True),
+            ("string-completeness", "remove", [1, 1.0]),
+        ],
+    )
+    def test_value_of_another_json_type_exits_2(self, tmp_path, capsys, experiment, name, value):
+        # the enum parameters take JSON integers only, like every integer parameter
+        code = run_cli(tmp_path, {"experiment": experiment, "parameters": {name: value}})
+        assert code == 2
+        assert f"field parameters/{name}: expected " in capsys.readouterr().err
+        assert not (tmp_path / "out" / experiment / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"experiment": ["string-hj"]}, "experiment"),
+            ({"parameters": {}}, "experiment"),
+            ({"experiment": "string-hj", "parameters": [1]}, "parameters"),
+            ({"experiment": "string-hj", "output_dir": 3}, "output_dir"),
+            ({"experiment": "string-hj", "extra": True}, "extra"),
+        ],
+    )
+    def test_top_level_field_named(self, tmp_path, capsys, payload, field):
+        assert run_cli(tmp_path, payload) == 2
+        err = capsys.readouterr().err
+        assert f"config error: field {field}: " in err
+        assert "Traceback" not in err
+
+    def test_defaults_pass_their_own_rules(self):
+        for experiment, entry in EXPERIMENTS.items():
+            for name, (default, rule) in entry["parameters"].items():
+                assert rule.accepts(default), (experiment, name, default)
+
+    # per rule: a value of the wrong JSON type and one just out of range
+    REJECTED = {
+        "a number > 0": ("1.0", 0),
+        "an integer >= 1": (1.0, 0),
+        "an integer >= 0": (0.0, -1),
+        "an integer >= 2": (2.0, 1),
+        "one of the integers 1, -1": (1.0, 0),
+        "one of the integers 2, 3": (2.0, 4),
+        "a list of 0 or more distinct entries, each an integer >= 1": ({"1": 1}, [1, 0]),
+        "a list of 1 or more distinct entries, each a number > 0": (0.5, []),
+    }
+
+    def test_each_rule_rejects_bool_wrong_type_and_out_of_range(self):
+        rules = {spec[1] for entry in EXPERIMENTS.values() for spec in entry["parameters"].values()}
+        assert {rule.words for rule in rules} == set(self.REJECTED)
+        for rule in rules:
+            wrong_type, out_of_range = self.REJECTED[rule.words]
+            for value in (True, False, wrong_type, out_of_range):
+                assert not rule.accepts(value), (rule.words, value)
 
     def test_load_config_round_trip(self, tmp_path):
         cfg_path = write_config(
@@ -457,6 +508,26 @@ def scipy_loaded_after(tmp_path, payloads):
 class TestColdStart:
     """SciPy submodules load when first called, never on ``import hamlab``:
     reach them as ``scipy.<sub>.<name>`` at call time."""
+
+    def test_cli_import_adds_no_third_party_package(self):
+        # configs are checked against the experiment table by hamlab itself;
+        # whatever NumPy, SciPy and the site setup load is not counted
+        code = (
+            "import json, sys, numpy, scipy\n"
+            "before = set(sys.modules)\n"
+            "import hamlab.cli\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["hamlab"]
 
     def test_string_and_gseries_runs_load_no_scipy_submodule(self, tmp_path):
         loaded = scipy_loaded_after(

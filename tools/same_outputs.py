@@ -7,9 +7,11 @@ Each argument is a directory holding the ``hamlab`` package, such as the
 through ``python -m hamlab.cli run``, each in a fresh interpreter with one
 BLAS thread.  A config matches when the two runs have the same exit code,
 the same sha256 for every CSV artifact, and the same report.json checks
-(name, value, threshold, pass).  One line per config goes to stdout.  The
-exit code is 0 when every config matches and 1 otherwise, after listing
-the configs that differ; 2 for bad arguments.
+(name, value, threshold, pass).  A config of the rejected set matches only
+when both runs also exit 2 (a configuration error) and write no report.
+One line per config goes to stdout.  The exit code is 0 when every config
+matches and 1 otherwise, after listing the configs that differ; 2 for bad
+arguments.
 
 The config set is the eight experiments at their defaults, string-modes
 with 2500 steps at stride 1000 and with 3000 steps at stride 1, string-hj
@@ -25,6 +27,13 @@ header-only bound.csv and exit 1) and with 300 k (one chunk per block of
 the Magnus sweep), a shortened kdv-conservation at kappa 0.8, and
 kdv-conservation over one segment of 203 steps (a kdv_evolve call that
 ends in a partial block of its finiteness check).
+
+The rejected set holds one config per kind of parameter rule:
+string-modes with n_modes 8.0 (a float for an integer), string-hj with an
+unknown parameter, kdv-conservation with dt 0, string-hj with seed -1,
+string-completeness with remove [1, 1] (a repeat), line-velocity-moments
+with no y_values, line-gseries with sign 2, kdv-conservation with
+n_samples 1, and kdv-scattering with t_final true (a bool for a number).
 """
 
 import hashlib
@@ -65,6 +74,19 @@ CONFIGS = (
     + [("kdv-conservation", {"kappa": 0.8, "t_final": 0.5})]
     + [("kdv-conservation", {"t_final": 0.0203, "n_samples": 2})]
 )
+REJECTED = (
+    ("string-modes", {"n_modes": 8.0}),
+    ("string-hj", {"bogus": 1}),
+    ("kdv-conservation", {"dt": 0}),
+    ("string-hj", {"seed": -1}),
+    ("string-completeness", {"remove": [1, 1]}),
+    ("line-velocity-moments", {"y_values": []}),
+    ("line-gseries", {"sign": 2}),
+    ("kdv-conservation", {"n_samples": 1}),
+    ("kdv-scattering", {"t_final": True}),
+)
+# what a rejected config gives: exit 2, no CSV and no report
+REJECTION = {"exit code": 2, "CSV sha256": {}, "report checks": "null"}
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -124,21 +146,24 @@ def main(argv):
         return 2
     parent_src, change_src = argv
     differ = []
-    for experiment, parameters in CONFIGS:
+    configs = [(*c, False) for c in CONFIGS] + [(*c, True) for c in REJECTED]
+    for experiment, parameters, rejected in configs:
         label = f"{experiment} {json.dumps(parameters)}"
         before = outputs(parent_src, experiment, parameters)
         after = outputs(change_src, experiment, parameters)
         diffs = [key for key in before if before[key] != after[key]]
+        if rejected and not diffs and before != REJECTION:
+            diffs = ["not rejected"]
         line = f"{label} (exit {before['exit code']}, {len(before['CSV sha256'])} CSVs)"
         print(f"differ {line}: {', '.join(diffs)}" if diffs else f"same   {line}", flush=True)
         if diffs:
             differ.append((label, diffs))
     if differ:
-        print(f"{len(differ)} of {len(CONFIGS)} configs differ:")
+        print(f"{len(differ)} of {len(configs)} configs differ:")
         for label, diffs in differ:
             print(f"  {label}: {', '.join(diffs)}")
         return 1
-    print(f"all {len(CONFIGS)} configs match")
+    print(f"all {len(configs)} configs match")
     return 0
 
 
