@@ -11,15 +11,16 @@ become proper integrals over the grid.  The module provides
    conserved for every y,
  - odd-moment canonical coordinates q_n = int x^(2n+1) u dx and
    p_n = int x^(2n+1) u_t dx, a :class:`~hamlab.canonical.CanonicalState`,
- - the g-series: the closed-form coefficients of y^2, y^4, ... in the
-   small-y expansion of f(y), quadratic forms in the moments,
+ - the g-series: the closed-form coefficients g_k of y^2, y^4, ... in the
+   small-y expansion of f(y), quadratic forms in the moments, as a plain
+   array,
  - an independent Taylor-coefficient oracle for the same expansion,
    obtained by expanding sin(xy) inside the energy functional and
    collecting moment products (shares only the moment quadrature with the
    closed forms); both take the computed moment state, so one
    verdict runs the quadrature once,
- - triangular momentum recovery: p from the g values and the q moments,
-   one new momentum per order, dividing by p_0 from order one on,
+ - triangular momentum recovery: p from an array of g values and the q
+   moments, one new momentum per order, dividing by p_0 from order one on,
  - the velocity moments int x^n u_t dx: conserved for n = 0, 1, and
    measurably drifting for n >= 2 (d/dt int x^2 u_t dx = 2 int u dx,
    which the tests use as an oracle).
@@ -253,33 +254,16 @@ def moments(f: LineField, K: int) -> CanonicalState:
     return CanonicalState(qp[:, 0], qp[:, 1], f.t)
 
 
-@dataclass(frozen=True)
-class GSeries:
-    """Coefficients g_1..g_K of y^2, y^4, ..., y^(2K) in the mode-energy
-    expansion, up to an overall constant (see gseries_comparison).
-
-    g_1 is the square of the first velocity moment and must be
-    nonnegative.
-    """
-
-    g: np.ndarray
-
-    def __post_init__(self):
-        g = freeze(self, "g", self.g)
-        if g.ndim != 1 or g.size < 1:
-            raise ValueError("g must be a nonempty vector")
-        if g[0] < 0:
-            raise InvalidIntegralsError(f"g_1={g[0]:.6g} is negative but must be a square")
-
-
 def _fact(n: int) -> float:
     if n > 170:
         raise ScalingError(f"{n}! overflows a double; the g-series reaches order 85 at most")
     return float(math.factorial(n))
 
 
-def g_from_moments(mc: CanonicalState) -> GSeries:
-    """The quadratic-form closed expressions for g_k in the moments.
+def g_from_moments(mc: CanonicalState) -> np.ndarray:
+    """The quadratic-form closed expressions for g_1..g_K in the moments:
+    the coefficients of y^2, y^4, ..., y^(2K) in the mode-energy expansion,
+    up to an overall constant (see gseries_comparison), K = mc.dim.
 
     g_1 = p_0**2 and, for k >= 2,
 
@@ -299,7 +283,7 @@ def g_from_moments(mc: CanonicalState) -> GSeries:
                 - p[k - m - 1] * p[m] / ((2 * (k - m) - 2) * (2 * (k - m) - 1))
             )
         g[k - 1] = total
-    return GSeries(g)
+    return g
 
 
 def taylor_oracle(mc: CanonicalState) -> np.ndarray:
@@ -338,7 +322,7 @@ def gseries_comparison(mc: CanonicalState) -> Dict[str, np.ndarray]:
     of the energy functional while the g_k drop them.  The ratio column
     reports this factor as measured data.
     """
-    g = g_from_moments(mc).g
+    g = g_from_moments(mc)
     c = taylor_oracle(mc)
     return {
         "k": np.arange(1, mc.dim + 1),
@@ -362,22 +346,29 @@ def recover_momenta_triangular(g, q, sign_p0: int) -> np.ndarray:
 
     Only previously recovered momenta enter, so the system is triangular.
     p_0 = 0 leaves the later orders undetermined: the all-zero data case
-    returns zeros, anything else raises SingularPointError.  A raw ``g`` is
-    validated as a :class:`GSeries`, and ``q`` must be finite.
+    returns zeros, anything else raises SingularPointError.  ``g`` must be
+    a nonempty finite vector whose g_1 = p_0**2 is nonnegative (else
+    InvalidIntegralsError), and ``q`` must be finite.
     """
     if sign_p0 not in (1, -1):
         raise ValueError("sign_p0 must be +1 or -1")
-    garr = (g if isinstance(g, GSeries) else GSeries(g)).g
-    K = garr.size
+    g = np.asarray(g, dtype=float)
     q = np.asarray(q, dtype=float)
+    if g.ndim != 1 or g.size < 1:
+        raise ValueError("g must be a nonempty vector")
+    if not np.isfinite(g).all():
+        raise ValueError("g entries must be finite")
     if not np.isfinite(q).all():
         raise ValueError("q entries must be finite")
+    if g[0] < 0:
+        raise InvalidIntegralsError(f"g_1={g[0]:.6g} is negative but must be a square")
+    K = g.size
     if K > 1 and q.size < K - 1:
         raise ValueError(f"need at least {K - 1} position moments to recover {K} momenta")
     p = np.zeros(K)
-    p[0] = sign_p0 * math.sqrt(garr[0])
+    p[0] = sign_p0 * math.sqrt(g[0])
     for k in range(1, K):
-        bracket = (-1.0) ** k * garr[k] + q[0] * q[k - 1] / _fact(2 * k - 1)
+        bracket = (-1.0) ** k * g[k] + q[0] * q[k - 1] / _fact(2 * k - 1)
         for m in range(1, k):
             j = k - m
             bracket += (

@@ -10,52 +10,23 @@ is a complete involutive set of first integrals at any truncation, as long
 as every p_n is nonzero at the evaluation point.  A mode state is a
 :class:`~hamlab.canonical.CanonicalState` with q = a_n and p = a'_n, the
 sine-mode coefficients and their velocities.  This module supplies the
-mode energies, the exact rotation evolution, the separated Hamilton-Jacobi
-action and the trajectory it generates, plus packaged observables for the
-completeness machinery in :mod:`hamlab.canonical`.
+mode energies as observables for the completeness machinery in
+:mod:`hamlab.canonical`, the exact rotation evolution, the separated
+Hamilton-Jacobi action, and the trajectory generated by the separation
+constants, which are plain arrays computed from the mode energies' own
+values.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._frozen import freeze
 from .canonical import CanonicalState, Observable, ObservableSet
 from .errors import DomainExitError
-
-
-@dataclass(frozen=True)
-class SeparationData:
-    """Separation constants of the mode-wise Hamilton-Jacobi split.
-
-    E[n-1] is twice the energy of mode n.
-    """
-
-    E: np.ndarray
-
-    def __post_init__(self):
-        E = freeze(self, "E", self.E)
-        if E.ndim != 1 or E.size < 1:
-            raise ValueError("E must be a nonempty vector")
-        if np.any(E < 0):
-            raise ValueError("separation constants must be nonnegative")
-
-    @property
-    def n_modes(self) -> int:
-        return self.E.size
-
-
-def mode_energies(m: CanonicalState) -> np.ndarray:
-    """Energy of every mode n = 1..N: (adot_n**2 + n**2 a_n**2) / 2."""
-    n = np.arange(1, m.dim + 1)
-    # pow(), as in the mode-energy observables: ** squares by multiplying,
-    # which differs from pow() in the last bit for ~1 double in 1000
-    return 0.5 * (np.float_power(m.p, 2) + np.float_power(n * m.q, 2))
 
 
 def exact_mode_evolution(m: CanonicalState, t1: float) -> CanonicalState:
@@ -98,12 +69,22 @@ def hj_action(n: int, a: float, E_n: float) -> float:
     return 0.5 * a * math.sqrt(discr) + (E_n / (2.0 * n)) * math.asin(z)
 
 
-def separation_constants(m: CanonicalState) -> SeparationData:
-    """E_n = 2 * f_n from a mode state."""
-    return SeparationData(2.0 * mode_energies(m))
+def hj_constants(m: CanonicalState) -> tuple[np.ndarray, np.ndarray]:
+    """Separation constants E and phases beta of the trajectory through m.
+
+    E_n = 2 f_n, twice the value of the mode-energy integral f_n at m, and
+    beta makes hj_trajectory(E, beta) pass through m at m.t.  Zero-energy
+    modes get beta = 0 (any value works; they are stationary).
+    """
+    E = 2.0 * string_observable_set(m.dim).evaluate(m)
+    beta = np.zeros(m.dim)
+    for k in np.flatnonzero(E):
+        n = k + 1.0
+        beta[k] = (math.atan2(n * m.q[k], m.p[k]) - n * m.t) / (2.0 * n)
+    return E, beta
 
 
-def hj_trajectory(sep: SeparationData, beta) -> Callable[[float], CanonicalState]:
+def hj_trajectory(E, beta) -> Callable[[float], CanonicalState]:
     """Trajectory generated by the separated action via beta_n = dS/dE_n.
 
     Differentiating S = -E t + sum_n S_n with E = sum_n E_n / 2 gives
@@ -112,42 +93,33 @@ def hj_trajectory(sep: SeparationData, beta) -> Callable[[float], CanonicalState
 
         a_n(t) = (sqrt(E_n)/n) sin(n t + 2 n beta_n).
 
-    Zero-energy modes are stationary; requesting them only triggers a
-    warning and they stay identically zero.
+    E and beta are copied, so the trajectory does not follow later changes
+    to the caller's arrays.  Zero-energy modes are stationary; requesting
+    them only triggers a warning and they stay identically zero.
     """
+    E = np.array(E, dtype=float)
     beta = np.array(beta, dtype=float)
-    if beta.shape != (sep.n_modes,):
-        raise ValueError(f"beta must have length {sep.n_modes}")
-    n = np.arange(1, sep.n_modes + 1, dtype=float)
-    amp = np.sqrt(sep.E) / n
-    if np.any(sep.E == 0):
-        dead = [int(k + 1) for k in np.flatnonzero(sep.E == 0)]
+    if E.ndim != 1 or E.size < 1:
+        raise ValueError("E must be a nonempty vector")
+    if beta.shape != E.shape:
+        raise ValueError(f"beta must have length {E.size}")
+    if not (np.isfinite(E).all() and np.isfinite(beta).all()):
+        raise ValueError("E and beta entries must be finite")
+    if np.any(E < 0):
+        raise ValueError("separation constants must be nonnegative")
+    n = np.arange(1, E.size + 1, dtype=float)
+    root = np.sqrt(E)
+    amp = root / n
+    if np.any(E == 0):
+        dead = [int(k + 1) for k in np.flatnonzero(E == 0)]
         warnings.warn(f"zero-energy modes {dead} are stationary and stay zero", stacklevel=2)
     phase0 = 2.0 * n * beta
 
     def at(t: float) -> CanonicalState:
         phi = n * t + phase0
-        a = amp * np.sin(phi)
-        adot = np.sqrt(sep.E) * np.cos(phi)
-        return CanonicalState(a, adot, t)
+        return CanonicalState(amp * np.sin(phi), root * np.cos(phi), t)
 
     return at
-
-
-def beta_for_state(m: CanonicalState) -> np.ndarray:
-    """Phase constants beta that make hj_trajectory pass through m at m.t.
-
-    Zero-energy modes get beta = 0 (any value works; they are stationary).
-    """
-    sep = separation_constants(m)
-    n = np.arange(1, m.dim + 1, dtype=float)
-    beta = np.zeros(m.dim)
-    for k in range(m.dim):
-        if sep.E[k] == 0:
-            continue
-        phi = math.atan2(n[k] * m.q[k], m.p[k])
-        beta[k] = (phi - n[k] * m.t) / (2.0 * n[k])
-    return beta
 
 
 def string_observable_set(N: int) -> ObservableSet:

@@ -36,6 +36,26 @@ def run_cli(tmp_path, payload, *extra):
     return main(["run", cfg, "--output-dir", str(tmp_path / "out"), *extra])
 
 
+def count_mode_energy_calls(monkeypatch):
+    """Make string_observable_set count every mode-energy evaluation; returns
+    the list the observables' names are appended to."""
+    calls = []
+    real = string.string_observable_set
+
+    def counting(n):
+        def wrap(o):
+            def fn(q, p):
+                calls.append(o.name)
+                return o.fn(q, p)
+
+            return Observable(o.name, fn)
+
+        return ObservableSet([wrap(o) for o in real(n)])
+
+    monkeypatch.setattr(string, "string_observable_set", counting)
+    return calls
+
+
 def load_report(tmp_path, experiment):
     with open(tmp_path / "out" / experiment / "report.json") as fh:
         return json.load(fh)
@@ -253,6 +273,17 @@ class TestConfigValidation:
         assert not (tmp_path / "out" / experiment / "report.json").exists()
 
     @pytest.mark.parametrize(
+        "experiment, name", [("string-hj", "samples"), ("string-modes", "exact_samples")]
+    )
+    def test_single_sample_exits_2(self, tmp_path, capsys, experiment, name):
+        # one sample would judge t = 0 only, where every check holds trivially
+        code = run_cli(tmp_path, {"experiment": experiment, "parameters": {name: 1}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"field parameters/{name}: expected an integer >= 2, got 1" in err
+        assert not (tmp_path / "out" / experiment / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "payload, field",
         [
             ({"experiment": ["string-hj"]}, "experiment"),
@@ -443,22 +474,29 @@ class TestRunPaths:
         assert run_cli(tmp_path, {"experiment": "line-gseries"}) == 0
         assert len(calls) == 1
 
+    def test_line_gseries_computes_g_once(self, tmp_path, monkeypatch):
+        # the recovery takes the g values of the oracle comparison
+        calls = []
+        real = line.g_from_moments
+
+        def counting(mc):
+            calls.append(mc)
+            return real(mc)
+
+        monkeypatch.setattr(line, "g_from_moments", counting)
+        assert run_cli(tmp_path, {"experiment": "line-gseries"}) == 0
+        assert len(calls) == 1
+
+    def test_string_hj_evaluates_each_mode_energy_once(self, tmp_path, monkeypatch):
+        # the HJ constants are the mode-energy observables' own values
+        calls = count_mode_energy_calls(monkeypatch)
+        payload = {"experiment": "string-hj", "parameters": {"n_modes": 5}}
+        assert run_cli(tmp_path, payload) == 0
+        assert sorted(calls) == [f"mode_energy_{n}" for n in range(1, 6)]
+
     def test_string_completeness_differences_each_side_once(self, tmp_path, monkeypatch):
         # 24 observables x 24 entries x (+h, -h) x (q side, p side)
-        calls = []
-        real = string.string_observable_set
-
-        def counting(n):
-            def wrap(o):
-                def fn(q, p):
-                    calls.append(o.name)
-                    return o.fn(q, p)
-
-                return Observable(o.name, fn)
-
-            return ObservableSet([wrap(o) for o in real(n)])
-
-        monkeypatch.setattr(string, "string_observable_set", counting)
+        calls = count_mode_energy_calls(monkeypatch)
         payload = {"experiment": "string-completeness", "parameters": {"n_modes": 24}}
         assert run_cli(tmp_path, payload) == 0
         assert len(calls) == 2304

@@ -16,7 +16,6 @@ from hamlab import (
     SingularPointError,
 )
 from hamlab.line import (
-    GSeries,
     LineField,
     continuous_mode_energy,
     dalembert_evolve,
@@ -197,24 +196,24 @@ class TestGSeries:
 
     def test_g1_is_p0_squared(self, generic_field):
         mc = moments(generic_field, 3)
-        gs = g_from_moments(mc)
-        assert gs.g[0] == pytest.approx(mc.p[0] ** 2, rel=1e-14)
+        assert g_from_moments(mc)[0] == pytest.approx(mc.p[0] ** 2, rel=1e-14)
 
     def test_zero_field(self):
         f = sample_line_field(lambda x: np.zeros_like(x))
-        assert np.all(g_from_moments(moments(f, 5)).g == 0.0)
+        assert np.all(g_from_moments(moments(f, 5)) == 0.0)
 
     def test_low_order_closed_forms(self, generic_field):
         mc = moments(generic_field, 3)
         q, p = mc.q, mc.p
-        gs = g_from_moments(mc)
-        assert gs.g[1] == pytest.approx(q[0] ** 2 - p[0] * p[1] / 3.0, rel=1e-13)
+        g = g_from_moments(mc)
+        assert g[1] == pytest.approx(q[0] ** 2 - p[0] * p[1] / 3.0, rel=1e-13)
         want3 = p[0] * p[2] / 60.0 - q[0] * q[1] / 3.0 + p[1] ** 2 / 36.0
-        assert gs.g[2] == pytest.approx(want3, rel=1e-13)
+        assert g[2] == pytest.approx(want3, rel=1e-13)
 
     def test_negative_g1_rejected(self):
-        with pytest.raises(InvalidIntegralsError):
-            GSeries([-1.0, 0.5])
+        # g_1 = p_0**2, so the recovery refuses a negative one before any order
+        with pytest.raises(InvalidIntegralsError, match="g_1=-1 is negative"):
+            recover_momenta_triangular(np.array([-1.0, 0.5]), np.array([0.0]), +1)
 
 
 class TestTaylorOracle:
@@ -263,8 +262,7 @@ class TestRecovery:
 
     def test_round_trip_identity(self, generic_field):
         mc = moments(generic_field, 5)
-        gs = g_from_moments(mc)
-        p = recover_momenta_triangular(gs, mc.q, +1)
+        p = recover_momenta_triangular(g_from_moments(mc), mc.q, +1)
         assert np.max(np.abs(p - mc.p) / np.abs(mc.p)) < 1e-8
 
     def test_round_trip_negative_branch(self):
@@ -279,10 +277,10 @@ class TestRecovery:
         # equation has a nonzero residual that p_0 = 0 cannot absorb
         f = sample_line_field(lambda x: x * np.exp(-(x**2)))
         mc = moments(f, 3)
-        gs = g_from_moments(mc)
-        assert gs.g[0] == 0.0
+        g = g_from_moments(mc)
+        assert g[0] == 0.0
         with pytest.raises(SingularPointError):
-            recover_momenta_triangular(gs, mc.q, +1)
+            recover_momenta_triangular(g, mc.q, +1)
 
     def test_invalid_g1_rejected(self):
         with pytest.raises(InvalidIntegralsError):
@@ -291,6 +289,16 @@ class TestRecovery:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             recover_momenta_triangular(np.array([1.0]), np.array([]), 2)
+
+    @pytest.mark.parametrize("g", [[[1.0, 0.5]], 1.0, []], ids=["2d", "scalar", "empty"])
+    def test_g_not_a_nonempty_vector_rejected(self, g):
+        with pytest.raises(ValueError, match="nonempty vector"):
+            recover_momenta_triangular(np.array(g), np.array([]), +1)
+
+    def test_caller_g_left_as_given(self):
+        g = np.array([4.0, 0.5])
+        recover_momenta_triangular(g, np.array([1.0]), +1)
+        assert g.flags.writeable and g.tolist() == [4.0, 0.5]
 
     @pytest.mark.parametrize(
         "g, q",

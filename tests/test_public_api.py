@@ -25,7 +25,7 @@ ROLES = {
     "riccati_residual": "oracle: truncation residual of the riccati_densities recursion",
     "line_energy": "test reference for dalembert_evolve's energy conservation",
     "recover_momenta": "ROADMAP item 9",
-    "hj_action": "ROADMAP item 11: the dS/dE check in string-hj",
+    "hj_action": "ROADMAP item 11: the dS/dE check against hj_constants' beta in string-hj",
     "symplectic_step": "the one backward (negative dt) step; reversibility tests",
 }
 

@@ -18,13 +18,10 @@ from hamlab import (
 )
 from hamlab.canonical import CompletenessReport, Trajectory
 from hamlab.string import (
-    SeparationData,
-    beta_for_state,
     exact_mode_evolution,
     hj_action,
+    hj_constants,
     hj_trajectory,
-    mode_energies,
-    separation_constants,
     string_hamiltonian,
     string_observable_set,
 )
@@ -37,25 +34,21 @@ def random_modes(n, seed, t=0.0):
     return CanonicalState(rng.normal(size=n), rng.normal(size=n), t)
 
 
+def energies(m):
+    return string_observable_set(m.dim).evaluate(m)
+
+
 class TestModeEnergy:
     def test_pure_displacement(self):
-        assert mode_energies(CanonicalState([0.0, 1.0], [0.0, 0.0]))[1] == pytest.approx(2.0)
+        assert energies(CanonicalState([0.0, 1.0], [0.0, 0.0]))[1] == pytest.approx(2.0)
 
     def test_pure_velocity(self):
-        assert mode_energies(CanonicalState([0.0], [3.0]))[0] == pytest.approx(4.5)
+        assert energies(CanonicalState([0.0], [3.0]))[0] == pytest.approx(4.5)
 
     def test_sum_equals_hamiltonian(self):
         m = random_modes(7, seed=22)
         total = sum(0.5 * (m.p[n - 1] ** 2 + (n * m.q[n - 1]) ** 2) for n in range(1, 8))
         assert string_hamiltonian(7).fn(m.q, m.p) == pytest.approx(total, rel=1e-14)
-
-    def test_equals_the_mode_energy_observables(self):
-        # bit for bit, over enough squares that a last-bit difference
-        # between pow() and multiplication would show
-        obs = string_observable_set(64)
-        for seed in range(40):
-            m = random_modes(64, seed=seed)
-            assert np.array_equal(mode_energies(m), obs.evaluate(m))
 
 
 class TestExactModeEvolution:
@@ -78,9 +71,9 @@ class TestExactModeEvolution:
 
     def test_energies_invariant_to_machine_precision(self):
         m = random_modes(8, seed=28)
-        e0 = mode_energies(m)
+        e0 = energies(m)
         for t in (0.1, 2.7, 15.0):
-            e = mode_energies(exact_mode_evolution(m, t))
+            e = energies(exact_mode_evolution(m, t))
             assert np.max(np.abs(e - e0)) < 1e-12
 
 
@@ -118,36 +111,45 @@ class TestHJAction:
 
 
 class TestSeparationData:
+    """The separation constants E and phases beta from hj_constants."""
+
     def test_from_mode_state(self):
         m = random_modes(6, seed=29)
-        sep = separation_constants(m)
-        assert sep.E.sum() == pytest.approx(2 * np.sum(mode_energies(m)), rel=1e-14)
+        E, beta = hj_constants(m)
+        assert np.array_equal(E, 2.0 * energies(m))
+        assert beta.shape == (6,)
 
     def test_negative_energy_rejected(self):
-        with pytest.raises(ValueError):
-            SeparationData([-0.1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            hj_trajectory([-0.1], [0.0])
+
+    def test_zero_energy_mode_gets_zero_phase(self):
+        m = CanonicalState([0.0, 0.3], [0.0, -0.2], 1.5)
+        E, beta = hj_constants(m)
+        assert E[0] == 0.0 and beta[0] == 0.0
+        with pytest.warns(UserWarning, match=r"modes \[1\] are stationary"):
+            at = hj_trajectory(E, beta)(m.t)
+        assert np.max(np.abs(at.q - m.q)) < 1e-15 and np.max(np.abs(at.p - m.p)) < 1e-15
 
 
 class TestHJTrajectory:
     def test_single_mode_cosine_phase(self):
-        sep = SeparationData([1.0])
         # beta = pi/4 puts mode 1 at a(t) = sin(t + pi/2) = cos t
-        traj = hj_trajectory(sep, [np.pi / 4])
+        traj = hj_trajectory([1.0], [np.pi / 4])
         for t in (0.0, 0.3, 1.7):
             m = traj(t)
             assert m.q[0] == pytest.approx(math.cos(t), abs=1e-14)
             assert m.p[0] == pytest.approx(-math.sin(t), abs=1e-14)
 
     def test_all_zero_energy_gives_zero_solution(self):
-        sep = SeparationData([0.0, 0.0])
         with pytest.warns(UserWarning, match="stationary"):
-            traj = hj_trajectory(sep, [0.0, 0.0])
+            traj = hj_trajectory([0.0, 0.0], [0.0, 0.0])
         m = traj(1.3)
         assert np.all(m.q == 0.0) and np.all(m.p == 0.0)
 
     def test_matches_exact_evolution(self):
         m0 = random_modes(6, seed=30)
-        traj = hj_trajectory(separation_constants(m0), beta_for_state(m0))
+        traj = hj_trajectory(*hj_constants(m0))
         for t in (0.0, 0.9, 4.2):
             want = exact_mode_evolution(m0, t)
             got = traj(t)
@@ -158,7 +160,7 @@ class TestHJTrajectory:
         # u_tt - u_xx on the field u = sum_n a_n sin(n x) via a five-point
         # stencil in t; the spatial derivative is exact through the sine series.
         m0 = random_modes(4, seed=31)
-        traj = hj_trajectory(separation_constants(m0), beta_for_state(m0))
+        traj = hj_trajectory(*hj_constants(m0))
         t0, dt, M = 0.8, 1e-3, 64
         x = np.linspace(0, 2 * np.pi, M + 1)
         n = np.arange(1, 5)
@@ -172,7 +174,7 @@ class TestHJTrajectory:
 
     def test_hamilton_equations_residual(self):
         m0 = random_modes(5, seed=32)
-        traj = hj_trajectory(separation_constants(m0), beta_for_state(m0))
+        traj = hj_trajectory(*hj_constants(m0))
         t0, dt = 1.1, 1e-5
         plus, minus, mid = traj(t0 + dt), traj(t0 - dt), traj(t0)
         da = (plus.q - minus.q) / (2 * dt)
@@ -180,6 +182,34 @@ class TestHJTrajectory:
         n2 = np.arange(1, 6, dtype=float) ** 2
         assert np.max(np.abs(da - mid.p)) < 1e-8
         assert np.max(np.abs(dadot + n2 * mid.q)) < 1e-8
+
+
+    def test_keeps_private_copies(self):
+        E, beta = np.array([1.0, 4.0]), np.array([0.1, -0.2])
+        traj = hj_trajectory(E, beta)
+        before = traj(0.7)
+        E[:] = 9.0
+        beta[:] = 0.5
+        after = traj(0.7)
+        assert E.flags.writeable and beta.flags.writeable
+        assert np.array_equal(after.q, before.q) and np.array_equal(after.p, before.p)
+
+    @pytest.mark.parametrize(
+        "E, beta, match",
+        [
+            ([1.0, np.nan], [0.0, 0.0], "finite"),
+            ([1.0, np.inf], [0.0, 0.0], "finite"),
+            ([1.0, 2.0], [0.0, np.inf], "finite"),
+            ([1.0, 2.0], [0.0], "length"),
+            ([1.0, 2.0], [[0.0, 0.0]], "length"),
+            ([], [], "nonempty"),
+            ([[1.0, 2.0]], [[0.0, 0.0]], "nonempty"),
+        ],
+        ids=["nan-E", "inf-E", "inf-beta", "short-beta", "2d-beta", "empty", "2d-E"],
+    )
+    def test_bad_constants_rejected(self, E, beta, match):
+        with pytest.raises(ValueError, match=match):
+            hj_trajectory(E, beta)
 
 
 class TestStringObservables:
@@ -234,7 +264,7 @@ class TestStringSystem:
         m = random_modes(5, seed=39)
         H = string_hamiltonian(5)
         assert H.name == "hamiltonian"
-        assert H.fn(m.q, m.p) == pytest.approx(np.sum(mode_energies(m)), rel=1e-14)
+        assert H.fn(m.q, m.p) == pytest.approx(np.sum(energies(m)), rel=1e-14)
 
     def test_gradients_consistent(self):
         assert check_gradients(string_hamiltonian(6), random_modes(6, seed=40)) < 1e-8

@@ -12,8 +12,7 @@ from hamlab.kdv import (
     PeriodicField,
     ScatteringData,
 )
-from hamlab.line import GSeries, LineField, line_grid
-from hamlab.string import SeparationData
+from hamlab.line import LineField, line_grid
 
 
 def _bump(x, width):
@@ -25,7 +24,6 @@ def _bump(x, width):
 VALUE_TYPES = {
     CanonicalState: lambda: ({"q": np.array([1.0, 2.0]), "p": np.array([0.5, -0.5])}, {"t": 0.0}),
     CompletenessReport: lambda: ({"jacobian": np.eye(2)}, {"rank_tol": 1e-8}),
-    SeparationData: lambda: ({"E": np.array([2.0, 4.0])}, {}),
     PeriodicField: lambda: ({"u": _bump(np.arange(8) - 4.0, 1.0)}, {"L_domain": 8.0}),
     ConservedIntegrals: lambda: ({"I": np.array([1.0, 2.0]), "even": np.array([0.0, 0.0])}, {}),
     LinePotential: lambda: ({}, {"fn": lambda x: -_bump(x, 2.0), "x_left": -20.0, "x_right": 20.0}),
@@ -41,7 +39,6 @@ VALUE_TYPES = {
         {"u": _bump(line_grid(2.0, 0.5), 0.3), "v": -_bump(line_grid(2.0, 0.5), 0.3)},
         {"h": 0.5, "t": 0.0},
     ),
-    GSeries: lambda: ({"g": np.array([1.0, 0.5])}, {}),
 }
 
 ARRAY_FIELDS = [(cls, name) for cls, make in VALUE_TYPES.items() for name in make()[0]]

@@ -15,18 +15,18 @@ arguments.
 
 The config set is the eight experiments at their defaults, string-modes
 with 2500 steps at stride 1000 and with 3000 steps at stride 1, string-hj
-at seed 1 and at seed 99 with 16 modes, line-gseries at seeds 0-3 at
-defaults and with order 8 and sign -1, line-gseries at order 85 (the
-highest order whose factorials fit a double), line-velocity-moments with the
-cubic spline (spline_order 3), with the JSON integers 1 and 2 as y_values
-(integers in a float column) and with five y values over 6 steps,
-kdv-scattering and kdv-action-hamiltonian at kappa 0.95 and 1.05,
-kdv-scattering with 5 sample times (more line windows),
-kdv-action-hamiltonian with k_max_bound 0.04 (no bound state: a
-header-only bound.csv and exit 1) and with 300 k (one chunk per block of
-the Magnus sweep), a shortened kdv-conservation at kappa 0.8, and
-kdv-conservation over one segment of 203 steps (a kdv_evolve call that
-ends in a partial block of its finiteness check).
+at seed 1, at seed 99 with 16 modes and with one mode, line-gseries at
+seeds 0-3 at defaults and with order 8 and sign -1, line-gseries at order
+1 (a one-entry g) and at order 85 (the highest order whose factorials fit
+a double), line-velocity-moments with the cubic spline (spline_order 3),
+with the JSON integers 1 and 2 as y_values (integers in a float column)
+and with five y values over 6 steps, kdv-scattering and
+kdv-action-hamiltonian at kappa 0.95 and 1.05, kdv-scattering with 5
+sample times (more line windows), kdv-action-hamiltonian with k_max_bound
+0.04 (no bound state: a header-only bound.csv and exit 1) and with 300 k
+(one chunk per block of the Magnus sweep), a shortened kdv-conservation at
+kappa 0.8, and kdv-conservation over one segment of 203 steps (a
+kdv_evolve call that ends in a partial block of its finiteness check).
 
 The rejected set holds one config per kind of parameter rule:
 string-modes with n_modes 8.0 (a float for an integer), string-hj with an
@@ -58,13 +58,13 @@ KAPPAS = (0.95, 1.05)
 CONFIGS = (
     [(name, {}) for name in EXPERIMENTS]
     + [("string-modes", {"steps": 2500, "stride": 1000}), ("string-modes", {"steps": 3000, "stride": 1})]
-    + [("string-hj", {"seed": 1}), ("string-hj", {"seed": 99, "n_modes": 16})]
+    + [("string-hj", {"seed": 1}), ("string-hj", {"seed": 99, "n_modes": 16}), ("string-hj", {"n_modes": 1})]
     + [
         ("line-gseries", {"seed": seed, **extra})
         for seed in range(4)
         for extra in ({}, {"order": 8, "sign": -1})
     ]
-    + [("line-gseries", {"order": 85})]
+    + [("line-gseries", {"order": 1}), ("line-gseries", {"order": 85})]
     + [("line-velocity-moments", {"spline_order": 3}), ("line-velocity-moments", {"y_values": [1, 2]})]
     + [("line-velocity-moments", {"y_values": [0.05, 0.5, 3.0, 7.5, 12.0], "steps": 6})]
     + [("kdv-scattering", {"kappa": kappa}) for kappa in KAPPAS]
