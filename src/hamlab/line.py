@@ -348,7 +348,7 @@ def recover_momenta_triangular(g, q, sign_p0: int) -> np.ndarray:
     p_0 = 0 leaves the later orders undetermined: the all-zero data case
     returns zeros, anything else raises SingularPointError.  ``g`` must be
     a nonempty finite vector whose g_1 = p_0**2 is nonnegative (else
-    InvalidIntegralsError), and ``q`` must be finite.
+    InvalidIntegralsError), and ``q`` must be a finite vector.
     """
     if sign_p0 not in (1, -1):
         raise ValueError("sign_p0 must be +1 or -1")
@@ -356,6 +356,8 @@ def recover_momenta_triangular(g, q, sign_p0: int) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if g.ndim != 1 or g.size < 1:
         raise ValueError("g must be a nonempty vector")
+    if q.ndim != 1:
+        raise ValueError(f"q must be a vector, got shape {q.shape}")
     if not np.isfinite(g).all():
         raise ValueError("g entries must be finite")
     if not np.isfinite(q).all():

@@ -15,6 +15,12 @@ mode energies as observables for the completeness machinery in
 Hamilton-Jacobi action, and the trajectory generated by the separation
 constants, which are plain arrays computed from the mode energies' own
 values.
+
+The two flows, :func:`exact_mode_evolution` and the trajectory of
+:func:`hj_trajectory`, take a time or an array of times and return plain
+(q, p) arrays of shape ``np.shape(t) + (N,)``: one row per time, one
+column per mode.  A caller that needs a state wraps a row, as in
+``CanonicalState(*exact_mode_evolution(m, t), t)``.
 """
 
 from __future__ import annotations
@@ -29,19 +35,37 @@ from .canonical import CanonicalState, Observable, ObservableSet
 from .errors import DomainExitError
 
 
-def exact_mode_evolution(m: CanonicalState, t1: float) -> CanonicalState:
-    """Rotate each mode by its own frequency: the exact flow.
+def _mode_axis(t) -> np.ndarray:
+    """Times ``t`` with a trailing mode axis, or a ValueError when one is
+    not finite."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("t entries must be finite")
+    return t[..., None]
 
-    a_n(t1) = a_n cos(n dt) + (a'_n / n) sin(n dt), and the matching
-    derivative; every mode energy is invariant exactly.
+
+def _finite(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # a flow past the range of a double fails as a state with such entries would
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+        raise ValueError("q and p entries must be finite")
+    return q, p
+
+
+def exact_mode_evolution(m: CanonicalState, t) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each mode by its own frequency: the exact flow from m to t.
+
+    a_n(t) = a_n cos(n dt) + (a'_n / n) sin(n dt), dt = t - m.t, and the
+    matching derivative; every mode energy is invariant exactly.  ``t`` is
+    a time or an array of times; the returned (a, a') arrays have shape
+    ``np.shape(t) + (N,)``, and row i is bit-equal to the call at t[i].
+    A non-finite time, or a result past the range of a double, raises
+    ValueError.
     """
-    dt = t1 - m.t
+    dt = _mode_axis(t) - m.t
     n = np.arange(1, m.dim + 1, dtype=float)
     c = np.cos(n * dt)
     s = np.sin(n * dt)
-    a = m.q * c + (m.p / n) * s
-    adot = -n * m.q * s + m.p * c
-    return CanonicalState(a, adot, t1)
+    return _finite(m.q * c + (m.p / n) * s, -n * m.q * s + m.p * c)
 
 
 def hj_action(n: int, a: float, E_n: float) -> float:
@@ -84,7 +108,7 @@ def hj_constants(m: CanonicalState) -> tuple[np.ndarray, np.ndarray]:
     return E, beta
 
 
-def hj_trajectory(E, beta) -> Callable[[float], CanonicalState]:
+def hj_trajectory(E, beta) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
     """Trajectory generated by the separated action via beta_n = dS/dE_n.
 
     Differentiating S = -E t + sum_n S_n with E = sum_n E_n / 2 gives
@@ -93,9 +117,12 @@ def hj_trajectory(E, beta) -> Callable[[float], CanonicalState]:
 
         a_n(t) = (sqrt(E_n)/n) sin(n t + 2 n beta_n).
 
-    E and beta are copied, so the trajectory does not follow later changes
-    to the caller's arrays.  Zero-energy modes are stationary; requesting
-    them only triggers a warning and they stay identically zero.
+    The returned trajectory takes a time or an array of times and returns
+    (a, a') arrays shaped like :func:`exact_mode_evolution`'s, under the
+    same ValueError rules.  E and beta are copied, so the trajectory does
+    not follow later changes to the caller's arrays.  Zero-energy modes
+    are stationary; requesting them only triggers a warning and they stay
+    identically zero.
     """
     E = np.array(E, dtype=float)
     beta = np.array(beta, dtype=float)
@@ -115,9 +142,9 @@ def hj_trajectory(E, beta) -> Callable[[float], CanonicalState]:
         warnings.warn(f"zero-energy modes {dead} are stationary and stay zero", stacklevel=2)
     phase0 = 2.0 * n * beta
 
-    def at(t: float) -> CanonicalState:
-        phi = n * t + phase0
-        return CanonicalState(amp * np.sin(phi), root * np.cos(phi), t)
+    def at(t) -> tuple[np.ndarray, np.ndarray]:
+        phi = n * _mode_axis(t) + phase0
+        return _finite(amp * np.sin(phi), root * np.cos(phi))
 
     return at
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hamlab
-from hamlab import Observable, ObservableSet, kdv, line, string
+from hamlab import Observable, ObservableSet, cli, kdv, line, string
 from hamlab.cli import EXPERIMENTS, list_experiments_text, load_config, main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hamlab.__file__)))
@@ -453,6 +453,25 @@ class TestRunPaths:
         ]
         assert failed == []
 
+    @pytest.mark.parametrize("seed, sign", [(0, 1), (3, -1), (19, 1)])
+    def test_gseries_field_equals_the_bump_expression(self, seed, sign):
+        # the in-place bump sums against the expression they unroll
+        rng = np.random.default_rng(seed)
+        x = line.line_grid(line.DEFAULT_HALF_WIDTH, line.DEFAULT_STEP)
+
+        def bumps(lo, hi, scale):
+            amps = scale * rng.uniform(lo, hi, 3)
+            centers, widths = rng.uniform(-3.0, 3.0, 3), rng.uniform(1.0, 2.0, 3)
+            out = np.zeros_like(x)
+            for A, c, w in zip(amps, centers, widths):
+                out = out + A * np.exp(-((x - c) ** 2) / w)
+            return out
+
+        u = bumps(-0.8, 0.8, 1.0)
+        v = x * bumps(0.2, 0.9, sign)
+        f = cli._make_gseries_field(seed, sign)
+        assert np.array_equal(f.u, u) and np.array_equal(f.v, v)
+
     def test_integer_y_values_write_a_float_column(self, tmp_path):
         # JSON integers, one of them beyond int64, are y values like any other
         payload = {"experiment": "line-velocity-moments", "parameters": {"y_values": [10**20, 2]}}
@@ -494,6 +513,29 @@ class TestRunPaths:
         assert run_cli(tmp_path, payload) == 0
         assert sorted(calls) == [f"mode_energy_{n}" for n in range(1, 6)]
 
+    @pytest.mark.parametrize(
+        "params", [{}, {"seed": 99, "n_modes": 16}, {"n_modes": 1, "samples": 1000, "t_final": 50.0}]
+    )
+    def test_string_hj_errors_equal_a_per_time_loop(self, tmp_path, params):
+        # the error of each sample time, written out from the two flows'
+        # formulas one time at a time
+        assert run_cli(tmp_path, {"experiment": "string-hj", "parameters": params}) in (0, 1)
+        out = tmp_path / "out" / "string-hj"
+        _, a, adot = np.loadtxt(out / "modes.csv", delimiter=",", skiprows=1, ndmin=2).T
+        times, errors = np.loadtxt(out / "hj_error.csv", delimiter=",", skiprows=1).T
+        E, beta = string.hj_constants(hamlab.CanonicalState(a, adot))
+        n = np.arange(1, a.size + 1, dtype=float)
+        want = []
+        for t in times:
+            c, s = np.cos(n * (t - 0.0)), np.sin(n * (t - 0.0))
+            phi = n * t + 2.0 * n * beta
+            hj_a, hj_adot = np.sqrt(E) / n * np.sin(phi), np.sqrt(E) * np.cos(phi)
+            exact_a, exact_adot = a * c + (adot / n) * s, -n * a * s + adot * c
+            want.append(max(np.max(np.abs(hj_a - exact_a)), np.max(np.abs(hj_adot - exact_adot))))
+        assert np.array_equal(errors, want)
+        report = load_report(tmp_path, "string-hj")
+        assert report["checks"][0]["value"] == max(want)
+
     def test_string_completeness_differences_each_side_once(self, tmp_path, monkeypatch):
         # 24 observables x 24 entries x (+h, -h) x (q side, p side)
         calls = count_mode_energy_calls(monkeypatch)
@@ -514,6 +556,61 @@ class TestRunPaths:
         assert run_cli(tmp_path, payload, "--seed", "4") == 0
         report = load_report(tmp_path, "kdv-conservation")
         assert any("--seed ignored" in w for w in report["warnings"])
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; a call after others must
+    give what the same call gives alone, on a freshly built parser."""
+
+    HJ = {"experiment": "string-hj", "parameters": {"samples": 5}}
+    CALLS = [
+        (HJ, ("--strict",)),
+        (HJ, ()),
+        (HJ, ("--seed", "5")),
+        (HJ, ()),
+        ({"experiment": "string-hj", "parameters": {"samples": 1}}, ()),
+        (HJ, ("--seed", "-1")),
+        (HJ, ()),
+    ]
+
+    @staticmethod
+    def outcome(work, payload, flags):
+        """Exit code, report checks and CSV bytes of one main() call."""
+        work.mkdir()
+        cfg = write_config(work, payload)
+        try:
+            code = main(["run", cfg, "--output-dir", str(work / "out"), *flags])
+        except SystemExit as exc:
+            code = exc.code
+        exp_dir = work / "out" / payload["experiment"]
+        report = exp_dir / "report.json"
+        checks = json.loads(report.read_text())["checks"] if report.exists() else None
+        csvs = {p.name: p.read_bytes() for p in sorted(exp_dir.glob("*.csv"))}
+        return code, checks, csvs
+
+    def test_consecutive_calls_equal_calls_alone(self, tmp_path):
+        alone = []
+        for i, (payload, flags) in enumerate(self.CALLS):
+            cli._parser.cache_clear()
+            alone.append(self.outcome(tmp_path / f"alone{i}", payload, flags))
+        cli._parser.cache_clear()
+        after_others = [
+            self.outcome(tmp_path / f"seq{i}", payload, flags)
+            for i, (payload, flags) in enumerate(self.CALLS)
+        ]
+        assert cli._parser.cache_info().misses == 1
+        assert [o[0] for o in alone] == [0, 0, 0, 0, 2, 2, 0]
+        for i, (want, got) in enumerate(zip(alone, after_others)):
+            assert got == want, self.CALLS[i]
+        # the flags were seen: --strict adds a check, --seed changes the state
+        assert len(alone[0][1]) == len(alone[1][1]) + 1
+        assert alone[2][2]["modes.csv"] != alone[3][2]["modes.csv"]
+
+    def test_list_experiments_after_a_run(self, tmp_path, capsys):
+        assert run_cli(tmp_path, self.HJ) == 0
+        capsys.readouterr()
+        assert main(["list-experiments"]) == 0
+        assert capsys.readouterr().out == list_experiments_text() + "\n"
 
 
 # Run configs through main() in a fresh interpreter; print the scipy

@@ -313,6 +313,10 @@ class TestRecovery:
         with pytest.raises(ValueError, match="finite"):
             recover_momenta_triangular(np.array(g), np.array(q), +1)
 
+    def test_q_not_a_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"q must be a vector, got shape \(1, 2\)"):
+            recover_momenta_triangular(np.array([1.0, 0.5, 0.2]), np.array([[1.0, 2.0]]), 1)
+
 
 def bump_sum(rng, parity):
     """Three random Gaussian bumps, mirrored into an even or odd sum or

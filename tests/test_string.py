@@ -54,27 +54,65 @@ class TestModeEnergy:
 class TestExactModeEvolution:
     def test_zero_dt_identity(self):
         m = random_modes(5, seed=26)
-        out = exact_mode_evolution(m, m.t)
-        assert np.array_equal(out.q, m.q) and np.array_equal(out.p, m.p)
+        q, p = exact_mode_evolution(m, m.t)
+        assert np.array_equal(q, m.q) and np.array_equal(p, m.p)
 
     def test_quarter_period_first_mode(self):
         m = CanonicalState([1.0], [0.0])
-        out = exact_mode_evolution(m, np.pi / 2)
-        assert out.q[0] == pytest.approx(0.0, abs=1e-15)
-        assert out.p[0] == pytest.approx(-1.0, abs=1e-15)
+        q, p = exact_mode_evolution(m, np.pi / 2)
+        assert q[0] == pytest.approx(0.0, abs=1e-15)
+        assert p[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_common_period(self):
         m = random_modes(6, seed=27)
-        out = exact_mode_evolution(m, 2 * np.pi)
-        assert np.max(np.abs(out.q - m.q)) < 1e-13
-        assert np.max(np.abs(out.p - m.p)) < 1e-13
+        q, p = exact_mode_evolution(m, 2 * np.pi)
+        assert np.max(np.abs(q - m.q)) < 1e-13
+        assert np.max(np.abs(p - m.p)) < 1e-13
 
     def test_energies_invariant_to_machine_precision(self):
         m = random_modes(8, seed=28)
         e0 = energies(m)
         for t in (0.1, 2.7, 15.0):
-            e = energies(exact_mode_evolution(m, t))
+            e = energies(CanonicalState(*exact_mode_evolution(m, t), t))
             assert np.max(np.abs(e - e0)) < 1e-12
+
+
+# the two flows of a mode state, each a function of a time or an array of times
+FLOWS = {
+    "exact": lambda m: lambda t: exact_mode_evolution(m, t),
+    "hj": lambda m: hj_trajectory(*hj_constants(m)),
+}
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+class TestArrayOfTimes:
+    @pytest.mark.parametrize("T", [1, 2, 121, 1000])
+    @pytest.mark.parametrize("N", [1, 8, 16])
+    def test_rows_equal_the_per_time_calls(self, flow, N, T):
+        at = FLOWS[flow](random_modes(N, seed=100 + N, t=0.4))
+        times = np.linspace(-2.0, 50.0, T)
+        q, p = at(times)
+        assert q.shape == p.shape == (T, N)
+        for i, t in enumerate(times):
+            q_t, p_t = at(float(t))
+            assert q_t.shape == p_t.shape == (N,)
+            assert np.array_equal(q[i], q_t) and np.array_equal(p[i], p_t), i
+
+    @pytest.mark.parametrize(
+        "t, match",
+        [
+            (np.inf, "t entries must be finite"),
+            (np.nan, "t entries must be finite"),
+            ([0.0, -np.inf], "t entries must be finite"),
+            (1e308, "q and p entries must be finite"),
+        ],
+        ids=["inf", "nan", "array-with-inf", "past-double-range"],
+    )
+    def test_nonfinite_rejected(self, flow, t, match):
+        at = FLOWS[flow](random_modes(2, seed=50))
+        # n * t past the range of a double warns on its way to the error
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=match):
+            at(t)
 
 
 class TestHJAction:
@@ -128,8 +166,8 @@ class TestSeparationData:
         E, beta = hj_constants(m)
         assert E[0] == 0.0 and beta[0] == 0.0
         with pytest.warns(UserWarning, match=r"modes \[1\] are stationary"):
-            at = hj_trajectory(E, beta)(m.t)
-        assert np.max(np.abs(at.q - m.q)) < 1e-15 and np.max(np.abs(at.p - m.p)) < 1e-15
+            q, p = hj_trajectory(E, beta)(m.t)
+        assert np.max(np.abs(q - m.q)) < 1e-15 and np.max(np.abs(p - m.p)) < 1e-15
 
 
 class TestHJTrajectory:
@@ -137,24 +175,24 @@ class TestHJTrajectory:
         # beta = pi/4 puts mode 1 at a(t) = sin(t + pi/2) = cos t
         traj = hj_trajectory([1.0], [np.pi / 4])
         for t in (0.0, 0.3, 1.7):
-            m = traj(t)
-            assert m.q[0] == pytest.approx(math.cos(t), abs=1e-14)
-            assert m.p[0] == pytest.approx(-math.sin(t), abs=1e-14)
+            q, p = traj(t)
+            assert q[0] == pytest.approx(math.cos(t), abs=1e-14)
+            assert p[0] == pytest.approx(-math.sin(t), abs=1e-14)
 
     def test_all_zero_energy_gives_zero_solution(self):
         with pytest.warns(UserWarning, match="stationary"):
             traj = hj_trajectory([0.0, 0.0], [0.0, 0.0])
-        m = traj(1.3)
-        assert np.all(m.q == 0.0) and np.all(m.p == 0.0)
+        q, p = traj(1.3)
+        assert np.all(q == 0.0) and np.all(p == 0.0)
 
     def test_matches_exact_evolution(self):
         m0 = random_modes(6, seed=30)
         traj = hj_trajectory(*hj_constants(m0))
         for t in (0.0, 0.9, 4.2):
-            want = exact_mode_evolution(m0, t)
-            got = traj(t)
-            assert np.max(np.abs(got.q - want.q)) < 1e-10
-            assert np.max(np.abs(got.p - want.p)) < 1e-10
+            want_q, want_p = exact_mode_evolution(m0, t)
+            got_q, got_p = traj(t)
+            assert np.max(np.abs(got_q - want_q)) < 1e-10
+            assert np.max(np.abs(got_p - want_p)) < 1e-10
 
     def test_wave_equation_residual_band_limited(self):
         # u_tt - u_xx on the field u = sum_n a_n sin(n x) via a five-point
@@ -165,34 +203,34 @@ class TestHJTrajectory:
         x = np.linspace(0, 2 * np.pi, M + 1)
         n = np.arange(1, 5)
         modes = np.sin(np.outer(x, n))
-        snaps = [modes @ traj(t0 + k * dt).q for k in (-2, -1, 0, 1, 2)]
+        snaps = [modes @ traj(t0 + k * dt)[0] for k in (-2, -1, 0, 1, 2)]
         u_tt = (
             -snaps[0] / 12 + 4 * snaps[1] / 3 - 5 * snaps[2] / 2 + 4 * snaps[3] / 3 - snaps[4] / 12
         ) / dt**2
-        u_xx = modes @ (-(n**2) * traj(t0).q)
+        u_xx = modes @ (-(n**2) * traj(t0)[0])
         assert np.max(np.abs(u_tt - u_xx)) < 1e-8
 
     def test_hamilton_equations_residual(self):
         m0 = random_modes(5, seed=32)
         traj = hj_trajectory(*hj_constants(m0))
         t0, dt = 1.1, 1e-5
-        plus, minus, mid = traj(t0 + dt), traj(t0 - dt), traj(t0)
-        da = (plus.q - minus.q) / (2 * dt)
-        dadot = (plus.p - minus.p) / (2 * dt)
+        (plus_q, plus_p), (minus_q, minus_p), (mid_q, mid_p) = traj(t0 + dt), traj(t0 - dt), traj(t0)
+        da = (plus_q - minus_q) / (2 * dt)
+        dadot = (plus_p - minus_p) / (2 * dt)
         n2 = np.arange(1, 6, dtype=float) ** 2
-        assert np.max(np.abs(da - mid.p)) < 1e-8
-        assert np.max(np.abs(dadot + n2 * mid.q)) < 1e-8
+        assert np.max(np.abs(da - mid_p)) < 1e-8
+        assert np.max(np.abs(dadot + n2 * mid_q)) < 1e-8
 
 
     def test_keeps_private_copies(self):
         E, beta = np.array([1.0, 4.0]), np.array([0.1, -0.2])
         traj = hj_trajectory(E, beta)
-        before = traj(0.7)
+        before_q, before_p = traj(0.7)
         E[:] = 9.0
         beta[:] = 0.5
-        after = traj(0.7)
+        after_q, after_p = traj(0.7)
         assert E.flags.writeable and beta.flags.writeable
-        assert np.array_equal(after.q, before.q) and np.array_equal(after.p, before.p)
+        assert np.array_equal(after_q, before_q) and np.array_equal(after_p, before_p)
 
     @pytest.mark.parametrize(
         "E, beta, match",
@@ -282,13 +320,13 @@ class TestStringSystem:
     def test_verlet_matches_exact_evolution_at_second_order(self):
         n, horizon = 8, 2.0
         m0 = random_modes(n, seed=41)
-        want = exact_mode_evolution(m0, horizon)
+        want_q, want_p = exact_mode_evolution(m0, horizon)
         errs = []
         for steps in (2000, 4000):
             dt = horizon / steps
             traj = evolve(string_hamiltonian(n), m0, dt, steps, record_stride=steps)
             end = traj.states[-1]
-            errs.append(max(np.max(np.abs(end.q - want.q)), np.max(np.abs(end.p - want.p))))
+            errs.append(max(np.max(np.abs(end.q - want_q)), np.max(np.abs(end.p - want_p))))
         # halving dt must cut the endpoint error by about 4 (second order)
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
         assert errs[1] < 1e-3
@@ -304,7 +342,7 @@ class TestStringSystem:
     def test_mode_energy_drift_zero_on_exact_trajectory(self):
         m0 = random_modes(6, seed=42)
         times = np.linspace(0.0, 5.0, 40)
-        states = [exact_mode_evolution(m0, t) for t in times]
+        states = [CanonicalState(*exact_mode_evolution(m0, t), t) for t in times]
         traj = Trajectory(states)
         drift = conservation_drift(string_observable_set(6), traj)
         assert np.max(drift) < 1e-12

@@ -15,7 +15,9 @@ arguments.
 
 The config set is the eight experiments at their defaults, string-modes
 with 2500 steps at stride 1000 and with 3000 steps at stride 1, string-hj
-at seed 1, at seed 99 with 16 modes and with one mode, line-gseries at
+at seed 1, at seed 99 with 16 modes and with one mode, string-hj with 1000
+sample times to t_final 50 and string-modes with 101 exact samples (the
+flows on an array of times past the default sizes), line-gseries at
 seeds 0-3 at defaults and with order 8 and sign -1, line-gseries at order
 1 (a one-entry g) and at order 85 (the highest order whose factorials fit
 a double), line-velocity-moments with the cubic spline (spline_order 3),
@@ -59,6 +61,7 @@ CONFIGS = (
     [(name, {}) for name in EXPERIMENTS]
     + [("string-modes", {"steps": 2500, "stride": 1000}), ("string-modes", {"steps": 3000, "stride": 1})]
     + [("string-hj", {"seed": 1}), ("string-hj", {"seed": 99, "n_modes": 16}), ("string-hj", {"n_modes": 1})]
+    + [("string-hj", {"samples": 1000, "t_final": 50}), ("string-modes", {"exact_samples": 101})]
     + [
         ("line-gseries", {"seed": seed, **extra})
         for seed in range(4)
