@@ -26,6 +26,7 @@ which keeps results bitwise deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -425,6 +426,11 @@ def recover_momenta(
     return p
 
 
+def _finite_doubles(a) -> bool:
+    """Whether ``a`` is a plain float64 array with finite entries."""
+    return type(a) is np.ndarray and a.dtype == np.float64 and bool(np.isfinite(a).all())
+
+
 def _verlet(
     H: Observable, s: CanonicalState, dt: float, n_steps: int, stride: int, stepper: str
 ) -> list:
@@ -437,34 +443,51 @@ def _verlet(
     The loop relies on separability: ``grad_q`` reads only q and
     ``grad_p`` only p.  So dH/dq(q', p_half) is also the next step's
     dH/dq(q', p'), and each step makes one call of each gradient, plus one
-    ``grad_q`` call before the first step (first same as last).
+    ``grad_q`` call before the first step (first same as last); the
+    closing half-kick (dt/2) dH/dq(q', p_half) is the next opening one.
 
     Each step makes new arrays (a gradient may return its input), and t
     accumulates as t + dt.  Returns ``s`` and the states after every
     ``stride``-th step and the last.  A step that leaves a non-finite entry
-    raises :class:`BlowUpError` with the last finite time.  The steps run in
-    blocks that end at the record points, and only a block's end state is
-    checked: q and p change only by addition, so a non-finite entry stays
-    non-finite to the block's end.  A block that ends non-finite, or in
-    which a gradient raises, is run again from its start with a check
-    after every step, which raises the error of the first bad step.
+    raises :class:`BlowUpError` with the last finite time.
+
+    The steps run in blocks that end at the record points.  A block first
+    runs unchecked, calling ``H.grad_q`` and ``H.grad_p`` directly: each
+    step only compares both results' shapes with q's (NumPy would
+    broadcast a length-1 or 0-d result), and the block's end state must be
+    plain float64 arrays with finite entries.  The end check suffices
+    because q and p change only by addition: a non-finite entry, a wider
+    dtype or an array subclass stays to the block's end, and the float64
+    step sizes promote a narrower result exactly as its conversion does.
+    A block that fails a check, or in which anything raises, is replayed
+    from its start with the length-checked gradients of
+    :func:`_analytic_gradients` and a finiteness check after every step,
+    which raise the error of the first bad call or step.
     """
     if dt == 0 or not math.isfinite(dt):
         raise ValueError("dt must be nonzero and finite")
     dH_dq, dH_dp = _analytic_gradients(H)
-    half = 0.5 * dt
+    step, half = np.float64(dt), np.float64(0.5 * dt)
+    shape = s.q.shape
 
-    def steps(q, p, g, t, first, last, check):
-        # steps first..last; g is dH/dq at the current q
+    def steps(q, p, kick, t, first, last, checked):
+        # steps first..last; kick is (dt/2) dH/dq at the current q.  None
+        # when an unchecked gradient result does not have q's shape
+        dq, dp = (dH_dq, dH_dp) if checked else (H.grad_q, H.grad_p)
         for k in range(first, last + 1):
-            p_half = p - half * g
-            q = q + dt * dH_dp(q, p_half)
-            g = dH_dq(q, p_half)
-            p = p_half - half * g
-            if check and not (np.isfinite(q).all() and np.isfinite(p).all()):
-                raise BlowUpError(t, k, s.t, stepper)
+            p_half = p - kick
+            v = dp(q, p_half)
+            q = q + step * v
+            g = dq(q, p_half)
+            kick = half * g
+            p = p_half - kick
+            if checked:
+                if not (np.isfinite(q).all() and np.isfinite(p).all()):
+                    raise BlowUpError(t, k, s.t, stepper)
+            elif v.shape != shape or g.shape != shape:
+                return None
             t = t + dt
-        return q, p, g, t
+        return q, p, kick, t
 
     states = [s]
     if n_steps == 0:
@@ -473,19 +496,19 @@ def _verlet(
     # an unstable step overflows before the finiteness check catches it;
     # silence the intermediate numpy warnings so BlowUpError is the signal
     with np.errstate(over="ignore", invalid="ignore"):
-        g = dH_dq(q, p)
+        kick = half * dH_dq(q, p)
         for first in range(1, n_steps + 1, stride):
             last = min(first + stride - 1, n_steps)
             try:
-                block = steps(q, p, g, t, first, last, False)
-                ok = np.isfinite(block[0]).all() and np.isfinite(block[1]).all()
+                block = steps(q, p, kick, t, first, last, False)
+                ok = block is not None and _finite_doubles(block[0]) and _finite_doubles(block[1])
             except Exception:
                 # a gradient given a non-finite state may raise; the replay
                 # tells that apart from an error on a finite state
                 ok = False
             if not ok:
-                block = steps(q, p, g, t, first, last, True)
-            q, p, g, t = block
+                block = steps(q, p, kick, t, first, last, True)
+            q, p, kick, t = block
             states.append(CanonicalState(q, p, t))
     return states
 
@@ -514,10 +537,10 @@ def evolve(
         raise ValueError(
             f"evolve needs a finite dt > 0, got dt={dt!r}; use symplectic_step for a backward step"
         )
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
+    if not isinstance(record_stride, numbers.Integral) or record_stride < 1:
+        raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     states = _verlet(H, s, dt, n_steps, record_stride, "evolve")
     return Trajectory(states)
 

@@ -41,6 +41,7 @@ window's interpolant, a cubic spline of the periodic samples, lives in
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -170,8 +171,8 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
     A block that ends non-finite is run again from its start with a check
     after every step, so :class:`BlowUpError` names the first bad step.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     if dt <= 0 or not math.isfinite(dt):
         raise ValueError("dt must be positive and finite")
     guard = cfl_timestep(f)

@@ -63,6 +63,24 @@ def oscillator():
     )
 
 
+def counted_oscillator(calls):
+    """The oscillator, appending each gradient call's side to ``calls``."""
+
+    def counted(side, grad):
+        def fn(q, p):
+            calls.append(side)
+            return grad(q, p)
+
+        return fn
+
+    return Observable(
+        "oscillator",
+        lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
+        grad_q=counted("grad_q", lambda q, p: q),
+        grad_p=counted("grad_p", lambda q, p: p),
+    )
+
+
 class TestCanonicalState:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -461,23 +479,30 @@ class TestEvolve:
     @pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan, math.inf])
     def test_bad_dt_rejected_before_any_gradient_call(self, dt):
         calls = []
-
-        def counted(grad):
-            def fn(q, p):
-                calls.append(grad)
-                return grad(q, p)
-
-            return fn
-
-        H = Observable(
-            "oscillator",
-            lambda q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
-            grad_q=counted(lambda q, p: q),
-            grad_p=counted(lambda q, p: p),
-        )
         with pytest.raises(ValueError, match=r"dt=.*symplectic_step for a backward step"):
-            evolve(H, CanonicalState([1.0], [0.0]), dt, 10)
+            evolve(counted_oscillator(calls), CanonicalState([1.0], [0.0]), dt, 10)
         assert calls == []
+
+    @pytest.mark.parametrize("n_steps", [2.5, 3.0, "3"])
+    def test_non_integral_n_steps_rejected_before_any_gradient_call(self, n_steps):
+        calls = []
+        with pytest.raises(ValueError, match=f"n_steps must be an integer >= 0, got {n_steps!r}"):
+            evolve(counted_oscillator(calls), CanonicalState([1.0], [0.0]), 0.01, n_steps)
+        assert calls == []
+
+    @pytest.mark.parametrize("stride", [1.5, 2.0, None])
+    def test_non_integral_record_stride_rejected_before_any_gradient_call(self, stride):
+        calls = []
+        with pytest.raises(ValueError, match=f"record_stride must be an integer >= 1, got {stride!r}"):
+            evolve(counted_oscillator(calls), CanonicalState([1.0], [0.0]), 0.01, 10, stride)
+        assert calls == []
+
+    def test_numpy_integer_counts_accepted(self):
+        s = CanonicalState([1.0], [0.0])
+        traj = evolve(oscillator(), s, 0.01, np.int64(10), record_stride=np.int32(3))
+        want = evolve(oscillator(), s, 0.01, 10, record_stride=3)
+        assert np.array_equal(traj.times, want.times)
+        assert np.array_equal(traj.states[-1].q, want.states[-1].q)
 
     def test_stride_records_endpoints(self):
         traj = evolve(oscillator(), CanonicalState([1.0], [0.0]), 0.01, 10, record_stride=3)
@@ -629,6 +654,55 @@ class TestVerletLoop:
         )
         with pytest.raises(ValueError, match="'oscillator' grad_q returned length 2, expected 1"):
             evolve(H, CanonicalState([1.0], [0.0]), 0.01, 1000, record_stride=1000)
+
+    @pytest.mark.parametrize("wrong", [np.zeros(1), np.float64(0.0)], ids=["length-1", "0-d"])
+    @pytest.mark.parametrize("side", ["grad_q", "grad_p"])
+    def test_broadcastable_gradient_result_caught_mid_block(self, side, wrong):
+        # NumPy broadcasts a length-1 or 0-d result against 8 entries without
+        # error; the wrong result comes only once q[0] turns negative, at
+        # about step 158 of a 1000-step block
+        base = string_hamiltonian(8)
+        grads = {"grad_q": base.grad_q, "grad_p": base.grad_p}
+        right = grads[side]
+        grads[side] = lambda q, p: right(q, p) if q[0] >= 0 else wrong
+        H = Observable("string8", base.fn, **grads)
+        s = CanonicalState(np.eye(8)[0], np.zeros(8))
+        with pytest.raises(ValueError, match=f"'string8' {side} returned length 1, expected 8"):
+            evolve(H, s, 0.01, 1000, record_stride=1000)
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            list,
+            lambda g: g.astype(np.float32),
+            lambda g: g.astype(np.longdouble),
+            lambda g: np.ma.masked_array(g, mask=np.arange(g.size) == 2),
+        ],
+        ids=["list", "float32", "longdouble", "masked"],
+    )
+    @pytest.mark.parametrize("stride", [1, 7, 1000])
+    def test_gradient_result_type_equals_its_float64_conversion(self, result, stride):
+        # a trajectory is that of the gradients converted to float64 arrays,
+        # whichever route (unchecked, or the checked replay) its blocks take
+        base = string_hamiltonian(8)
+        H = Observable(
+            "string8",
+            base.fn,
+            grad_q=lambda q, p: result(base.grad_q(q, p)),
+            grad_p=lambda q, p: result(base.grad_p(q, p)),
+        )
+        doubles = Observable(
+            "string8",
+            base.fn,
+            grad_q=lambda q, p: np.asarray(H.grad_q(q, p), dtype=float),
+            grad_p=lambda q, p: np.asarray(H.grad_p(q, p), dtype=float),
+        )
+        s = random_state(8, seed=31)
+        traj = evolve(H, s, 1e-2, 2500, record_stride=stride)
+        want = evolve(doubles, s, 1e-2, 2500, record_stride=stride)
+        assert len(traj) == len(want)
+        for got, ref in zip(traj.states, want.states):
+            assert np.array_equal(got.q, ref.q) and np.array_equal(got.p, ref.p) and got.t == ref.t
 
 
 class TestConservationDrift:

@@ -159,6 +159,20 @@ class TestKdvEvolve:
         f = soliton_field(1.0)
         assert kdv_evolve(f, 1e-4, 0) is f
 
+    @pytest.mark.parametrize("n_steps", [2.5, 3.0, "3"])
+    def test_non_integral_steps_rejected_before_any_transform(self, n_steps, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform before the step count was checked")
+
+        f = soliton_field(1.0)
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        with pytest.raises(ValueError, match=f"n_steps must be an integer >= 0, got {n_steps!r}"):
+            kdv_evolve(f, 1e-4, n_steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        f = soliton_field(1.0)
+        assert np.array_equal(kdv_evolve(f, 1e-4, np.int64(70)).u, kdv_evolve(f, 1e-4, 70).u)
+
 
 class TestTwoSolitonCollision:
     """After the fast soliton passes the slow one, both shapes are restored

@@ -6,8 +6,10 @@ Each argument is a directory holding the ``hamlab`` package, such as the
 ``src/`` of a checkout.  Every config of a fixed set runs once per tree
 through ``python -m hamlab.cli run``, each in a fresh interpreter with one
 BLAS thread.  A config matches when the two runs have the same exit code,
-the same sha256 for every CSV artifact, and the same report.json checks
-(name, value, threshold, pass).  A config of the rejected set matches only
+the same sha256 for every CSV artifact, the same report.json checks
+(name, value, threshold, pass) and the same report.json error record
+(type, message and the error's fields, such as a blow-up's stepper, step
+and last time).  A config of the rejected set matches only
 when both runs also exit 2 (a configuration error) and write no report.
 One line per config goes to stdout.  The exit code is 0 when every config
 matches and 1 otherwise, after listing the configs that differ; 2 for bad
@@ -29,6 +31,10 @@ sample times (more line windows), kdv-action-hamiltonian with k_max_bound
 (one chunk per block of the Magnus sweep), a shortened kdv-conservation at
 kappa 0.8, and kdv-conservation over one segment of 203 steps (a
 kdv_evolve call that ends in a partial block of its finiteness check).
+Two configs must blow up (exit 3, no checks, so their error records are
+what is compared): string-modes with dt 0.5 over 20000 steps (a Verlet
+step unstable for the upper modes) and kdv-conservation with dt 0.05 to
+t_final 5 at 2 samples (past the KdV stability guard).
 
 The rejected set holds one config per kind of parameter rule:
 string-modes with n_modes 8.0 (a float for an integer), string-hj with an
@@ -76,6 +82,8 @@ CONFIGS = (
     + [("kdv-action-hamiltonian", {"k_max_bound": 0.04}), ("kdv-action-hamiltonian", {"n_k": 300})]
     + [("kdv-conservation", {"kappa": 0.8, "t_final": 0.5})]
     + [("kdv-conservation", {"t_final": 0.0203, "n_samples": 2})]
+    + [("string-modes", {"dt": 0.5, "steps": 20000})]
+    + [("kdv-conservation", {"dt": 0.05, "t_final": 5.0, "n_samples": 2})]
 )
 REJECTED = (
     ("string-modes", {"n_modes": 8.0}),
@@ -89,7 +97,7 @@ REJECTED = (
     ("kdv-scattering", {"t_final": True}),
 )
 # what a rejected config gives: exit 2, no CSV and no report
-REJECTION = {"exit code": 2, "CSV sha256": {}, "report checks": "null"}
+REJECTION = {"exit code": 2, "CSV sha256": {}, "report checks": "null", "report error": "null"}
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -116,19 +124,27 @@ def run_config(src, experiment, parameters, work, flags=()):
     return proc, seconds, os.path.join(out, experiment)
 
 
-def report_checks(exp_dir):
-    """[name, value, threshold, pass] of each check in report.json, or None
-    when the run wrote no report."""
+def read_report(exp_dir):
+    """report.json as a dict, or None when the run wrote no report."""
     path = os.path.join(exp_dir, "report.json")
     if not os.path.isfile(path):
         return None
     with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
+        return json.load(fh)
+
+
+def report_checks(exp_dir):
+    """[name, value, threshold, pass] of each check in report.json, or None
+    when the run wrote no report."""
+    report = read_report(exp_dir)
+    if report is None:
+        return None
     return [[c["name"], c["value"], c["threshold"], c["pass"]] for c in report["checks"]]
 
 
 def outputs(src, experiment, parameters):
-    """Exit code, CSV digests and report checks of one run against ``src``."""
+    """Exit code, CSV digests, report checks and report error record of one
+    run against ``src``."""
     with tempfile.TemporaryDirectory() as work:
         proc, _, exp_dir = run_config(src, experiment, parameters, work)
         digests = {}
@@ -139,7 +155,13 @@ def outputs(src, experiment, parameters):
                         digests[name] = hashlib.sha256(fh.read()).hexdigest()
         # compared as JSON text, so a NaN value equals itself
         checks = json.dumps(report_checks(exp_dir))
-    return {"exit code": proc.returncode, "CSV sha256": digests, "report checks": checks}
+        error = json.dumps((read_report(exp_dir) or {}).get("error"))
+    return {
+        "exit code": proc.returncode,
+        "CSV sha256": digests,
+        "report checks": checks,
+        "report error": error,
+    }
 
 
 def main(argv):
