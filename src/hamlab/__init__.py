@@ -19,7 +19,6 @@ from .canonical import (
     CompletenessReport,
     Observable,
     ObservableSet,
-    Trajectory,
     check_gradients,
     completeness_jacobian,
     conservation_drift,
@@ -50,7 +49,6 @@ __all__ = [
     "CompletenessReport",
     "Observable",
     "ObservableSet",
-    "Trajectory",
     "check_gradients",
     "completeness_jacobian",
     "conservation_drift",

@@ -17,6 +17,9 @@ provides
 One calling convention: hamlab calls every phase-space function it is
 given (an observable, a Hamiltonian, an analytic gradient) as ``fn(q, p)``
 on raw arrays, and callers pass states to the functions of this module.
+A flow returns plain rows, not states: :func:`evolve` gives ``(t, q, p)``
+with one recorded state per row, the layout of the string module's
+flows, and :func:`conservation_drift` judges any such rows.
 
 Every operation is a pure function of its inputs, so everything here is
 safe to call from concurrent workers.  Reductions run in index order,
@@ -49,6 +52,9 @@ DEFAULT_FD_STEP = 1e-5
 DEFAULT_RANK_TOL = 1e-8
 
 _NEWTON_MAX_HALVINGS = 30
+
+# largest analytic-vs-FD gradient difference check_gradients accepts
+_GRADIENT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -146,32 +152,6 @@ class ObservableSet:
             raise ValueError(f"unknown observable(s): {sorted(missing)}")
         kept = [o for o in self.observables if o.name not in names]
         return ObservableSet(kept)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded states at strictly increasing times.
-
-    ``times`` is derived: the read-only vector of the states' own ``t``.
-    """
-
-    states: Sequence[CanonicalState]
-    times: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        states = tuple(self.states)
-        if not states:
-            raise ValueError("trajectory must contain at least one state")
-        dims = {s.dim for s in states}
-        if len(dims) > 1:
-            raise ValueError(f"states have mixed dimensions: {sorted(dims)}")
-        t = freeze(self, "times", [s.t for s in states])
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("state times must be strictly increasing")
-        object.__setattr__(self, "states", states)
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 @dataclass(frozen=True)
@@ -300,16 +280,16 @@ def _analytic_gradients(o: Observable):
     return checked("grad_q", o.grad_q), checked("grad_p", o.grad_p)
 
 
-def check_gradients(o: Observable, s: CanonicalState, tol: float = 1e-6) -> float:
+def check_gradients(o: Observable, s: CanonicalState) -> float:
     """Max abs difference between ``o``'s analytic and finite-difference
-    gradients at ``s``; ``ValueError`` when they disagree beyond tol or an
+    gradients at ``s``; ``ValueError`` when they disagree beyond 1e-6 or an
     analytic gradient is NaN."""
     analytic = [d(s.q, s.p) for d in _analytic_gradients(o)]
     fd = [_gradients([o], s.q, s.p, DEFAULT_FD_STEP, wrt)[0] for wrt in "qp"]
     worst = float(np.max(np.abs(np.concatenate(fd) - np.concatenate(analytic))))
-    if not worst <= tol:
+    if not worst <= _GRADIENT_TOL:
         raise ValueError(
-            f"analytic and finite-difference gradients disagree: {worst:.3e} > {tol:.3e}"
+            f"analytic and finite-difference gradients disagree: {worst:.3e} > {_GRADIENT_TOL:.3e}"
         )
     return worst
 
@@ -359,7 +339,6 @@ def recover_momenta(
     max_iter: int = 50,
     h: float = DEFAULT_FD_STEP,
     rank_tol: float = DEFAULT_RANK_TOL,
-    t: float = 0.0,
     full_output: bool = False,
 ):
     """Solve f_i(q, p) = alpha_i for the momenta by damped Newton iteration.
@@ -381,7 +360,7 @@ def recover_momenta(
         raise ValueError(f"alpha must hold one value per observable, got shape {alpha.shape}")
     if not np.isfinite(alpha).all():
         raise ValueError("alpha must be finite")
-    guess = CanonicalState(q, p_guess, t)
+    guess = CanonicalState(q, p_guess)
     q, p = guess.q, guess.p.copy()
     if len(obs) < q.size:
         # Fewer integrals than momenta can never pin p down; report it as an
@@ -393,7 +372,7 @@ def recover_momenta(
         )
 
     def residual(pv):
-        return obs.evaluate(CanonicalState(q, pv, t)) - alpha
+        return obs.evaluate(CanonicalState(q, pv)) - alpha
 
     r = residual(p)
     rnorm = float(np.max(np.abs(r)))
@@ -401,7 +380,7 @@ def recover_momenta(
     while rnorm >= tol:
         if iterations >= max_iter:
             raise DivergenceError(rnorm, iterations)
-        state = CanonicalState(q, p, t)
+        state = CanonicalState(q, p)
         J = completeness_jacobian(obs, state, h)
         report = CompletenessReport(J, rank_tol)
         if not report.complete:
@@ -433,7 +412,7 @@ def _finite_doubles(a) -> bool:
 
 def _verlet(
     H: Observable, s: CanonicalState, dt: float, n_steps: int, stride: int, stepper: str
-) -> list:
+) -> tuple[list, list, list]:
     """The one Stormer-Verlet (kick-drift-kick) loop, on raw arrays:
 
         p_half = p - (dt/2) dH/dq(q, p)
@@ -447,9 +426,10 @@ def _verlet(
     closing half-kick (dt/2) dH/dq(q', p_half) is the next opening one.
 
     Each step makes new arrays (a gradient may return its input), and t
-    accumulates as t + dt.  Returns ``s`` and the states after every
-    ``stride``-th step and the last.  A step that leaves a non-finite entry
-    raises :class:`BlowUpError` with the last finite time.
+    accumulates as t + dt.  Returns the lists ``(t, q, p)`` of the rows of
+    ``s`` and of the states after every ``stride``-th step and the last;
+    no state is built.  A step that leaves a non-finite entry raises
+    :class:`BlowUpError` with the last finite time.
 
     The steps run in blocks that end at the record points.  A block first
     runs unchecked, calling ``H.grad_q`` and ``H.grad_p`` directly: each
@@ -461,8 +441,8 @@ def _verlet(
     step sizes promote a narrower result exactly as its conversion does.
     A block that fails a check, or in which anything raises, is replayed
     from its start with the length-checked gradients of
-    :func:`_analytic_gradients` and a finiteness check after every step,
-    which raise the error of the first bad call or step.
+    :func:`_analytic_gradients` and a shape and finiteness check after
+    every step, which raise the error of the first bad call or step.
     """
     if dt == 0 or not math.isfinite(dt):
         raise ValueError("dt must be nonzero and finite")
@@ -482,6 +462,11 @@ def _verlet(
             kick = half * g
             p = p_half - kick
             if checked:
+                # a gradient of the right length but another shape broadcasts
+                if q.shape != shape or p.shape != shape:
+                    raise ValueError(
+                        f"'{H.name}' gradients made q and p of shapes {q.shape}, {p.shape}"
+                    )
                 if not (np.isfinite(q).all() and np.isfinite(p).all()):
                     raise BlowUpError(t, k, s.t, stepper)
             elif v.shape != shape or g.shape != shape:
@@ -489,10 +474,10 @@ def _verlet(
             t = t + dt
         return q, p, kick, t
 
-    states = [s]
-    if n_steps == 0:
-        return states
     q, p, t = s.q, s.p, s.t
+    ts, qs, ps = [t], [q], [p]
+    if n_steps == 0:
+        return ts, qs, ps
     # an unstable step overflows before the finiteness check catches it;
     # silence the intermediate numpy warnings so BlowUpError is the signal
     with np.errstate(over="ignore", invalid="ignore"):
@@ -509,13 +494,16 @@ def _verlet(
             if not ok:
                 block = steps(q, p, kick, t, first, last, True)
             q, p, kick, t = block
-            states.append(CanonicalState(q, p, t))
-    return states
+            ts.append(t)
+            qs.append(q)
+            ps.append(p)
+    return ts, qs, ps
 
 
 def symplectic_step(H: Observable, s: CanonicalState, dt: float) -> CanonicalState:
     """One :func:`evolve` step; ``dt`` may be negative."""
-    return _verlet(H, s, dt, 1, 1, "symplectic_step")[-1]
+    t, q, p = _verlet(H, s, dt, 1, 1, "symplectic_step")
+    return CanonicalState(q[-1], p[-1], t[-1])
 
 
 def evolve(
@@ -524,15 +512,21 @@ def evolve(
     dt: float,
     n_steps: int,
     record_stride: int = 1,
-) -> Trajectory:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply ``n_steps`` Stormer-Verlet steps, recording every ``record_stride``-th
     state (the initial and final states are always recorded).
 
-    ``dt`` must be finite and positive, since a trajectory's times
-    increase; :func:`symplectic_step` takes a backward step.  ``H`` needs
-    both analytic gradients (else ``ValueError`` naming it) and
-    separability: ``grad_q`` may read only q and ``grad_p`` only p, as each
-    step's last ``grad_q`` value is the next step's first."""
+    Returns plain rows ``(t, q, p)``, the layout of the string flows: ``t``
+    has shape (R,) and ``q`` and ``p`` shape (R, N), one row per recorded
+    state, row 0 being ``s``.  The recorded times must increase: a ``dt``
+    too small to move ``s.t``, or times past the range of a double, raise
+    ``ValueError``.
+
+    ``dt`` must be finite and positive; :func:`symplectic_step` takes a
+    backward step.  ``H`` needs both analytic gradients (else
+    ``ValueError`` naming it) and separability: ``grad_q`` may read only q
+    and ``grad_p`` only p, as each step's last ``grad_q`` value is the next
+    step's first."""
     if not 0.0 < dt < math.inf:
         raise ValueError(
             f"evolve needs a finite dt > 0, got dt={dt!r}; use symplectic_step for a backward step"
@@ -541,23 +535,38 @@ def evolve(
         raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     if not isinstance(record_stride, numbers.Integral) or record_stride < 1:
         raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
-    states = _verlet(H, s, dt, n_steps, record_stride, "evolve")
-    return Trajectory(states)
+    t, q, p = (np.array(row) for row in _verlet(H, s, dt, n_steps, record_stride, "evolve"))
+    if not (math.isfinite(t[-1]) and np.all(np.diff(t) > 0)):
+        raise ValueError("state times must be strictly increasing and finite")
+    return t, q, p
 
 
-def conservation_drift(obs: ObservableSet, traj: Trajectory, floor: float = 1.0) -> np.ndarray:
-    """Per-observable max drift along a trajectory.
+def conservation_drift(obs: ObservableSet, q, p, floor: float = 1.0) -> np.ndarray:
+    """Per-observable max drift along rows of states.
 
-    drift_i = max_t |f_i(s(t)) - f_i(s(0))| / max(|f_i(s(0))|, floor).
+    ``q`` and ``p`` hold one state per row, shape (R, N), as :func:`evolve`
+    and the string flows return them; row 0 is the reference:
+
+        drift_i = max_k |f_i(q_k, p_k) - f_i(q_0, p_0)| / max(|f_i(q_0, p_0)|, floor).
+
     The floor keeps near-zero integrals from reporting huge relative drift;
     with the default floor of 1 the measure is relative for O(1) integrals
-    and absolute below that.
+    and absolute below that.  The observables see private, read-only rows.
+    q and p that are not matching nonempty 2-d arrays with finite entries
+    raise ``ValueError``.
     """
     if not 0.0 < floor < math.inf:
         raise ValueError(f"floor must be finite and positive, got {floor!r}")
-    values = np.empty((len(traj), len(obs)))
-    for k, state in enumerate(traj.states):
-        values[k, :] = obs.evaluate(state)
+    q, p = np.array(q, dtype=float), np.array(p, dtype=float)
+    if q.ndim != 2 or q.shape != p.shape or q.size == 0:
+        raise ValueError(
+            f"q and p must be matching nonempty 2-d arrays of rows, got shapes {q.shape}, {p.shape}"
+        )
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+        raise ValueError("q and p entries must be finite")
+    q.setflags(write=False)
+    p.setflags(write=False)
+    values = np.array([[_checked_eval(o, qk, pk) for o in obs] for qk, pk in zip(q, p)])
     ref = values[0, :]
     denom = np.maximum(np.abs(ref), floor)
     return np.max(np.abs(values - ref[None, :]), axis=0) / denom

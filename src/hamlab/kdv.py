@@ -62,6 +62,10 @@ _DECAY_TOL = 1e-10
 _TAIL_TOL = 0.01
 # kdv_evolve checks finiteness once per this many steps
 _CHECK_STEPS = 64
+# bound_states' kappa scan: first sample and step, and Brent's tolerance
+_K_MIN = 0.05
+_SCAN_STEP = 0.05
+_ROOT_TOL = 1e-10
 
 
 def kdv_grid(L_domain: float = DEFAULT_DOMAIN, M: int = DEFAULT_MODES) -> np.ndarray:
@@ -132,13 +136,12 @@ def soliton_field(
     x0: Optional[float] = None,
     L_domain: float = DEFAULT_DOMAIN,
     M: int = DEFAULT_MODES,
-    t: float = 0.0,
 ) -> PeriodicField:
-    """Soliton sampled on the periodic grid (default: centered)."""
+    """Soliton sampled on the periodic grid at t = 0 (default: centered)."""
     x = kdv_grid(L_domain, M)
     if x0 is None:
         x0 = L_domain / 2.0
-    return PeriodicField(soliton(x, kappa, x0, t), L_domain, t)
+    return PeriodicField(soliton(x, kappa, x0), L_domain)
 
 
 def cfl_timestep(f: PeriodicField) -> float:
@@ -278,29 +281,21 @@ def riccati_densities(f: PeriodicField, order: int) -> np.ndarray:
     return np.array(chi)
 
 
-@dataclass(frozen=True)
-class ConservedIntegrals:
-    """I[m-1] = int chi_{2m-1} dx and even[m-1] = int chi_{2m} dx.
-
-    The I values are the conserved quantities; the even integrals are a
-    diagnostic expected to sit at round-off.
-    """
-
-    I: np.ndarray
-    even: np.ndarray
-
-    def __post_init__(self):
-        freeze(self, "I", self.I)
-        freeze(self, "even", self.even)
-
-
-def kdv_invariants(f: PeriodicField, n: int = 3) -> ConservedIntegrals:
+def kdv_invariants(f: PeriodicField, n: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """I_1..I_n from the odd Riccati densities, plus the n matching even
-    integrals as diagnostics."""
+    integrals as diagnostics, as ``(I, even)``: I[m-1] = int chi_{2m-1} dx
+    and even[m-1] = int chi_{2m} dx.
+
+    The I values are the conserved quantities; the even integrals are
+    expected to sit at round-off.  A density that overflows a double
+    raises ValueError.
+    """
     chi = riccati_densities(f, 2 * n)
     I = np.array([periodic_integral(chi[2 * m - 2], f.L_domain) for m in range(1, n + 1)])
     even = np.array([periodic_integral(chi[2 * m - 1], f.L_domain) for m in range(1, n + 1)])
-    return ConservedIntegrals(I, even)
+    if not (np.isfinite(I).all() and np.isfinite(even).all()):
+        raise ValueError("I and even entries must be finite")
+    return I, even
 
 
 def direct_hamiltonian(f: PeriodicField) -> float:
@@ -564,42 +559,36 @@ def analytic_soliton_a(k: complex, kappas: Sequence[float]) -> complex:
     return out
 
 
-def bound_states(
-    pot: LinePotential,
-    k_max: float,
-    scan_step: float = 0.05,
-    k_min: float = 0.05,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Zeros of a(i kappa) for kappa in (0, k_max]: the bound-state wavenumbers.
+def bound_states(pot: LinePotential, k_max: float) -> np.ndarray:
+    """Zeros of a(i kappa) for kappa in [0.05, k_max]: the bound-state wavenumbers.
 
     a restricted to the imaginary axis is real; one :func:`scattering_a`
-    sweep samples it on the scan grid, and Brent's method refines each
-    sign change to ``tol``.  A scan sample landing numerically on a zero is
-    retried on a slightly widened bracket; if the retry also degenerates
-    the search reports failure.
+    sweep samples it on a kappa grid of step 0.05, and Brent's method
+    refines each sign change to 1e-10.  A scan sample landing numerically
+    on a zero is retried on a slightly widened bracket; if the retry also
+    degenerates the search reports failure.
     """
-    if k_max <= k_min:
+    if k_max <= _K_MIN:
         return np.array([])
 
     def A(kappa):
         return float(scattering_a(pot, [1j * kappa])[0].real)
 
-    grid = np.arange(k_min, k_max + scan_step / 2.0, scan_step)
+    grid = np.arange(_K_MIN, k_max + _SCAN_STEP / 2.0, _SCAN_STEP)
     vals = scattering_a(pot, 1j * grid).real
     scale = max(1.0, float(np.max(np.abs(vals))))
     floor = 1e-13 * scale
     for i in np.flatnonzero(np.abs(vals) < floor):
-        shifted = min(grid[i] + scan_step / 7.0, k_max)
+        shifted = min(grid[i] + _SCAN_STEP / 7.0, k_max)
         grid[i] = shifted
         vals[i] = A(shifted)
         if abs(vals[i]) < floor:
             raise ConvergenceError(
                 f"scan sample at kappa={grid[i]:.6g} sits on a zero of a(i kappa) "
-                "even after widening; refine scan_step"
+                "even after widening"
             )
     roots = [
-        scipy.optimize.brentq(A, grid[i], grid[i + 1], xtol=tol)
+        scipy.optimize.brentq(A, grid[i], grid[i + 1], xtol=_ROOT_TOL)
         for i in range(len(grid) - 1)
         if vals[i] * vals[i + 1] < 0
     ]

@@ -14,7 +14,6 @@ from hamlab import (
     EvaluationError,
     Observable,
     ObservableSet,
-    Trajectory,
     check_gradients,
     completeness_jacobian,
     conservation_drift,
@@ -123,7 +122,7 @@ class TestEvaluate:
         "call",
         [
             lambda obs, s: obs.evaluate(s),
-            lambda obs, s: conservation_drift(obs, Trajectory([s])),
+            lambda obs, s: conservation_drift(obs, s.q[None], s.p[None]),
             lambda obs, s: recover_momenta(obs, [1.0], s.q, s.p),
         ],
         ids=["evaluate", "conservation_drift", "recover_momenta"],
@@ -472,9 +471,9 @@ class TestAnalyticGradients:
 class TestEvolve:
     def test_zero_steps_returns_initial(self):
         s = CanonicalState([1.0], [2.0], t=0.5)
-        traj = evolve(oscillator(), s, 0.01, 0)
-        assert len(traj) == 1
-        assert traj.states[0] is s
+        t, q, p = evolve(oscillator(), s, 0.01, 0)
+        assert np.array_equal(t, [0.5])
+        assert np.array_equal(q, [s.q]) and np.array_equal(p, [s.p])
 
     @pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan, math.inf])
     def test_bad_dt_rejected_before_any_gradient_call(self, dt):
@@ -499,23 +498,22 @@ class TestEvolve:
 
     def test_numpy_integer_counts_accepted(self):
         s = CanonicalState([1.0], [0.0])
-        traj = evolve(oscillator(), s, 0.01, np.int64(10), record_stride=np.int32(3))
+        got = evolve(oscillator(), s, 0.01, np.int64(10), record_stride=np.int32(3))
         want = evolve(oscillator(), s, 0.01, 10, record_stride=3)
-        assert np.array_equal(traj.times, want.times)
-        assert np.array_equal(traj.states[-1].q, want.states[-1].q)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_stride_records_endpoints(self):
-        traj = evolve(oscillator(), CanonicalState([1.0], [0.0]), 0.01, 10, record_stride=3)
+        t, q, p = evolve(oscillator(), CanonicalState([1.0], [0.0]), 0.01, 10, record_stride=3)
         # steps 3, 6, 9 plus forced endpoints 0 and 10
-        assert len(traj) == 5
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(0.1)
+        assert t.shape == (5,) and q.shape == p.shape == (5, 1)
+        assert t[0] == 0.0
+        assert t[-1] == pytest.approx(0.1)
 
     def test_oscillator_period_endpoint(self):
         dt = 2 * np.pi / 4000
-        traj = evolve(oscillator(), CanonicalState([1.0], [0.0]), dt, 4000)
-        end = traj.states[-1]
-        assert abs(end.q[0] - 1.0) < 100 * dt**2
+        _, q, _ = evolve(oscillator(), CanonicalState([1.0], [0.0]), dt, 4000)
+        assert abs(q[-1, 0] - 1.0) < 100 * dt**2
 
     def test_blow_up_reports_last_finite_time(self):
         # Verlet on the oscillator is unstable for dt > 2: at dt = 2.5 the
@@ -530,20 +528,12 @@ class TestEvolve:
         assert err.last_time == 1.0 + 2.5 * (err.step - 1)
         assert "step" in str(err) and "evolve call" in str(err)
 
-    def test_trajectory_requires_increasing_times(self):
-        s = CanonicalState([0.0], [0.0])
-        with pytest.raises(ValueError):
-            Trajectory([s, s])
-
-    def test_trajectory_times_come_from_the_states(self):
-        # the times a trajectory reports are the states' own
-        late, early = CanonicalState([0.0], [0.0], 5.0), CanonicalState([0.0], [0.0], 0.0)
-        with pytest.raises(ValueError, match="increasing"):
-            Trajectory([late, early])
-        traj = Trajectory([early, late])
-        assert np.array_equal(traj.times, [0.0, 5.0])
-        with pytest.raises(ValueError):
-            traj.times[0] = 1.0
+    @pytest.mark.parametrize("t0, dt", [(1e20, 1.0), (1.7e308, 1e308)], ids=["stalled", "overflow"])
+    def test_recorded_times_must_increase_and_stay_finite(self, t0, dt):
+        # t0 + dt rounds back to t0, or overflows to inf; the state rests
+        s = CanonicalState([0.0], [0.0], t=t0)
+        with pytest.raises(ValueError, match="state times must be strictly increasing"):
+            evolve(oscillator(), s, dt, 2)
 
 
 def reference_verlet(H, s, dt, n_steps, stride):
@@ -590,11 +580,11 @@ class TestVerletLoop:
             H, s = string_hamiltonian(8), random_state(8, seed=30)
         else:
             H, s = pendulum(), CanonicalState([2.5], [0.4], t=0.3)
-        traj = evolve(H, s, 1e-2, n_steps, record_stride=stride)
+        t, q, p = evolve(H, s, 1e-2, n_steps, record_stride=stride)
         want = reference_verlet(H, s, 1e-2, n_steps, stride)
-        assert len(traj) == len(want)
-        for state, (q, p, t) in zip(traj.states, want):
-            assert np.array_equal(state.q, q) and np.array_equal(state.p, p) and state.t == t
+        assert len(t) == len(want)
+        for k, (wq, wp, wt) in enumerate(want):
+            assert np.array_equal(q[k], wq) and np.array_equal(p[k], wp) and t[k] == wt
 
     @pytest.mark.parametrize("n_steps", [0, 1, 25])
     def test_one_grad_q_call_per_step_plus_one(self, n_steps):
@@ -655,6 +645,24 @@ class TestVerletLoop:
         with pytest.raises(ValueError, match="'oscillator' grad_q returned length 2, expected 1"):
             evolve(H, CanonicalState([1.0], [0.0]), 0.01, 1000, record_stride=1000)
 
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1)], ids=["row", "column"])
+    @pytest.mark.parametrize("call", ["evolve", "symplectic_step"])
+    def test_gradient_of_another_shape_rejected(self, call, shape):
+        # the right length, so the length check passes, but q + dt * v
+        # broadcasts q out of its (2,) shape
+        H = Observable(
+            "oscillator2",
+            lambda q, p: 0.5 * float(np.dot(p, p) + np.dot(q, q)),
+            grad_q=lambda q, p: q,
+            grad_p=lambda q, p: p.reshape(shape),
+        )
+        s = CanonicalState([1.0, 0.5], [0.0, 0.1])
+        with pytest.raises(ValueError, match="'oscillator2' gradients made q and p of shapes"):
+            if call == "evolve":
+                evolve(H, s, 0.01, 10, 5)
+            else:
+                symplectic_step(H, s, 0.01)
+
     @pytest.mark.parametrize("wrong", [np.zeros(1), np.float64(0.0)], ids=["length-1", "0-d"])
     @pytest.mark.parametrize("side", ["grad_q", "grad_p"])
     def test_broadcastable_gradient_result_caught_mid_block(self, side, wrong):
@@ -698,41 +706,71 @@ class TestVerletLoop:
             grad_p=lambda q, p: np.asarray(H.grad_p(q, p), dtype=float),
         )
         s = random_state(8, seed=31)
-        traj = evolve(H, s, 1e-2, 2500, record_stride=stride)
+        got = evolve(H, s, 1e-2, 2500, record_stride=stride)
         want = evolve(doubles, s, 1e-2, 2500, record_stride=stride)
-        assert len(traj) == len(want)
-        for got, ref in zip(traj.states, want.states):
-            assert np.array_equal(got.q, ref.q) and np.array_equal(got.p, ref.p) and got.t == ref.t
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestConservationDrift:
     def test_constant_trajectory_zero_drift(self):
-        s = CanonicalState([1.0, 2.0], [3.0, 4.0])
-        states = [s, CanonicalState(s.q, s.p, 1.0), CanonicalState(s.q, s.p, 2.0)]
-        traj = Trajectory(states)
-        drift = conservation_drift(quadratic_energies(2), traj)
+        q, p = np.tile([1.0, 2.0], (3, 1)), np.tile([3.0, 4.0], (3, 1))
+        drift = conservation_drift(quadratic_energies(2), q, p)
         assert np.all(drift == 0.0)
 
     def test_energy_conserved_along_verlet_flow(self):
         H = oscillator()
-        traj = evolve(H, CanonicalState([1.0], [0.0]), 1e-3, 5000)
+        _, q, p = evolve(H, CanonicalState([1.0], [0.0]), 1e-3, 5000)
         energy = ObservableSet([H])
-        assert conservation_drift(energy, traj)[0] < 1e-6
+        assert conservation_drift(energy, q, p)[0] < 1e-6
 
     def test_non_integral_observable_drifts(self):
-        traj = evolve(oscillator(), CanonicalState([1.0], [0.0]), 0.01, 400)
-        drift = conservation_drift(ObservableSet([coord(0)]), traj)
+        _, q, p = evolve(oscillator(), CanonicalState([1.0], [0.0]), 0.01, 400)
+        drift = conservation_drift(ObservableSet([coord(0)]), q, p)
         assert drift[0] > 0.5
 
     @pytest.mark.parametrize("floor", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_floor_rejected(self, floor):
-        traj = evolve(oscillator(), CanonicalState([1.0], [0.0]), 0.01, 3)
+        _, q, p = evolve(oscillator(), CanonicalState([1.0], [0.0]), 0.01, 3)
         with pytest.raises(ValueError, match="floor"):
-            conservation_drift(ObservableSet([coord(0)]), traj, floor=floor)
+            conservation_drift(ObservableSet([coord(0)]), q, p, floor=floor)
 
     def test_floor_handles_zero_reference(self):
-        s0 = CanonicalState([0.0], [0.0])
-        s1 = CanonicalState([1e-3], [0.0], t=1.0)
-        traj = Trajectory([s0, s1])
-        drift = conservation_drift(ObservableSet([coord(0)]), traj, floor=1.0)
+        q, p = np.array([[0.0], [1e-3]]), np.zeros((2, 1))
+        drift = conservation_drift(ObservableSet([coord(0)]), q, p, floor=1.0)
         assert drift[0] == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize(
+        "q, p, shapes",
+        [
+            (np.ones(2), np.ones(2), r"\(2,\), \(2,\)"),
+            (np.ones((3, 2)), np.ones((2, 2)), r"\(3, 2\), \(2, 2\)"),
+            (np.ones((3, 2)), np.ones((3, 1)), r"\(3, 2\), \(3, 1\)"),
+            (np.ones((0, 2)), np.ones((0, 2)), r"\(0, 2\), \(0, 2\)"),
+            (np.ones((3, 0)), np.ones((3, 0)), r"\(3, 0\), \(3, 0\)"),
+        ],
+        ids=["1-d", "rows-differ", "columns-differ", "no-rows", "no-columns"],
+    )
+    def test_rows_must_be_matching_nonempty_2d(self, q, p, shapes):
+        calls = []
+        counted = Observable("counted", lambda q, p: calls.append(q) or 0.0)
+        with pytest.raises(ValueError, match=f"2-d arrays of rows, got shapes {shapes}"):
+            conservation_drift(ObservableSet([counted]), q, p)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        q = np.array([[1.0, 0.0], [1.0, bad]])
+        with pytest.raises(ValueError, match="q and p entries must be finite"):
+            conservation_drift(quadratic_energies(1), q, np.ones((2, 2)))
+
+    def test_observables_see_read_only_private_rows(self):
+        q, p = np.ones((2, 1)), np.ones((2, 1))
+
+        def writes(q, p):
+            q[0] = 5.0
+            return q[0]
+
+        with pytest.raises(ValueError, match="read-only"):
+            conservation_drift(ObservableSet([Observable("writes", writes)]), q, p)
+        assert np.all(q == 1.0)

@@ -16,7 +16,7 @@ from hamlab import (
     poisson_bracket,
     poisson_bracket_analytic,
 )
-from hamlab.canonical import CompletenessReport, Trajectory
+from hamlab.canonical import CompletenessReport
 from hamlab.string import (
     exact_mode_evolution,
     hj_action,
@@ -324,9 +324,8 @@ class TestStringSystem:
         errs = []
         for steps in (2000, 4000):
             dt = horizon / steps
-            traj = evolve(string_hamiltonian(n), m0, dt, steps, record_stride=steps)
-            end = traj.states[-1]
-            errs.append(max(np.max(np.abs(end.q - want_q)), np.max(np.abs(end.p - want_p))))
+            _, q, p = evolve(string_hamiltonian(n), m0, dt, steps, record_stride=steps)
+            errs.append(max(np.max(np.abs(q[-1] - want_q)), np.max(np.abs(p[-1] - want_p))))
         # halving dt must cut the endpoint error by about 4 (second order)
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
         assert errs[1] < 1e-3
@@ -335,14 +334,26 @@ class TestStringSystem:
         n = 8
         idx = np.arange(1, n + 1, dtype=float)
         m0 = CanonicalState(4.0 ** (1 - idx), np.zeros(n))
-        traj = evolve(string_hamiltonian(n), m0, 1e-3, 20000, record_stride=100)
-        drift = conservation_drift(string_observable_set(n), traj)
+        _, q, p = evolve(string_hamiltonian(n), m0, 1e-3, 20000, record_stride=100)
+        drift = conservation_drift(string_observable_set(n), q, p)
         assert np.max(drift) < 1e-6
 
     def test_mode_energy_drift_zero_on_exact_trajectory(self):
         m0 = random_modes(6, seed=42)
         times = np.linspace(0.0, 5.0, 40)
-        states = [CanonicalState(*exact_mode_evolution(m0, t), t) for t in times]
-        traj = Trajectory(states)
-        drift = conservation_drift(string_observable_set(6), traj)
+        drift = conservation_drift(string_observable_set(6), *exact_mode_evolution(m0, times))
         assert np.max(drift) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 8, 16])
+    def test_drift_on_exact_rows_equals_per_state_formula(self, n):
+        # the floored formula string-modes used to write out by hand, one
+        # state per sample time, against the drift of the flow's rows
+        m0 = random_modes(n, seed=43)
+        obs = string_observable_set(n)
+        times = np.linspace(0.0, 5.0, 101)
+        e0 = obs.evaluate(m0)
+        rows = zip(*exact_mode_evolution(m0, times), times)
+        et = np.array([obs.evaluate(CanonicalState(q, p, t)) for q, p, t in rows])
+        want = np.max(np.abs(et - e0) / np.maximum(np.abs(e0), 1.0), axis=0)
+        got = conservation_drift(obs, *exact_mode_evolution(m0, times))
+        assert np.array_equal(got, want)

@@ -7,7 +7,6 @@ import pytest
 
 from hamlab.canonical import CanonicalState, CompletenessReport
 from hamlab.kdv import (
-    ConservedIntegrals,
     LinePotential,
     PeriodicField,
     ScatteringData,
@@ -25,7 +24,6 @@ VALUE_TYPES = {
     CanonicalState: lambda: ({"q": np.array([1.0, 2.0]), "p": np.array([0.5, -0.5])}, {"t": 0.0}),
     CompletenessReport: lambda: ({"jacobian": np.eye(2)}, {"rank_tol": 1e-8}),
     PeriodicField: lambda: ({"u": _bump(np.arange(8) - 4.0, 1.0)}, {"L_domain": 8.0}),
-    ConservedIntegrals: lambda: ({"I": np.array([1.0, 2.0]), "even": np.array([0.0, 0.0])}, {}),
     LinePotential: lambda: ({}, {"fn": lambda x: -_bump(x, 2.0), "x_left": -20.0, "x_right": 20.0}),
     ScatteringData: lambda: (
         {

@@ -16,7 +16,9 @@ matches and 1 otherwise, after listing the configs that differ; 2 for bad
 arguments.
 
 The config set is the eight experiments at their defaults, string-modes
-with 2500 steps at stride 1000 and with 3000 steps at stride 1, string-hj
+with 2500 steps at stride 1000, with 3000 steps at stride 1 and with 7
+steps at stride 1000 (two recorded rows, from one block shorter than the
+stride), string-hj
 at seed 1, at seed 99 with 16 modes and with one mode, string-hj with 1000
 sample times to t_final 50 and string-modes with 101 exact samples (the
 flows on an array of times past the default sizes), line-gseries at
@@ -66,6 +68,7 @@ KAPPAS = (0.95, 1.05)
 CONFIGS = (
     [(name, {}) for name in EXPERIMENTS]
     + [("string-modes", {"steps": 2500, "stride": 1000}), ("string-modes", {"steps": 3000, "stride": 1})]
+    + [("string-modes", {"steps": 7, "stride": 1000})]
     + [("string-hj", {"seed": 1}), ("string-hj", {"seed": 99, "n_modes": 16}), ("string-hj", {"n_modes": 1})]
     + [("string-hj", {"samples": 1000, "t_final": 50}), ("string-modes", {"exact_samples": 101})]
     + [
