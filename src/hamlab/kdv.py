@@ -27,15 +27,16 @@ Conserved quantities come from two independent routes:
    the direct functional int (u_x^2/2 + u^3) dx.  Production code gets
    a(k) for a whole k array from one vectorised sixth-order Magnus sweep
    over the window (``scattering_a``), and bound states from a sweep over
-   a kappa grid refined by Brent's method; the adaptive DOP853 integration
-   of one k at a time (``schrodinger_a``) is kept as the independent
-   oracle the tests compare it with.
+   a kappa grid whose sign changes the Illinois method refines, every
+   bracket in one sweep per iteration; the adaptive DOP853 integration of
+   one k at a time (``schrodinger_a``) is kept as the independent oracle
+   the tests compare it with, and is the module's only SciPy call.
 
 Evolution is periodic while scattering theory lives on the line; the bridge
 is a window extraction that recenters the periodic field and demands decay
 at the window edges.  A line potential is one callable on a window; the
-window's interpolant, a cubic spline of the periodic samples, lives in
-``line_window``.
+window's interpolant, the trigonometric interpolant of the periodic
+samples, lives in ``line_window``.
 """
 
 from __future__ import annotations
@@ -62,10 +63,26 @@ _DECAY_TOL = 1e-10
 _TAIL_TOL = 0.01
 # kdv_evolve checks finiteness once per this many steps
 _CHECK_STEPS = 64
-# bound_states' kappa scan: first sample and step, and Brent's tolerance
+# bound_states' kappa scan: first sample and step; the width at which the
+# refinement closes a bracket, and its iteration cap
 _K_MIN = 0.05
 _SCAN_STEP = 0.05
 _ROOT_TOL = 1e-10
+_REFINE_STEPS = 40
+# _LAGRANGE6[d, m] / 120 is the s^d coefficient of the Lagrange basis
+# polynomial of node m - 2 on the nodes -2, ..., 3: line_window's interpolant
+# on a fine cell [0, 1] is sum_d s^d sum_m _LAGRANGE6[d, m] u_{m-2} / 120
+_LAGRANGE6 = np.array(
+    [
+        [0, 0, 120, 0, 0, 0],
+        [6, -60, -40, 120, -30, 4],
+        [-5, 80, -150, 80, -5, 0],
+        [-5, -5, 50, -70, 35, -5],
+        [5, -20, 30, -20, 5, 0],
+        [-1, 5, -10, 10, -5, 1],
+    ],
+    dtype=float,
+)
 
 
 def kdv_grid(L_domain: float = DEFAULT_DOMAIN, M: int = DEFAULT_MODES) -> np.ndarray:
@@ -334,7 +351,7 @@ class LinePotential:
 
     ``fn`` is vectorised and is only evaluated inside the window; it must
     stay below 1e-10 in magnitude at both edges.  A window cut from a
-    periodic field carries the cubic spline that :func:`line_window`
+    periodic field carries the interpolant that :func:`line_window`
     builds; there is no other interpolant.
     """
 
@@ -367,13 +384,45 @@ def line_window(f: PeriodicField) -> LinePotential:
 
     The field is rolled by a whole number of cells so the deepest sample
     sits at the window center; the decay requirement at the edges then
-    certifies that the periodic images do not overlap the window.  Between
-    the samples the potential is their cubic spline, built once here.
+    certifies that the periodic images do not overlap the window.
+
+    The samples are a band-limited periodic field, so between them the
+    potential is their trigonometric interpolant: ``rfft`` of the rolled
+    samples, zero-padded to F M points with the Nyquist bin halved (it
+    splits between the wavenumbers +-M/2), and one ``irfft``.  F is the
+    least power of two that puts these fine samples at most _MAX_CELL / 2
+    apart, 16 at the default h = 40/512; half that factor left a(k) off by
+    1e-10.  Between the fine samples the potential is their 6-point
+    Lagrange interpolant, held as one quintic per fine cell, so each call
+    of ``fn`` is a gather and a Horner evaluation.  The transforms and the
+    coefficients are computed once, here.
     """
-    shift = f.M // 2 - int(np.argmin(f.u))
-    u = np.roll(f.u, shift)
-    x = (np.arange(f.M) - f.M // 2) * f.h
-    return LinePotential(scipy.interpolate.CubicSpline(x, u), x[0], x[-1])
+    M = f.M
+    u = np.roll(f.u, M // 2 - int(np.argmin(f.u)))
+    F = 2 ** max(0, math.ceil(math.log2(2.0 * f.h / _MAX_CELL)))
+    n = F * M
+    spectrum = np.fft.rfft(u)
+    if F > 1:
+        spectrum[-1] *= 0.5
+    fine = np.fft.irfft(spectrum, n) * F
+    # cell j spans fine samples j..j+1 and reads j-2..j+3, wrapping around;
+    # coef[d, j] is the s^d coefficient of its quintic
+    cells = np.lib.stride_tricks.sliding_window_view(np.concatenate([fine[-2:], fine, fine[:3]]), 6)
+    coef = _LAGRANGE6 @ cells.T / 120.0
+    x = (np.arange(M) - M // 2) * f.h
+    x_left, spacing = x[0], f.h / F
+
+    def fn(xs):
+        t = (np.asarray(xs, dtype=float) - x_left) / spacing
+        j = np.clip(t.astype(np.intp), 0, n - 1)
+        s = t - j
+        out = coef[5][j]
+        for row in coef[4::-1]:
+            out *= s
+            out += row[j]
+        return out
+
+    return LinePotential(fn, x[0], x[-1])
 
 
 def solve_ivp(*args, **kwargs):
@@ -559,40 +608,77 @@ def analytic_soliton_a(k: complex, kappas: Sequence[float]) -> complex:
     return out
 
 
+def _refine_roots(pot, lo, hi, f_lo, f_hi):
+    """Zeros of a(i kappa) in the brackets [lo, hi], where a(i kappa) takes
+    the signs of f_lo and f_hi, by the Illinois method (Dowell & Jarratt 1971).
+
+    Each iteration takes the false-position point of every open bracket,
+    evaluates them all in one :func:`scattering_a` sweep and puts each in
+    place of the end of its sign.  For kappa <= 20 the sweep's cell width is
+    _MAX_CELL whatever the batch, so each value is the one a sweep of its
+    own would give.  When the same end is replaced twice running, the value
+    kept at the other end is halved, so both ends close in.  A point within
+    _ROOT_TOL / 2 of the end set last is moved _ROOT_TOL / 2 past it, toward
+    the other end, so a converged iterate closes its bracket on the next
+    sweep.  A bracket is done once it is at most _ROOT_TOL wide or an end
+    sits on a zero; its root is the false-position point of its ends.  A
+    bracket still open after _REFINE_STEPS iterations raises
+    ConvergenceError: no unrefined root is returned.
+    """
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    w_lo, w_hi = f_lo.copy(), f_hi.copy()
+    # +1 where hi was set last, -1 where lo was, 0 before the first step
+    side = np.zeros(lo.size)
+    nudge = _ROOT_TOL / 2.0
+    for step in range(_REFINE_STEPS + 1):
+        live = np.flatnonzero((hi - lo > _ROOT_TOL) & (f_lo != 0.0) & (f_hi != 0.0))
+        if live.size == 0:
+            return (f_lo * hi - f_hi * lo) / (f_lo - f_hi)
+        if step == _REFINE_STEPS:
+            raise ConvergenceError(
+                f"bound-state refinement left kappa in [{lo[live[0]]:.15g}, "
+                f"{hi[live[0]]:.15g}] open after {_REFINE_STEPS} iterations"
+            )
+        s = side[live]
+        x = (w_lo[live] * hi[live] - w_hi[live] * lo[live]) / (w_lo[live] - w_hi[live])
+        last = np.where(s > 0, hi[live], lo[live])
+        x = np.where((s != 0) & (np.abs(x - last) < nudge), last - s * nudge, x)
+        fx = scattering_a(pot, 1j * x).real
+        up = (fx > 0.0) == (f_hi[live] > 0.0)
+        i, j = live[up], live[~up]
+        hi[i], f_hi[i], w_hi[i] = x[up], fx[up], fx[up]
+        w_lo[i] *= np.where(side[i] > 0, 0.5, 1.0)
+        lo[j], f_lo[j], w_lo[j] = x[~up], fx[~up], fx[~up]
+        w_hi[j] *= np.where(side[j] < 0, 0.5, 1.0)
+        side[i], side[j] = 1.0, -1.0
+
+
 def bound_states(pot: LinePotential, k_max: float) -> np.ndarray:
     """Zeros of a(i kappa) for kappa in [0.05, k_max]: the bound-state wavenumbers.
 
     a restricted to the imaginary axis is real; one :func:`scattering_a`
-    sweep samples it on a kappa grid of step 0.05, and Brent's method
-    refines each sign change to 1e-10.  A scan sample landing numerically
-    on a zero is retried on a slightly widened bracket; if the retry also
-    degenerates the search reports failure.
+    sweep samples it on a kappa grid of step 0.05, and the Illinois method
+    refines every sign change to a bracket of at most 1e-10, moving all the
+    brackets in one sweep per iteration (:func:`_refine_roots`).  A scan
+    sample landing numerically on a zero is retried on a slightly widened
+    bracket; if the retry also degenerates the search reports failure.
     """
     if k_max <= _K_MIN:
         return np.array([])
-
-    def A(kappa):
-        return float(scattering_a(pot, [1j * kappa])[0].real)
-
     grid = np.arange(_K_MIN, k_max + _SCAN_STEP / 2.0, _SCAN_STEP)
     vals = scattering_a(pot, 1j * grid).real
     scale = max(1.0, float(np.max(np.abs(vals))))
     floor = 1e-13 * scale
     for i in np.flatnonzero(np.abs(vals) < floor):
-        shifted = min(grid[i] + _SCAN_STEP / 7.0, k_max)
-        grid[i] = shifted
-        vals[i] = A(shifted)
+        grid[i] = min(grid[i] + _SCAN_STEP / 7.0, k_max)
+        vals[i] = scattering_a(pot, [1j * grid[i]])[0].real
         if abs(vals[i]) < floor:
             raise ConvergenceError(
                 f"scan sample at kappa={grid[i]:.6g} sits on a zero of a(i kappa) "
                 "even after widening"
             )
-    roots = [
-        scipy.optimize.brentq(A, grid[i], grid[i + 1], xtol=_ROOT_TOL)
-        for i in range(len(grid) - 1)
-        if vals[i] * vals[i + 1] < 0
-    ]
-    return np.array(roots)
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    return _refine_roots(pot, grid[i], grid[i + 1], vals[i], vals[i + 1])
 
 
 @dataclass(frozen=True)

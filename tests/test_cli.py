@@ -675,15 +675,20 @@ class TestColdStart:
         )
         assert not loaded & DEFERRED
 
-    def test_kdv_scattering_run_loads_no_scipy_integrate(self, tmp_path):
-        payload = {
-            "experiment": "kdv-scattering",
-            "parameters": {"t_final": 1e-3, "dt": 5e-4, "n_k": 3},
-        }
-        loaded = scipy_loaded_after(tmp_path, [payload])
-        # the spline and Brent's method load on use; the DOP853 oracle is not used
-        assert {"scipy.interpolate", "scipy.optimize"} <= loaded
-        assert "scipy.integrate" not in loaded
+    def test_kdv_scattering_runs_load_no_scipy_submodule(self, tmp_path):
+        # the line window, the sweeps and the root refinement are NumPy;
+        # only the DOP853 oracle, which no run calls, needs scipy.integrate
+        loaded = scipy_loaded_after(
+            tmp_path,
+            [
+                {
+                    "experiment": "kdv-scattering",
+                    "parameters": {"t_final": 1e-3, "dt": 5e-4, "n_k": 3},
+                },
+                {"experiment": "kdv-action-hamiltonian"},
+            ],
+        )
+        assert not loaded & DEFERRED
 
     def test_oracle_calls_the_module_level_solve_ivp(self, monkeypatch):
         # perfbench/tracer.py substitutes kdv.solve_ivp to count Jost RHS calls

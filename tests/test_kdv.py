@@ -7,11 +7,13 @@ invariants I_1 = 4 kappa, I_2 = 16 kappa^3 / 3, I_3 = 64 kappa^5 / 5.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from hamlab import kdv
 from hamlab.errors import BlowUpError, ConvergenceError, DecayError
 from hamlab.kdv import (
     LinePotential,
@@ -59,6 +61,12 @@ def sech_pot():
 def evolved_soliton():
     f0 = soliton_field(1.0)
     return f0, kdv_evolve(f0, 1e-4, 10000)
+
+
+@pytest.fixture(scope="module")
+def half_evolved_soliton():
+    # t = 0.5: the trough has moved 2, between grid nodes
+    return kdv_evolve(soliton_field(1.0), 1e-4, 5000)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +180,28 @@ class TestKdvEvolve:
     def test_numpy_integer_steps_accepted(self):
         f = soliton_field(1.0)
         assert np.array_equal(kdv_evolve(f, 1e-4, np.int64(70)).u, kdv_evolve(f, 1e-4, 70).u)
+
+    def test_equals_reference_loop(self):
+        # the buffered steps give the same doubles as the plain IF-RK4
+        # expressions; 130 steps cross two 64-step blocks of the check
+        f, dt, n_steps = soliton_field(1.0), 1e-4, 130
+        M = f.M
+        k = 2.0 * np.pi * np.fft.rfftfreq(M, d=f.L_domain / M)
+        E = np.exp(1j * k**3 * (dt / 2.0))
+        E2 = E * E
+        keep = np.arange(k.size) <= M // 3
+
+        def N(v):
+            return dt * (3j * k * (np.fft.rfft(np.fft.irfft(v, M) ** 2) * keep))
+
+        v = np.fft.rfft(f.u)
+        for _ in range(n_steps):
+            a = N(v)
+            b = N(E * (v + a / 2))
+            c = N(E * v + b / 2)
+            d = N(E2 * v + E * c)
+            v = E2 * v + (E2 * a + 2.0 * E * (b + c) + d) / 6
+        assert np.array_equal(kdv_evolve(f, dt, n_steps).u, np.fft.irfft(v, M))
 
 
 class TestTwoSolitonCollision:
@@ -347,23 +377,36 @@ class TestLinePotential:
         x = window_knots(f)
         assert np.max(np.abs(line_window(f).fn(x) - soliton(x, 1.0, 0.0))) < 1e-10
 
-    def test_one_spline_per_window(self, monkeypatch):
+    @pytest.mark.parametrize("kappa", [0.8, 1.0, 1.3])
+    def test_window_interpolates_between_samples(self, kappa):
+        # between the samples the window is the band-limited field itself
+        w = line_window(soliton_field(kappa))
+        x = np.linspace(w.x_left, w.x_right, 10007)
+        assert np.max(np.abs(w.fn(x) - soliton(x, kappa, 0.0))) < 1e-12
+
+    def test_transforms_once_per_window(self, monkeypatch):
         # the window's interpolant is built once, by line_window; the
-        # bound-state scan, its Brent refinements and later sweeps reuse it
-        import scipy.interpolate
+        # bound-state scan, its refinement steps and later sweeps reuse it
+        calls = []
 
-        built = []
-        real = scipy.interpolate.CubicSpline
+        def counting(name):
+            real = getattr(np.fft, name)
 
-        def counting(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
+            def transform(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
-        w = line_window(soliton_field(1.0))
-        assert bound_states(w, 1.5).size == 1
-        scattering_a(w, [1.3])
-        assert len(built) == 1
+            monkeypatch.setattr(np.fft, name, transform)
+
+        counting("rfft")
+        counting("irfft")
+        for kappa in (1.0, 1.3):
+            w = line_window(soliton_field(kappa))
+            assert calls == ["rfft", "irfft"]
+            assert bound_states(w, 1.5).size == 1
+            scattering_a(w, [1.3])
+            assert calls == ["rfft", "irfft"]
+            calls.clear()
 
 
 class TestSchrodingerA:
@@ -381,9 +424,9 @@ class TestSchrodingerA:
         a = schrodinger_a(w, 1.3)
         assert abs(a - analytic_soliton_a(1.3, [1.0])) < 1e-6
 
-    def test_invariant_along_flow(self, evolved_soliton):
+    def test_invariant_along_flow(self, evolved_soliton, half_evolved_soliton):
         f0, f1 = evolved_soliton
-        f_half = kdv_evolve(f0, 1e-4, 5000)
+        f_half = half_evolved_soliton
         values = [schrodinger_a(line_window(f), 1.3) for f in (f0, f_half, f1)]
         assert max(abs(v - values[0]) for v in values) < 1e-4
 
@@ -433,11 +476,13 @@ class TestScatteringA:
         oracle = np.array([schrodinger_a(pot, k) for k in ks])
         assert np.max(np.abs(scattering_a(pot, ks) - oracle)) < 1e-9
 
-    def test_spline_window_matches_oracle(self):
+    def test_window_matches_closed_form(self):
+        # the window's spectral interpolant is the sampled soliton to
+        # round-off, so a(k) on it is the closed form's
         w = line_window(soliton_field(1.0))
-        ks = np.array([0.4, 1.3, 2.5, 0.5j, 1.5j])
-        oracle = np.array([schrodinger_a(w, k) for k in ks])
-        assert np.max(np.abs(scattering_a(w, ks) - oracle)) < 1e-8
+        ks = np.array([0.3, 0.4, 1.0, 1.3, 2.0, 2.5, 0.5j, 1.1j, 1.5j])
+        exact = np.array([analytic_soliton_a(k, [1.0]) for k in ks])
+        assert np.max(np.abs(scattering_a(w, ks) - exact)) <= 1e-12
 
     def test_free_potential_gives_unity(self):
         zero = LinePotential(np.zeros_like, -20.0, 20.0)
@@ -506,6 +551,64 @@ class TestBoundStates:
 
     def test_empty_range(self, sech_pot):
         assert bound_states(sech_pot, 0.01).size == 0
+
+    @pytest.mark.parametrize("kappa", [0.95, 1.0, 1.05, 1.3])
+    def test_analytic_profiles_to_round_off(self, kappa, monkeypatch):
+        # the scan plus at most 7 refinement sweeps, the count of the
+        # Brent steps this refinement replaced
+        sweeps = []
+        real = kdv.scattering_a
+
+        def counting(pot, ks):
+            sweeps.append(ks)
+            return real(pot, ks)
+
+        monkeypatch.setattr(kdv, "scattering_a", counting)
+        bk = bound_states(sample_potential(sech2_potential(kappa)), kappa + 0.5)
+        assert bk.size == 1
+        assert abs(bk[0] - kappa) <= 2e-12
+        assert len(sweeps) <= 8
+
+    def test_evolved_soliton_window(self, half_evolved_soliton):
+        bk = bound_states(line_window(half_evolved_soliton), 1.5)
+        assert bk.size == 1
+        assert abs(bk[0] - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_poschl_teller_one_sweep_per_iteration(self, nu, monkeypatch):
+        # -nu (nu + 1) sech^2 x binds kappa_n = nu - n, n = 0..nu-1; every
+        # refinement iteration evaluates one point of each open bracket,
+        # all of them in one sweep
+        sweeps, refine_from = [], []
+        real_a, real_refine = kdv.scattering_a, kdv._refine_roots
+
+        def counting(pot, ks):
+            sweeps.append(np.atleast_1d(ks).imag)
+            return real_a(pot, ks)
+
+        def marking(*args):
+            refine_from.append(len(sweeps))
+            return real_refine(*args)
+
+        monkeypatch.setattr(kdv, "scattering_a", counting)
+        monkeypatch.setattr(kdv, "_refine_roots", marking)
+        pot = sample_potential(lambda x: -nu * (nu + 1) / np.cosh(x) ** 2)
+        bk = bound_states(pot, nu + 0.5)
+        assert bk.size == nu
+        assert np.max(np.abs(bk - np.arange(1, nu + 1))) <= 1e-10
+        # a point belongs to the bracket of its nearest root
+        brackets = [np.rint(kappas).astype(int) for kappas in sweeps[refine_from[0] :]]
+        assert brackets[0].size == nu
+        assert all(np.unique(b).size == b.size for b in brackets)
+        assert len(brackets) == np.bincount(np.concatenate(brackets)).max()
+
+    def test_iteration_cap_names_the_open_interval(self, sech_pot, monkeypatch):
+        monkeypatch.setattr(kdv, "_REFINE_STEPS", 2)
+        with pytest.raises(ConvergenceError, match="open after 2 iterations") as exc:
+            bound_states(sech_pot, 1.5)
+        interval = re.search(r"kappa in \[([^,]+), ([^\]]+)\]", str(exc.value))
+        lo, hi = float(interval[1]), float(interval[2])
+        assert 0.95 <= lo < 1.0 < hi <= 1.05
 
 
 class TestScatteringData:
