@@ -190,6 +190,15 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
     spreads through the transforms and stays non-finite to the block's end.
     A block that ends non-finite is run again from its start with a check
     after every step, so :class:`BlowUpError` names the first bad step.
+
+    Inside the steps, the 8 transforms per step call NumPy's pocketfft
+    gufuncs ``numpy.fft._pocketfft_umath.irfft`` (factor 1/M) and
+    ``rfft_n_even`` (factor 1; M is a power of two) directly, with the
+    kernels and factors ``np.fft.irfft`` and ``rfft`` pass, so every double
+    is theirs.  At M = 512 the public wrappers cost more than the
+    transforms.  ``TestKdvEvolve::test_equals_reference_loop`` compares
+    the result bit for bit with a public-``np.fft`` IF-RK4 on four grids,
+    so a NumPy release that changes the private module fails it.
     """
     if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
         raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
@@ -211,18 +220,28 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
     E2 = E * E
     two_E = 2.0 * E
     three_ik = 3j * k
-    keep = np.arange(k.size) <= M // 3
     u = np.empty(M)
     a, b, c, d, s, *ends = (np.empty_like(E) for _ in range(7))
+    # bound per call: numpy.fft loads lazily, and importing hamlab.cli
+    # must not load it
+    from numpy.fft import _pocketfft_umath as pocketfft
+
+    irfft, rfft = pocketfft.irfft, pocketfft.rfft_n_even
+    # operands a ufunc would convert on every call, the dealiasing mask and
+    # the Python floats, are stored in the dtype they convert to: the same
+    # doubles, without the conversions
+    keep = (np.arange(k.size) <= M // 3).astype(complex)
+    inv_M, one = np.array(1.0 / M), np.array(1.0)
+    dt_c, two, six = (np.array(x, dtype=complex) for x in (dt, 2.0, 6.0))
 
     def nonlinear(vhat, out):
         # out = dt 3ik rfft(irfft(vhat)^2), dealiased; vhat may be out
-        np.fft.irfft(vhat, M, out=u)
+        irfft(vhat, inv_M, out=u)
         np.multiply(u, u, out=u)
-        np.fft.rfft(u, out=out)
+        rfft(u, one, out=out)
         np.multiply(out, keep, out=out)
         np.multiply(three_ik, out, out=out)
-        np.multiply(dt, out, out=out)
+        np.multiply(dt_c, out, out=out)
 
     def step(vhat, out):
         # the RK4 stages, one ufunc per operation of these expressions and
@@ -231,12 +250,12 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
         #   d = dt N(E2 vhat + E c),
         #   out = E2 vhat + (E2 a + 2E (b + c) + d) / 6
         nonlinear(vhat, a)
-        np.divide(a, 2.0, out=s)
+        np.divide(a, two, out=s)
         np.add(vhat, s, out=s)
         np.multiply(E, s, out=s)
         nonlinear(s, b)
         np.multiply(E, vhat, out=s)
-        np.divide(b, 2.0, out=c)
+        np.divide(b, two, out=c)
         np.add(s, c, out=c)
         nonlinear(c, c)
         np.multiply(E2, vhat, out=s)
@@ -248,7 +267,7 @@ def kdv_evolve(f: PeriodicField, dt: float, n_steps: int) -> PeriodicField:
         np.multiply(two_E, b, out=b)
         np.add(a, b, out=a)
         np.add(a, d, out=a)
-        np.divide(a, 6.0, out=a)
+        np.divide(a, six, out=a)
         np.add(s, a, out=out)
 
     def steps(vhat, first, last, check):

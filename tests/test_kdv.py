@@ -83,6 +83,21 @@ def sech_data(sech_pot):
     return scattering_data(sech_pot, np.linspace(0.05, 4.0, 60), k_max_bound=1.5)
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """The names of the public ``np.fft.rfft`` / ``irfft`` calls, in order."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        real = getattr(np.fft, name)
+
+        def transform(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, transform)
+    return calls
+
+
 class TestPeriodicField:
     def test_grid_must_be_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -173,7 +188,10 @@ class TestKdvEvolve:
             raise AssertionError("transform before the step count was checked")
 
         f = soliton_field(1.0)
-        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, no_transform)
+        for name in ("rfft_n_even", "irfft"):
+            monkeypatch.setattr(np.fft._pocketfft_umath, name, no_transform)
         with pytest.raises(ValueError, match=f"n_steps must be an integer >= 0, got {n_steps!r}"):
             kdv_evolve(f, 1e-4, n_steps)
 
@@ -181,11 +199,17 @@ class TestKdvEvolve:
         f = soliton_field(1.0)
         assert np.array_equal(kdv_evolve(f, 1e-4, np.int64(70)).u, kdv_evolve(f, 1e-4, 70).u)
 
-    def test_equals_reference_loop(self):
-        # the buffered steps give the same doubles as the plain IF-RK4
-        # expressions; 130 steps cross two 64-step blocks of the check
-        f, dt, n_steps = soliton_field(1.0), 1e-4, 130
-        M = f.M
+    def test_public_fft_only_at_entry_and_exit(self, fft_calls):
+        # the steps call pocketfft's gufuncs; np.fft runs once each way
+        kdv_evolve(soliton_field(1.0), 1e-4, 130)
+        assert fft_calls == ["rfft", "irfft"]
+
+    @pytest.mark.parametrize("M, L", [(8, 40.0), (64, 16.0), (512, 40.0), (1024, 60.0)])
+    def test_equals_reference_loop(self, M, L):
+        # the buffered gufunc steps give the same doubles as the plain
+        # IF-RK4 expressions on public np.fft; 130 steps cross two 64-step
+        # blocks of the check
+        f, dt, n_steps = soliton_field(1.0, L_domain=L, M=M), 1e-4, 130
         k = 2.0 * np.pi * np.fft.rfftfreq(M, d=f.L_domain / M)
         E = np.exp(1j * k**3 * (dt / 2.0))
         E2 = E * E
@@ -384,29 +408,16 @@ class TestLinePotential:
         x = np.linspace(w.x_left, w.x_right, 10007)
         assert np.max(np.abs(w.fn(x) - soliton(x, kappa, 0.0))) < 1e-12
 
-    def test_transforms_once_per_window(self, monkeypatch):
+    def test_transforms_once_per_window(self, fft_calls):
         # the window's interpolant is built once, by line_window; the
         # bound-state scan, its refinement steps and later sweeps reuse it
-        calls = []
-
-        def counting(name):
-            real = getattr(np.fft, name)
-
-            def transform(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, transform)
-
-        counting("rfft")
-        counting("irfft")
         for kappa in (1.0, 1.3):
             w = line_window(soliton_field(kappa))
-            assert calls == ["rfft", "irfft"]
+            assert fft_calls == ["rfft", "irfft"]
             assert bound_states(w, 1.5).size == 1
             scattering_a(w, [1.3])
-            assert calls == ["rfft", "irfft"]
-            calls.clear()
+            assert fft_calls == ["rfft", "irfft"]
+            fft_calls.clear()
 
 
 class TestSchrodingerA:

@@ -32,7 +32,9 @@ sample times (more line windows), kdv-action-hamiltonian with k_max_bound
 0.04 (no bound state: a header-only bound.csv and exit 1) and with 300 k
 (one chunk per block of the Magnus sweep), a shortened kdv-conservation at
 kappa 0.8, and kdv-conservation over one segment of 203 steps (a
-kdv_evolve call that ends in a partial block of its finiteness check).
+kdv_evolve call that ends in a partial block of its finiteness check),
+and kdv-conservation to t_final 0.05 at 2 samples on 256 modes and on
+1024 modes over L_domain 60 (transform sizes other than 512).
 Two configs must blow up (exit 3, no checks, so their error records are
 what is compared): string-modes with dt 0.5 over 20000 steps (a Verlet
 step unstable for the upper modes) and kdv-conservation with dt 0.05 to
@@ -85,6 +87,8 @@ CONFIGS = (
     + [("kdv-action-hamiltonian", {"k_max_bound": 0.04}), ("kdv-action-hamiltonian", {"n_k": 300})]
     + [("kdv-conservation", {"kappa": 0.8, "t_final": 0.5})]
     + [("kdv-conservation", {"t_final": 0.0203, "n_samples": 2})]
+    + [("kdv-conservation", {"M": 256, "t_final": 0.05, "n_samples": 2})]
+    + [("kdv-conservation", {"M": 1024, "L_domain": 60.0, "t_final": 0.05, "n_samples": 2})]
     + [("string-modes", {"dt": 0.5, "steps": 20000})]
     + [("kdv-conservation", {"dt": 0.05, "t_final": 5.0, "n_samples": 2})]
 )
