@@ -49,7 +49,6 @@ _SEED_MIN = 0
 _SEED = _Rule(lambda x: type(x) is int and x >= _SEED_MIN, f"an integer >= {_SEED_MIN}")
 _AT_LEAST_2 = _Rule(lambda x: type(x) is int and x >= 2, "an integer >= 2")
 _SIGN = _Rule(lambda x: type(x) is int and x in (1, -1), "one of the integers 1, -1")
-_SPLINE_ORDER = _Rule(lambda x: type(x) is int and x in (2, 3), "one of the integers 2, 3")
 
 
 def _distinct_list(item, min_len=0):
@@ -254,7 +253,7 @@ def _run_line_velocity_moments(p):
     cur = f0
     dt = p["t_final"] / p["steps"]
     for _ in range(p["steps"]):
-        cur = line.dalembert_evolve(cur, dt, p["spline_order"])
+        cur = line.dalembert_evolve(cur, dt)
         drifts = np.maximum(drifts, np.abs(line.continuous_mode_energy(cur, ys) - e0))
         m_drift = np.maximum(m_drift, np.abs(line.velocity_moment(cur, orders) - m0))
 
@@ -442,7 +441,6 @@ EXPERIMENTS = {
             "y_values": ([0.5, 1.0, 2.0], _distinct_list(_POS_NUMBER, min_len=1)),
             "t_final": (1.0, _POS_NUMBER),
             "steps": (4, _POS_INT),
-            "spline_order": (2, _SPLINE_ORDER),
             "energy_tol": (1e-8, _POS_NUMBER),
             "moment_tol": (1e-10, _POS_NUMBER),
         },

@@ -5,8 +5,9 @@ must be effectively compactly supported inside the window (endpoint
 samples below ``DEFAULT_DECAY_TOL``); all integrals over the line then
 become proper integrals over the grid.  The module provides
 
- - exact evolution of the wave equation by the d'Alembert formula applied
-   to a piecewise-polynomial interpolant of the data,
+ - exact evolution of the wave equation: d'Alembert's formula applied to
+   the samples' trigonometric interpolant, the band-limited field on the
+   window's period, which is one rotation of each Fourier mode,
  - the continuous mode energy f(y): the per-wavenumber energy functional,
    conserved for every y,
  - odd-moment canonical coordinates q_n = int x^(2n+1) u dx and
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
-import scipy
 
 from ._frozen import finite, freeze
 from .canonical import CanonicalState
@@ -149,15 +149,30 @@ def support_margin(f: LineField) -> float:
     return float(min(idx[0], f.u.size - 1 - idx[-1]) * f.h)
 
 
-def dalembert_evolve(f: LineField, dt: float, spline_order: int = 2) -> LineField:
+def _spectrum(u: np.ndarray, h: float):
+    """u_hat = rfft(u), the wavenumbers k = 2 pi j / (n h) of the window's
+    period n h, and k u_hat (u_x = irfft(i k u_hat)), zero above the last
+    mode with |u_hat| > 16 eps max|u_hat|: times k, up to pi/h, round-off
+    there would lift v's far field past DEFAULT_DECAY_TOL."""
+    uhat = np.fft.rfft(u)
+    k = 2.0 * np.pi * np.fft.rfftfreq(u.size, h)
+    size = np.abs(uhat)
+    last = np.max(np.flatnonzero(size > 16.0 * np.finfo(float).eps * size.max()), initial=-1)
+    ku = k * uhat
+    ku[last + 1 :] = 0.0
+    return uhat, k, ku
+
+
+def dalembert_evolve(f: LineField, dt: float) -> LineField:
     """Advance the wave equation by dt with the d'Alembert formula.
 
-    u(x, t+dt) = [u(x+dt) + u(x-dt)]/2 + (1/2) int_{x-dt}^{x+dt} v, and the
-    time-differentiated counterpart for v.  The field between samples is a
-    spline of the given order; the formula is then evaluated exactly
-    (shifts, the spline's own derivative and antiderivative), so the step
-    is the exact continuum evolution of the interpolated data and every
-    continuum invariant is inherited up to quadrature error.
+    The field between samples is their trigonometric interpolant on the
+    window's period, on which the formula rotates each mode exactly:
+    u_hat <- u_hat cos(k dt) + v_hat sin(k dt)/k (u_hat + dt v_hat at k = 0),
+    v_hat <- -k u_hat sin(k dt) + v_hat cos(k dt).  So the step is the exact
+    continuum evolution of the interpolated data, and every continuum
+    invariant is inherited up to round-off.  A step shorter than the
+    support margin keeps the periodic images out of the window.
     """
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
@@ -168,37 +183,20 @@ def dalembert_evolve(f: LineField, dt: float, spline_order: int = 2) -> LineFiel
         raise DomainExitError(
             f"|dt|={abs(dt):.6g} >= support margin {margin:.6g}; waves would reach the window edge"
         )
-    x = f.grid
-    lo, hi = x[0], x[-1]
-    U = scipy.interpolate.make_interp_spline(x, f.u, k=spline_order)
-    V = scipy.interpolate.make_interp_spline(x, f.v, k=spline_order)
-    Vint = V.antiderivative()
-    Uprime = U.derivative()
-    # x + dt and x - dt clipped to the window, once for all eight evaluations
-    xp, xm = x + dt, x - dt
-    in_p, in_m = (xp >= lo) & (xp <= hi), (xm >= lo) & (xm <= hi)
-    xp, xm = np.clip(xp, lo, hi), np.clip(xm, lo, hi)
-
-    def inside_or_zero(sp):
-        return np.where(in_p, sp(xp), 0.0), np.where(in_m, sp(xm), 0.0)
-
-    (up, um), (dup, dum), (vp, vm) = inside_or_zero(U), inside_or_zero(Uprime), inside_or_zero(V)
-    # The running integral of v is constant outside the window (v = 0
-    # there), so clipping the evaluation point is the correct extension.
-    u_new = 0.5 * (up + um) + 0.5 * (Vint(xp) - Vint(xm))
-    v_new = 0.5 * (dup - dum) + 0.5 * (vp + vm)
+    uhat, k, ku = _spectrum(f.u, f.h)
+    vhat = np.fft.rfft(f.v)
+    cos, sin = np.cos(k * dt), np.sin(k * dt)
+    sin_over_k = np.divide(sin, k, out=np.full_like(k, dt), where=k != 0.0)  # dt at k = 0
+    u_new = np.fft.irfft(uhat * cos + vhat * sin_over_k, f.u.size)
+    v_new = np.fft.irfft(vhat * cos - ku * sin, f.u.size)
     return LineField(u_new, v_new, f.h, f.t + dt)
 
 
-def line_energy(f: LineField, spline_order: int = 2) -> float:
-    """Field energy (1/2) int (u_x**2 + v**2) dx.
-
-    u_x comes from the derivative of a spline of the given order; using
-    the same order as dalembert_evolve makes the measured energy an exact
-    invariant of the discrete evolution up to quadrature round-off.
-    """
-    x = f.grid
-    ux = scipy.interpolate.make_interp_spline(x, f.u, k=spline_order).derivative()(x)
+def line_energy(f: LineField) -> float:
+    """Field energy (1/2) int (u_x**2 + v**2) dx, with u_x the spectral
+    derivative that dalembert_evolve rotates, so the evolution conserves
+    it up to round-off."""
+    ux = np.fft.irfft(1j * _spectrum(f.u, f.h)[2], f.u.size)
     return float(_sym_trapezoid(0.5 * (ux**2 + f.v**2), f.h))
 
 

@@ -98,9 +98,12 @@ class TestConfigValidation:
         )
         assert code == 2
 
-    def test_unknown_parameter_exits_2(self, tmp_path):
-        code = run_cli(tmp_path, {"experiment": "string-hj", "parameters": {"bogus": 1}})
-        assert code == 2
+    def test_unknown_parameter_exits_2(self, tmp_path, capsys):
+        # spline_order, a removed parameter, is rejected like any unknown name
+        for experiment, name in [("string-hj", "bogus"), ("line-velocity-moments", "spline_order")]:
+            code = run_cli(tmp_path, {"experiment": experiment, "parameters": {name: 3}})
+            assert code == 2
+            assert f"field parameters/{name}: unknown; " in capsys.readouterr().err
 
     def test_unknown_top_level_key_exits_2(self, tmp_path):
         code = run_cli(tmp_path, {"experiment": "string-hj", "extra": True})
@@ -259,7 +262,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "experiment, name, value",
         [
-            ("line-velocity-moments", "spline_order", 2.0),
             ("line-gseries", "sign", 1.0),
             ("line-gseries", "sign", True),
             ("string-completeness", "remove", [1, 1.0]),
@@ -311,7 +313,6 @@ class TestConfigValidation:
         "an integer >= 0": (0.0, -1),
         "an integer >= 2": (2.0, 1),
         "one of the integers 1, -1": (1.0, 0),
-        "one of the integers 2, 3": (2.0, 4),
         "a list of 0 or more distinct entries, each an integer >= 1": ({"1": 1}, [1, 0]),
         "a list of 1 or more distinct entries, each a number > 0": (0.5, []),
     }
@@ -664,13 +665,14 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == ["hamlab"]
 
-    def test_string_and_gseries_runs_load_no_scipy_submodule(self, tmp_path):
+    def test_string_and_line_runs_load_no_scipy_submodule(self, tmp_path):
         loaded = scipy_loaded_after(
             tmp_path,
             [
                 {"experiment": "string-hj", "parameters": {"samples": 5}},
                 {"experiment": "string-completeness"},
                 {"experiment": "line-gseries"},
+                {"experiment": "line-velocity-moments", "parameters": {"steps": 1}},
             ],
         )
         assert not loaded & DEFERRED

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamlab import (
@@ -78,27 +78,31 @@ class TestDalembertEvolve:
         assert dalembert_evolve(generic_field, 0.0) is generic_field
 
     def test_bump_splits_into_halves(self):
-        f = sample_line_field(lambda x: np.exp(-(x**2)))
-        out = dalembert_evolve(f, 3.0)
-        x = f.grid
-        want = 0.5 * (np.exp(-((x - 3.0) ** 2)) + np.exp(-((x + 3.0) ** 2)))
-        assert np.max(np.abs(out.u - want)) < 1e-12
-        assert out.t == pytest.approx(3.0)
+        # d'Alembert's closed form u(x, t) = [u0(x+t) + u0(x-t)]/2
+        # + [W(x+t) - W(x-t)]/2 with W' = v0: a resting bump, and the
+        # default line-velocity-moments field, whose W is -0.4 e^(-x^2/2)
+        cases = [
+            (lambda x: np.exp(-(x**2)), None, lambda x: 0.0 * x, 3.0),
+            (u_generic, v_generic, lambda x: -0.4 * np.exp(-(x**2) / 2.0), 1.0),
+        ]
+        for u0, v0, W, t in cases:
+            f = sample_line_field(u0, v0)
+            out = dalembert_evolve(f, t)
+            x = f.grid
+            want = 0.5 * (u0(x + t) + u0(x - t)) + 0.5 * (W(x + t) - W(x - t))
+            assert np.max(np.abs(out.u - want)) < 1e-12
+            assert out.t == pytest.approx(t)
 
     def test_step_is_kept(self):
         f = sample_line_field(lambda x: np.exp(-(x**2)), L=6.0, step=0.1)
         assert dalembert_evolve(f, 0.5).h == f.h
-        assert dalembert_evolve(f, 0.5, spline_order=3).h == f.h
 
     def test_reversibility(self, generic_field):
-        # each step re-interpolates, so the round trip is limited by the
-        # spline order: quadratic leaves ~1e-8 residue, cubic is clean
-        back2 = dalembert_evolve(dalembert_evolve(generic_field, 0.5), -0.5)
-        assert np.max(np.abs(back2.u - generic_field.u)) < 1e-6
-        fwd3 = dalembert_evolve(generic_field, 0.5, spline_order=3)
-        back3 = dalembert_evolve(fwd3, -0.5, spline_order=3)
-        assert np.max(np.abs(back3.u - generic_field.u)) < 1e-10
-        assert np.max(np.abs(back3.v - generic_field.v)) < 1e-10
+        # each step is exact on the same band-limited field, so the round
+        # trip leaves only round-off (1.4e-15 in u, 1.8e-15 in v measured)
+        back = dalembert_evolve(dalembert_evolve(generic_field, 0.5), -0.5)
+        assert np.max(np.abs(back.u - generic_field.u)) < 2.7e-15
+        assert np.max(np.abs(back.v - generic_field.v)) < 7.0e-15
 
     def test_margin_violation_raises(self):
         f = sample_line_field(lambda x: np.exp(-(x**2)))
@@ -334,8 +338,10 @@ def bump_sum(rng, parity):
     return lambda x: g(x) + sign * g(-x)
 
 
-# Over 360 draws of the strategy below, the largest deviation from the
-# order-two law was 3.5e-13; the bound leaves a factor of about 6.
+# Over 360 draws of the strategy below (seeds 0-39, all nine parity
+# pairs), the largest deviation from the order-two law was 1.2e-12 (seed
+# 34, odd u, even v; the next 5.6e-13); the bound leaves a factor of about
+# 1.7.  It is round-off in the far-field v, weighted by x^2 up to 400.
 ORDER_TWO_LAW_TOL = 2e-12
 PARITY = st.sampled_from(["even", "odd", "none"])
 
@@ -367,8 +373,16 @@ class TestVelocityMoments:
         assert measured == pytest.approx(2.0 * T * iu, rel=1e-8)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**32 - 1), PARITY, PARITY, st.sampled_from([2, 3]))
-    def test_order_two_law_on_random_bumps(self, seed, u_parity, v_parity, spline_order):
+    @given(st.integers(0, 2**32 - 1), PARITY, PARITY)
+    # draws whose far-field v sits near DEFAULT_DECAY_TOL: with the
+    # derivative's floor at 1 eps instead of 16 eps, the last step raises
+    # DomainExitError on (28, odd, none), and did on the other three under
+    # a variant of the step that rounds differently
+    @example(22, "even", "odd")
+    @example(25, "odd", "none")
+    @example(28, "even", "odd")
+    @example(28, "odd", "none")
+    def test_order_two_law_on_random_bumps(self, seed, u_parity, v_parity):
         # d/dt int x^2 u_t dx = 2 int u dx and d/dt int u dx = int v dx, so
         # over [0, T] the moment moves by 2 T int u0 dx + T^2 int v0 dx
         rng = np.random.default_rng(seed)
@@ -376,7 +390,7 @@ class TestVelocityMoments:
         T, steps = 1.0, 4
         cur = f
         for _ in range(steps):
-            cur = dalembert_evolve(cur, T / steps, spline_order)
+            cur = dalembert_evolve(cur, T / steps)
         moved = velocity_moment(cur, [2])[0] - velocity_moment(f, [2])[0]
         want = 2.0 * T * np.trapezoid(f.u, f.grid) + T**2 * np.trapezoid(f.v, f.grid)
         assert abs(moved - want) <= ORDER_TWO_LAW_TOL
