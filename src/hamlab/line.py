@@ -5,9 +5,8 @@ must be effectively compactly supported inside the window (endpoint
 samples below ``DEFAULT_DECAY_TOL``); all integrals over the line then
 become proper integrals over the grid.  The module provides
 
- - exact evolution of the wave equation: d'Alembert's formula applied to
-   the samples' trigonometric interpolant, the band-limited field on the
-   window's period, which is one rotation of each Fourier mode,
+ - exact evolution of the wave equation: d'Alembert's formula on the
+   samples' trigonometric interpolant rotates each Fourier mode,
  - the continuous mode energy f(y): the per-wavenumber energy functional,
    conserved for every y,
  - odd-moment canonical coordinates q_n = int x^(2n+1) u dx and
@@ -150,29 +149,27 @@ def support_margin(f: LineField) -> float:
 
 
 def _spectrum(u: np.ndarray, h: float):
-    """u_hat = rfft(u), the wavenumbers k = 2 pi j / (n h) of the window's
-    period n h, and k u_hat (u_x = irfft(i k u_hat)), zero above the last
-    mode with |u_hat| > 16 eps max|u_hat|: times k, up to pi/h, round-off
-    there would lift v's far field past DEFAULT_DECAY_TOL."""
+    """u_hat = rfft(u) and k = 2 pi j / (n h), so u_x = irfft(i k u_hat).  Modes above the
+    last one over 16 eps max|u_hat| are round-off and are zeroed: times k they would swamp
+    v, and a mode that a step turns by whole periods would gather them step after step."""
     uhat = np.fft.rfft(u)
-    k = 2.0 * np.pi * np.fft.rfftfreq(u.size, h)
     size = np.abs(uhat)
     last = np.max(np.flatnonzero(size > 16.0 * np.finfo(float).eps * size.max()), initial=-1)
-    ku = k * uhat
-    ku[last + 1 :] = 0.0
-    return uhat, k, ku
+    uhat[last + 1 :] = 0.0
+    return uhat, 2.0 * np.pi * np.fft.rfftfreq(u.size, h)
 
 
 def dalembert_evolve(f: LineField, dt: float) -> LineField:
     """Advance the wave equation by dt with the d'Alembert formula.
 
-    The field between samples is their trigonometric interpolant on the
-    window's period, on which the formula rotates each mode exactly:
+    On the samples' trigonometric interpolant over the window's period it
+    is exact, so continuum invariants hold up to round-off: each mode turns,
     u_hat <- u_hat cos(k dt) + v_hat sin(k dt)/k (u_hat + dt v_hat at k = 0),
-    v_hat <- -k u_hat sin(k dt) + v_hat cos(k dt).  So the step is the exact
-    continuum evolution of the interpolated data, and every continuum
-    invariant is inherited up to round-off.  A step shorter than the
-    support margin keeps the periodic images out of the window.
+    v_hat <- -k u_hat sin(k dt) + v_hat cos(k dt).  A step shorter than the
+    support margin keeps the periodic images out of the window.  Waves move
+    at unit speed, so beyond |dt| of the outermost samples above eps times
+    the largest the exact field is round-off; u and v are set to zero there,
+    as the transforms' round-off scales with the amplitude.
     """
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
@@ -183,12 +180,17 @@ def dalembert_evolve(f: LineField, dt: float) -> LineField:
         raise DomainExitError(
             f"|dt|={abs(dt):.6g} >= support margin {margin:.6g}; waves would reach the window edge"
         )
-    uhat, k, ku = _spectrum(f.u, f.h)
+    uhat, k = _spectrum(f.u, f.h)
     vhat = np.fft.rfft(f.v)
     cos, sin = np.cos(k * dt), np.sin(k * dt)
     sin_over_k = np.divide(sin, k, out=np.full_like(k, dt), where=k != 0.0)  # dt at k = 0
     u_new = np.fft.irfft(uhat * cos + vhat * sin_over_k, f.u.size)
-    v_new = np.fft.irfft(vhat * cos - ku * sin, f.u.size)
+    v_new = np.fft.irfft(vhat * cos - k * uhat * sin, f.u.size)
+    size = np.maximum(np.abs(f.u), np.abs(f.v))
+    live = np.flatnonzero(size >= np.finfo(float).eps * size.max())  # all, if all zero
+    reach = math.ceil(abs(dt) / f.h)
+    for w in (u_new, v_new):
+        w[: max(live[0] - reach, 0)] = w[live[-1] + reach + 1 :] = 0.0
     return LineField(u_new, v_new, f.h, f.t + dt)
 
 
@@ -196,7 +198,8 @@ def line_energy(f: LineField) -> float:
     """Field energy (1/2) int (u_x**2 + v**2) dx, with u_x the spectral
     derivative that dalembert_evolve rotates, so the evolution conserves
     it up to round-off."""
-    ux = np.fft.irfft(1j * _spectrum(f.u, f.h)[2], f.u.size)
+    uhat, k = _spectrum(f.u, f.h)
+    ux = np.fft.irfft(1j * k * uhat, f.u.size)
     return float(_sym_trapezoid(0.5 * (ux**2 + f.v**2), f.h))
 
 

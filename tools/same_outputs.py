@@ -25,8 +25,10 @@ flows on an array of times past the default sizes), line-gseries at
 seeds 0-3 at defaults and with order 8 and sign -1, line-gseries at order
 1 (a one-entry g) and at order 85 (the highest order whose factorials fit
 a double), line-velocity-moments over 8 steps at y 0.25 and 3, with the
-JSON integers 1 and 2 as y_values (integers in a float column) and with
-five y values over 6 steps, kdv-scattering and
+JSON integers 1 and 2 as y_values (integers in a float column), with
+five y values over 6 steps, and at its defaults over 256 steps (a step of
+4 grid spacings, which turns the modes at a quarter of the grid's Nyquist
+wavenumber and at that wavenumber by whole periods), kdv-scattering and
 kdv-action-hamiltonian at kappa 0.95 and 1.05, kdv-scattering with 5
 sample times (more line windows), kdv-action-hamiltonian with k_max_bound
 0.04 (no bound state: a header-only bound.csv and exit 1) and with 300 k
@@ -81,6 +83,7 @@ CONFIGS = (
     + [("line-gseries", {"order": 1}), ("line-gseries", {"order": 85})]
     + [("line-velocity-moments", {"steps": 8, "y_values": [0.25, 3.0]}), ("line-velocity-moments", {"y_values": [1, 2]})]
     + [("line-velocity-moments", {"y_values": [0.05, 0.5, 3.0, 7.5, 12.0], "steps": 6})]
+    + [("line-velocity-moments", {"steps": 256})]
     + [("kdv-scattering", {"kappa": kappa}) for kappa in KAPPAS]
     + [("kdv-scattering", {"n_times": 5})]
     + [("kdv-action-hamiltonian", {"kappa": kappa, "k_max_bound": kappa + 0.5}) for kappa in KAPPAS]
