@@ -189,10 +189,6 @@ class CompletenessReport:
         return int(np.count_nonzero(sigma > self.rank_tol * smax)) if smax > 0 else 0
 
     @property
-    def min_singular(self) -> float:
-        return float(self.singular_values[-1])
-
-    @property
     def complete(self) -> bool:
         n_obs, dim = self.jacobian.shape
         return bool(n_obs >= dim and self.numerical_rank == dim)

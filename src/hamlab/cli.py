@@ -286,88 +286,77 @@ def _segment_steps(p, count):
     return steps
 
 
-def _run_kdv_conservation(p):
+def _kdv_flow(p, count):
+    """The soliton field of p at t = 0 and after each of the p[count] - 1
+    segments of t_final.  Yielded one at a time, so the caller judges each
+    field before the next segment runs: a failure at t = 0 comes first."""
     f = kdv.soliton_field(p["kappa"], L_domain=p["L_domain"], M=p["M"])
-    seg_steps = _segment_steps(p, "n_samples")
-
-    def sample(field):
-        return *kdv.kdv_invariants(field), kdv.direct_hamiltonian(field)
-
-    I0, even0, H0 = sample(f)
-    times, integrals, hamiltonians = [f.t], [I0], [H0]
-    worst_I = np.zeros(3)
-    worst_even = float(np.max(np.abs(even0)))
-    worst_mass = 0.0
-    for _ in range(p["n_samples"] - 1):
+    seg_steps = _segment_steps(p, count)
+    yield f
+    for _ in range(p[count] - 1):
         f = kdv.kdv_evolve(f, p["dt"], seg_steps)
-        I, even, H = sample(f)
-        times.append(f.t)
-        integrals.append(I)
-        hamiltonians.append(H)
-        worst_I = np.maximum(worst_I, np.abs(I - I0) / np.abs(I0))
-        worst_even = max(worst_even, float(np.max(np.abs(even))))
-        # the mass int u dx is -I_1
-        worst_mass = max(worst_mass, abs(I[0] - I0[0]))
+        yield f
+
+
+def _run_kdv_conservation(p):
+    rows = [(f, *kdv.kdv_invariants(f), kdv.direct_hamiltonian(f)) for f in _kdv_flow(p, "n_samples")]
+    fields, I, even, H = zip(*rows)
+    I = np.array(I)
+    drift = np.abs(I[1:] - I[0])
+    worst_I = np.max(drift / np.abs(I[0]), axis=0)
 
     checks = [
         _bounded("I1-relative-drift", worst_I[0], p["drift_tol"]),
         _bounded("I2-relative-drift", worst_I[1], p["drift_tol"]),
         _bounded("I3-relative-drift", worst_I[2], p["drift_tol"]),
-        _bounded("even-integral-max", worst_even, p["even_tol"]),
-        _bounded("mass-drift", worst_mass, p["mass_tol"]),
+        _bounded("even-integral-max", np.max(np.abs(even)), p["even_tol"]),
+        # the mass int u dx is -I_1
+        _bounded("mass-drift", np.max(drift[:, 0]), p["mass_tol"]),
     ]
     artifacts = {
-        "conserved.csv": (
-            ("t", "I_1", "I_2", "I_3", "H_direct"),
-            (times, *np.transpose(integrals), hamiltonians),
-        ),
-        "field.csv": (("x", "value"), (f.x, f.u)),
+        "conserved.csv": (("t", "I_1", "I_2", "I_3", "H_direct"), ([f.t for f in fields], *I.T, H)),
+        "field.csv": (("x", "value"), (fields[-1].x, fields[-1].u)),
     }
     return checks, artifacts
 
 
-def _scattering_artifacts(sd):
-    """scattering.csv (a(k) and n(k)) and bound.csv (k_l and N_l = k_l^2)."""
-    return {
-        "scattering.csv": (("k", "re_a", "im_a", "n_k"), (sd.k_grid, sd.a.real, sd.a.imag, sd.n_of_k)),
-        "bound.csv": (("l", "k_l", "N_l"), (np.arange(1, sd.bound_k.size + 1), sd.bound_k, sd.N_l)),
+def _scattering(p, k_max_bound):
+    """a(k) of the soliton potential of p on its k grid, the continuum
+    actions n(k) and the bound states below k_max_bound, as (k, n, kappas,
+    artifacts): scattering.csv (a(k) and n(k)) and bound.csv (kappa_l and
+    N_l = kappa_l^2).  The k grid is checked before the bound-state search."""
+    pot = kdv.sample_potential(lambda x: kdv.soliton(x, p["kappa"], 0.0))
+    k = np.linspace(p["k_min"], p["k_max"], p["n_k"])
+    a = kdv.scattering_a(pot, k)
+    n = kdv.continuum_actions(k, a)
+    kappas = kdv.bound_states(pot, k_max_bound)
+    artifacts = {
+        "scattering.csv": (("k", "re_a", "im_a", "n_k"), (k, a.real, a.imag, n)),
+        "bound.csv": (("l", "k_l", "N_l"), (np.arange(1, kappas.size + 1), kappas, kappas**2)),
     }
+    return k, n, kappas, artifacts
 
 
 def _run_kdv_scattering(p):
-    f = kdv.soliton_field(p["kappa"], L_domain=p["L_domain"], M=p["M"])
-    seg_steps = _segment_steps(p, "n_times")
-
-    def probe(field):
-        return kdv.scattering_a(kdv.line_window(field), [p["k_probe"]])[0]
-
-    a0 = probe(f)
-    drift = 0.0
-    for _ in range(p["n_times"] - 1):
-        f = kdv.kdv_evolve(f, p["dt"], seg_steps)
-        drift = max(drift, abs(probe(f) - a0))
-
-    pot = kdv.sample_potential(lambda x: kdv.soliton(x, p["kappa"], 0.0))
-    k_grid = np.linspace(p["k_min"], p["k_max"], p["n_k"])
-    sd = kdv.scattering_data(pot, k_grid, k_max_bound=p["kappa"] + 0.5)
+    a = [kdv.scattering_a(kdv.line_window(f), [p["k_probe"]])[0] for f in _kdv_flow(p, "n_times")]
+    drift = max(abs(v - a[0]) for v in a[1:])
+    _, _, kappas, artifacts = _scattering(p, p["kappa"] + 0.5)
 
     checks = [
         _bounded("a-probe-drift", drift, p["drift_tol"]),
-        _check("bound-state-count", sd.bound_k.size, 1, sd.bound_k.size == 1),
+        _check("bound-state-count", kappas.size, 1, kappas.size == 1),
     ]
-    if sd.bound_k.size == 1:
-        checks.append(_bounded("bound-state-error", abs(sd.bound_k[0] - p["kappa"]), p["bound_tol"]))
-    return checks, _scattering_artifacts(sd)
+    if kappas.size == 1:
+        checks.append(_bounded("bound-state-error", abs(kappas[0] - p["kappa"]), p["bound_tol"]))
+    return checks, artifacts
 
 
 def _run_kdv_action_hamiltonian(p):
     kappa = p["kappa"]
     # the field goes first: a bad M fails before any sweep work
     H_dir = kdv.direct_hamiltonian(kdv.soliton_field(kappa, L_domain=p["L_domain"], M=p["M"]))
-    pot = kdv.sample_potential(lambda x: kdv.soliton(x, kappa, 0.0))
-    k_grid = np.linspace(p["k_min"], p["k_max"], p["n_k"])
-    sd = kdv.scattering_data(pot, k_grid, k_max_bound=p["k_max_bound"])
-    H_act = kdv.hamiltonian_from_actions(sd)
+    k, n, kappas, artifacts = _scattering(p, p["k_max_bound"])
+    H_act = kdv.hamiltonian_from_actions(k, n, kappas)
     H_closed = -32.0 / 5.0 * kappa**5
 
     def rel(a, b):
@@ -378,7 +367,7 @@ def _run_kdv_action_hamiltonian(p):
         _bounded("direct-vs-closed-form", rel(H_dir, H_closed), p["rel_tol"]),
         _bounded("actions-vs-direct", rel(H_act, H_dir), p["rel_tol"]),
     ]
-    return checks, _scattering_artifacts(sd)
+    return checks, artifacts
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ Conserved quantities come from two independent routes:
    exp(-ikx) on the far left, defines a(k) at the far right; a(k) is
    invariant along the KdV flow.  Action variables are
    n(k) = (2k/pi) ln |a(k)|^2 on the continuous spectrum and N_l = k_l^2 at
-   the bound states ik_l; ``ScatteringData`` carries both, computed from its
-   own a(k) and bound states, and the Hamiltonian can be assembled from them as
+   the bound states ik_l, both plain arrays (``continuum_actions`` checks
+   a(k) and returns n(k)), and the Hamiltonian can be assembled from them as
    H = -(32/5) sum_l N_l^(5/2) + 8 int k^3 n(k) dk, cross-checked against
    the direct functional int (u_x^2/2 + u^3) dx.  Production code gets
    a(k) for a whole k array from one vectorised sixth-order Magnus sweep
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -581,6 +581,8 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     if ks.ndim != 1 or ks.size == 0:
         raise ValueError("ks must be a nonempty 1-d array")
+    if not np.all(np.isfinite(ks)):
+        raise ValueError("ks entries must be finite")
     if np.any(ks == 0):
         raise ValueError("k must be nonzero")
     if np.any(ks.imag < 0):
@@ -681,6 +683,10 @@ def bound_states(pot: LinePotential, k_max: float) -> np.ndarray:
     brackets in one sweep per iteration (:func:`_refine_roots`).  A scan
     sample landing numerically on a zero is retried on a slightly widened
     bracket; if the retry also degenerates the search reports failure.
+
+    Only sign changes of the scan are found, and both misses are silent
+    (ROADMAP item 2): two roots closer than one scan step (0.05) can share
+    a step and cancel, and kappa < 0.05 is not searched at all.
     """
     if k_max <= _K_MIN:
         return np.array([])
@@ -700,75 +706,54 @@ def bound_states(pot: LinePotential, k_max: float) -> np.ndarray:
     return _refine_roots(pot, grid[i], grid[i + 1], vals[i], vals[i + 1])
 
 
-@dataclass(frozen=True)
-class ScatteringData:
-    """a(k) sampled on positive real k plus the bound-state wavenumbers,
-    and the action variables they determine.
+def continuum_actions(k_grid, a) -> np.ndarray:
+    """The continuum actions n(k) = (2k/pi) ln |a(k)|^2 of a(k) sampled on
+    a grid of positive, strictly increasing k.
 
-    Construction checks the two structural facts valid for real decaying
-    potentials: |a| >= 1 on the real axis (to 1e-8) and |a| -> 1 at the
-    largest sample (to 0.1).  It then computes the continuum actions
-    n(k) = (2k/pi) ln |a(k)|^2 once, read-only, and rejects n(k) < -1e-10;
-    the bound-state actions N_l = k_l^2 are a property.
+    Checks the two structural facts valid for real decaying potentials
+    first: |a| >= 1 on the real axis (to 1e-8) and |a| -> 1 at the largest
+    sample (to 0.1).  An n(k) below -1e-10 is rejected too.
     """
-
-    k_grid: np.ndarray
-    a: np.ndarray
-    bound_k: np.ndarray
-    n_of_k: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        k_grid = freeze(self, "k_grid", self.k_grid)
-        a = freeze(self, "a", self.a, dtype=complex)
-        bound_k = freeze(self, "bound_k", self.bound_k)
-        if k_grid.ndim != 1 or k_grid.shape != a.shape or k_grid.size < 1:
-            raise ValueError("k_grid and a must be matching nonempty 1-d arrays")
-        if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
-            raise ValueError("k_grid must be positive and strictly increasing")
-        if np.any(bound_k <= 0):
-            raise ValueError("bound-state wavenumbers must be positive")
-        mods = np.abs(a)
-        if np.min(mods) < 1.0 - 1e-8:
-            raise ValueError(
-                f"|a| dips to {np.min(mods):.12f} < 1; not a real decaying potential's data"
-            )
-        if abs(mods[-1] - 1.0) > 0.1:
-            raise ValueError(
-                f"|a| at the largest sample is {mods[-1]:.6f}, not near its high-k limit 1"
-            )
-        n_of_k = freeze(self, "n_of_k", (2.0 * k_grid / np.pi) * np.log(np.abs(a) ** 2))
-        if np.any(n_of_k < -1e-10):
-            raise ValueError(f"n(k) dips to {np.min(n_of_k):.3e}; |a| >= 1 must have failed")
-
-    @property
-    def N_l(self) -> np.ndarray:
-        return self.bound_k**2
-
-
-def scattering_data(
-    pot: LinePotential,
-    k_grid,
-    k_max_bound: float = 3.0,
-) -> ScatteringData:
-    """Sample a(k) on the given positive grid and locate the bound states."""
     k_grid = np.asarray(k_grid, dtype=float)
-    return ScatteringData(k_grid, scattering_a(pot, k_grid), bound_states(pot, k_max_bound))
+    a = np.asarray(a, dtype=complex)
+    for name, values in (("k_grid", k_grid), ("a", a)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} entries must be finite")
+    if k_grid.ndim != 1 or k_grid.shape != a.shape or k_grid.size < 1:
+        raise ValueError("k_grid and a must be matching nonempty 1-d arrays")
+    if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
+        raise ValueError("k_grid must be positive and strictly increasing")
+    mods = np.abs(a)
+    if np.min(mods) < 1.0 - 1e-8:
+        raise ValueError(f"|a| dips to {np.min(mods):.12f} < 1; not a real decaying potential's data")
+    if abs(mods[-1] - 1.0) > 0.1:
+        raise ValueError(f"|a| at the largest sample is {mods[-1]:.6f}, not near its high-k limit 1")
+    n_of_k = (2.0 * k_grid / np.pi) * np.log(mods**2)
+    if np.any(n_of_k < -1e-10):
+        raise ValueError(f"n(k) dips to {np.min(n_of_k):.3e}; |a| >= 1 must have failed")
+    return n_of_k
 
 
-def hamiltonian_from_actions(sd: ScatteringData) -> float:
-    """H = -(32/5) sum_l N_l^(5/2) + 8 int k^3 n(k) dk from the action
-    variables of ``sd``.
+def hamiltonian_from_actions(k_grid, n_of_k, kappas) -> float:
+    """H = -(32/5) sum_l N_l^(5/2) + 8 int k^3 n(k) dk from the continuum
+    actions n(k) on k_grid (:func:`continuum_actions`) and the bound-state
+    actions N_l = kappa_l^2 of the wavenumbers ``kappas``.
 
     The integral runs over the sampled k range by trapezoid; the
     contribution of the upper half of the range estimates the unconverged
     tail and triggers a warning when it exceeds 1% of the total (or 1e-6).
     """
-    discrete = -6.4 * float(np.sum(np.sort(sd.N_l) ** 2.5))
-    if sd.k_grid.size >= 2:
-        integrand = sd.k_grid**3 * sd.n_of_k
-        integral = 8.0 * float(np.trapezoid(integrand, sd.k_grid))
-        half = sd.k_grid.size // 2
-        tail = 8.0 * abs(float(np.trapezoid(integrand[half:], sd.k_grid[half:])))
+    k_grid, n_of_k, kappas = (np.asarray(v, dtype=float) for v in (k_grid, n_of_k, kappas))
+    if k_grid.ndim != 1 or k_grid.shape != n_of_k.shape:
+        raise ValueError("k_grid and n_of_k must be matching 1-d arrays")
+    if not np.all(np.isfinite(kappas) & (kappas > 0)):
+        raise ValueError("bound-state wavenumbers must be positive and finite")
+    discrete = -6.4 * float(np.sum(np.sort(kappas**2) ** 2.5))
+    if k_grid.size >= 2:
+        integrand = k_grid**3 * n_of_k
+        integral = 8.0 * float(np.trapezoid(integrand, k_grid))
+        half = k_grid.size // 2
+        tail = 8.0 * abs(float(np.trapezoid(integrand[half:], k_grid[half:])))
         total = discrete + integral
         if tail > max(1e-6, _TAIL_TOL * abs(total)):
             warnings.warn(

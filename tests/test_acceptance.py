@@ -187,8 +187,9 @@ def test_criterion_6_scattering_invariance():
 
 def test_criterion_7_action_hamiltonian():
     pot = kdv.sample_potential(lambda x: -2.0 / np.cosh(x) ** 2)
-    sd = kdv.scattering_data(pot, np.linspace(0.05, 4.0, 60), k_max_bound=1.5)
-    H_act = kdv.hamiltonian_from_actions(sd)
+    k = np.linspace(0.05, 4.0, 60)
+    n = kdv.continuum_actions(k, kdv.scattering_a(pot, k))
+    H_act = kdv.hamiltonian_from_actions(k, n, kdv.bound_states(pot, 1.5))
     H_dir = kdv.direct_hamiltonian(kdv.soliton_field(1.0))
     target = -96.0 / 15.0  # = -32/5
     act_err = abs(H_act - target) / abs(target)

@@ -234,7 +234,6 @@ class TestCompletenessReport:
         rep = CompletenessReport(np.eye(4), rank_tol=1e-10)
         assert rep.numerical_rank == 4
         assert rep.complete
-        assert rep.min_singular == pytest.approx(1.0)
 
     def test_explicit_zero_singular_value(self):
         rep = CompletenessReport(np.diag([1.0, 1.0, 1.0, 0.0]))
@@ -287,7 +286,6 @@ class TestCompletenessReport:
         assert np.array_equal(rep.singular_values, sigma)
         rank = min(shape[0], shape[1] - 1)
         assert rep.numerical_rank == np.count_nonzero(sigma > 1e-8 * sigma[0]) == rank
-        assert rep.min_singular == sigma[-1]
         assert rep.complete is False
         with pytest.raises(ValueError):
             rep.singular_values[0] = 0.0

@@ -16,6 +16,7 @@ at most 1.7 eps int |u| dx.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +76,13 @@ def test_two_soliton_tau_profile(k1, k2):
     # two zeros inside one bound-state scan step would not be bracketed
     assume(abs(k1 - k2) > 0.1)
     check(sample_potential(tau_profile((k1, k2))), [k1, k2])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: both roots fall in one scan step")
+def test_two_soliton_pair_closer_than_the_scan_step():
+    kappas = (1.01, 1.04)
+    bk = bound_states(sample_potential(tau_profile(kappas)), max(kappas) + 0.5)
+    assert np.allclose(bk, kappas, atol=1e-9)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

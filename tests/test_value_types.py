@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from hamlab.canonical import CanonicalState, CompletenessReport
-from hamlab.kdv import (
-    LinePotential,
-    PeriodicField,
-    ScatteringData,
-)
+from hamlab.kdv import LinePotential, PeriodicField
 from hamlab.line import LineField, line_grid
 
 
@@ -25,14 +21,6 @@ VALUE_TYPES = {
     CompletenessReport: lambda: ({"jacobian": np.eye(2)}, {"rank_tol": 1e-8}),
     PeriodicField: lambda: ({"u": _bump(np.arange(8) - 4.0, 1.0)}, {"L_domain": 8.0}),
     LinePotential: lambda: ({}, {"fn": lambda x: -_bump(x, 2.0), "x_left": -20.0, "x_right": 20.0}),
-    ScatteringData: lambda: (
-        {
-            "k_grid": np.array([0.5, 1.0, 2.0]),
-            "a": np.array([1.2 + 0.1j, 1.1, 1.0]),
-            "bound_k": np.array([1.0]),
-        },
-        {},
-    ),
     LineField: lambda: (
         {"u": _bump(line_grid(2.0, 0.5), 0.3), "v": -_bump(line_grid(2.0, 0.5), 0.3)},
         {"h": 0.5, "t": 0.0},

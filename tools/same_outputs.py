@@ -48,6 +48,9 @@ unknown parameter, kdv-conservation with dt 0, string-hj with seed -1,
 string-completeness with remove [1, 1] (a repeat), line-velocity-moments
 with no y_values, line-gseries with sign 2, kdv-conservation with
 n_samples 1, and kdv-scattering with t_final true (a bool for a number).
+Two more hold a reversed k range (k_min 3, k_max 0.5), which the check
+on the k grid of ``kdv.continuum_actions`` rejects: kdv-scattering
+shortened to two steps of 5e-4, and kdv-action-hamiltonian.
 """
 
 import hashlib
@@ -105,6 +108,8 @@ REJECTED = (
     ("line-gseries", {"sign": 2}),
     ("kdv-conservation", {"n_samples": 1}),
     ("kdv-scattering", {"t_final": True}),
+    ("kdv-scattering", {"k_min": 3.0, "k_max": 0.5, "t_final": 1e-3, "dt": 5e-4}),
+    ("kdv-action-hamiltonian", {"k_min": 3.0, "k_max": 0.5}),
 )
 # what a rejected config gives: exit 2, no CSV and no report
 REJECTION = {"exit code": 2, "CSV sha256": {}, "report checks": "null", "report error": "null"}
