@@ -25,7 +25,6 @@ import functools
 import json
 import math
 import os
-import subprocess
 import sys
 import time
 import warnings
@@ -560,6 +559,8 @@ def _source_revision():
     the code a process runs cannot change under it."""
     global _revision
     if _revision is None:
+        import subprocess
+
         _revision = "unknown"
         here = os.path.dirname(os.path.abspath(__file__))
         try:

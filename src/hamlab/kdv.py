@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from ._frozen import finite, freeze
 from .errors import BlowUpError, ConvergenceError, DecayError
@@ -445,12 +444,15 @@ def line_window(f: PeriodicField) -> LinePotential:
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, looked up at call time.
+    """``scipy.integrate.solve_ivp``, imported at the first call, so that
+    importing this module loads no SciPy.
 
     The name exists so that ``perfbench/tracer.py`` can substitute a
     counting wrapper for it inside this module.  It folds into a direct
     call when that tracer is deleted (ROADMAP item 4).
     """
+    import scipy.integrate
+
     return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
@@ -577,6 +579,10 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
     Every k is computed independently of the others and of the blocking,
     so a(k) depends on ks only through the cell width, which the largest
     |k| sets.
+
+    A k whose launch value underflows (k = i kappa with kappa x_left below
+    about -708) raises ConvergenceError before the sweep calls ``pot.fn``;
+    a vector that leaves the double range during the sweep raises it after.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     if ks.ndim != 1 or ks.size == 0:
@@ -599,9 +605,15 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
     per_block = max(1, _BLOCK_ENTRIES // (_CHUNK_CELLS * ks.size))
 
     phi0 = np.exp(-1j * ks * x_l)
+    sunk = np.abs(phi0) < np.finfo(float).tiny  # only on the imaginary axis
+    if np.any(sunk):
+        raise ConvergenceError(
+            f"Jost launch value exp(-ik x_left) at k={ks[sunk][0].imag:.6g}j is below the "
+            "floating-point range; use a smaller |k| (k_max_bound) or a narrower window"
+        )
     phi, dphi = phi0, -1j * ks * phi0
-    # deep on the imaginary axis the launch value underflows or phi
-    # overflows; the range check below, not a numpy warning, reports it
+    # deep on the imaginary axis phi can overflow; the range check below,
+    # not a numpy warning, reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_chunks, per_block):
             starts = _CHUNK_CELLS * np.arange(first, min(first + per_block, n_chunks))
@@ -610,7 +622,7 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
             for p00, p01, p10, p11 in zip(*_chunk_propagators(*_magnus_cells(h, q1, q2, q3))):
                 phi, dphi = p00 * phi + p01 * dphi, p10 * phi + p11 * dphi
         a = 0.5 * (phi + 1j * dphi / ks) * np.exp(1j * ks * x_r)
-    lost = ~np.isfinite(a) | (np.abs(phi0) < np.finfo(float).tiny)
+    lost = ~np.isfinite(a)
     if np.any(lost):
         raise ConvergenceError(
             f"Jost sweep left the floating-point range at k={ks[lost][0]}; "

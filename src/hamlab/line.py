@@ -28,11 +28,14 @@ become proper integrals over the grid.  The module provides
 Quadrature is the composite trapezoid evaluated in mirror pairs on the
 bitwise-symmetric grid, so odd integrands cancel exactly: even u and even
 v give exactly zero moments, not merely small ones.  All moments, of u
-and of u_t, share one quadrature.
+and of u_t, share one quadrature.  Its weights (x/L)^n depend on the grid
+alone: each is computed once per grid and order, kept read-only in a
+small cache and shared by every field and call on that grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
@@ -220,20 +223,31 @@ def continuous_mode_energy(f: LineField, ys) -> np.ndarray:
     return 0.5 * (iv**2 + (ys * iu) ** 2)
 
 
+@functools.lru_cache(maxsize=16)
+def _moment_weight(size: int, h: float, n: int) -> np.ndarray:
+    """The read-only weight (x/L)^n on the grid of ``size`` samples of step h,
+    taken as sign(x)^n |x/L|^n, so its parity is bitwise exact and its
+    entries stay in [-1, 1].  It depends on the grid alone, so every moment
+    of every field on that grid shares it."""
+    m = size // 2
+    xs = np.arange(-m, m + 1, dtype=float) * h / (m * h)
+    weight = np.abs(xs) ** n
+    if n % 2:
+        weight = np.sign(xs) * weight
+    weight.flags.writeable = False
+    return weight
+
+
 def _moment_quadrature(f: LineField, orders, *samples: np.ndarray) -> np.ndarray:
     """int x^n w dx for each order n (rows) and each sample w (columns).
 
-    The weight (x/L)^n is taken as sign(x)^n |x/L|^n, so its parity is
-    bitwise exact and its entries stay in [-1, 1]; the result is scaled by
-    L^n.  Only that rescale can overflow, and doing so raises ScalingError.
+    The integral of (x/L)^n w (:func:`_moment_weight`) is scaled by L^n.
+    Only that rescale can overflow, and doing so raises ScalingError.
     """
     L = f.L
-    xs = f.grid / L
     out = np.empty((len(orders), len(samples)))
     for i, n in enumerate(orders):
-        weight = np.abs(xs) ** n
-        if n % 2:
-            weight = np.sign(xs) * weight
+        weight = _moment_weight(f.u.size, f.h, n)
         try:
             out[i] = [L**n * float(_sym_trapezoid(weight * w, f.h)) for w in samples]
         except OverflowError:

@@ -642,8 +642,24 @@ def scipy_loaded_after(tmp_path, payloads):
 
 
 class TestColdStart:
-    """SciPy submodules load when first called, never on ``import hamlab``:
-    reach them as ``scipy.<sub>.<name>`` at call time."""
+    """SciPy loads when first called, never on ``import hamlab``: import
+    ``scipy.<sub>`` inside the function that calls it."""
+
+    def test_cli_import_loads_neither_scipy_nor_subprocess(self):
+        # the DOP853 oracle imports scipy.integrate, and the git revision
+        # lookup subprocess, at their first call
+        code = "import json, sys, hamlab.cli\nprint(json.dumps(sorted(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert "hamlab.cli" in loaded
+        assert not loaded & {"scipy", "subprocess"}
 
     def test_cli_import_adds_no_third_party_package(self):
         # configs are checked against the experiment table by hamlab itself;

@@ -509,6 +509,21 @@ class TestScatteringA:
         with pytest.raises(ConvergenceError, match="floating-point range"):
             scattering_a(pot, [1.0, 20j])
 
+    def test_launch_underflow_raises_before_the_sweep(self):
+        # exp(-800) underflows at the left edge: known before any cell, so
+        # a large bound-state scan fails at once rather than after its sweep
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return np.zeros_like(x)
+
+        pot = LinePotential(counting, -40.0, 40.0)
+        calls.clear()  # the edge check at construction
+        with pytest.raises(ConvergenceError, match=r"k=20j.*smaller \|k\|.*narrower window"):
+            scattering_a(pot, [1.0, 20j])
+        assert calls == []
+
     # a non-finite k must fail here: past these checks nan poisons the
     # sweep and an infinite |k| makes the cell width 0
     @pytest.mark.parametrize(

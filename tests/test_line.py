@@ -14,6 +14,7 @@ from hamlab import (
     InvalidIntegralsError,
     ScalingError,
     SingularPointError,
+    line,
 )
 from hamlab.line import (
     LineField,
@@ -219,6 +220,56 @@ class TestMoments:
         mc = moments(f, 4)
         assert isinstance(mc, CanonicalState)
         assert mc.t == f.t and mc.dim == 4
+
+
+def per_call_moments(f, orders, w):
+    """int x^n w dx as the quadrature computed it before its weights were
+    cached: (x/L)^n rebuilt from the grid on every call."""
+    L = f.L
+    xs = f.grid / L
+    out = []
+    for n in orders:
+        weight = np.abs(xs) ** n
+        if n % 2:
+            weight = np.sign(xs) * weight
+        out.append(L**n * float(line._sym_trapezoid(weight * w, f.h)))
+    return np.array(out)
+
+
+class TestMomentWeights:
+    ORDERS = [0, 1, 2, 3, 5, 7, 9]
+    GRIDS = [(line.DEFAULT_HALF_WIDTH, line.DEFAULT_STEP), (5.0, 1.0 / 128.0)]
+
+    @pytest.mark.parametrize("L, step", GRIDS)
+    def test_cached_weights_give_the_per_call_doubles(self, L, step):
+        f = sample_line_field(
+            lambda x: np.exp(-2.0 * (x - 0.5) ** 2) + 0.3 * np.exp(-3.0 * (x + 1.0) ** 2),
+            lambda x: 0.4 * x * np.exp(-2.0 * x**2) + 0.1 * np.exp(-2.0 * (x - 0.25) ** 2),
+            L,
+            step,
+        )
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            mc = moments(f, 5)
+            assert np.array_equal(mc.q, per_call_moments(f, range(1, 10, 2), f.u))
+            assert np.array_equal(mc.p, per_call_moments(f, range(1, 10, 2), f.v))
+            got = velocity_moment(f, self.ORDERS)
+            assert np.array_equal(got, per_call_moments(f, self.ORDERS, f.v))
+
+    def test_cached_weight_is_read_only(self, generic_field):
+        moments(generic_field, 2)
+        weight = line._moment_weight(generic_field.u.size, generic_field.h, 3)
+        with pytest.raises(ValueError):
+            weight[0] = 1.0
+        assert weight[0] == -1.0
+
+    def test_each_grid_has_its_own_weight(self):
+        small = line._moment_weight(1281, 1.0 / 128.0, 3)
+        default = line._moment_weight(40961, line.DEFAULT_STEP, 3)
+        assert small.shape == (1281,) and default.shape == (40961,)
+        assert line._moment_weight(1281, 1.0 / 128.0, 3) is small
+        # same size, another step: a separate entry
+        assert line._moment_weight(1281, 1.0 / 256.0, 3) is not small
+        assert line._moment_weight(1281, 1.0 / 128.0, 5) is not small
 
 
 class TestGSeries:
