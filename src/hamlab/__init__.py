@@ -16,7 +16,6 @@ from .errors import (
 )
 from .canonical import (
     CanonicalState,
-    CompletenessReport,
     Observable,
     ObservableSet,
     check_gradients,
@@ -24,6 +23,7 @@ from .canonical import (
     conservation_drift,
     evolve,
     involution_and_jacobian,
+    numerical_rank,
     poisson_bracket,
     poisson_bracket_analytic,
     recover_momenta,
@@ -46,7 +46,6 @@ __all__ = [
     "ScalingError",
     "SingularPointError",
     "CanonicalState",
-    "CompletenessReport",
     "Observable",
     "ObservableSet",
     "check_gradients",
@@ -54,6 +53,7 @@ __all__ = [
     "conservation_drift",
     "evolve",
     "involution_and_jacobian",
+    "numerical_rank",
     "poisson_bracket",
     "poisson_bracket_analytic",
     "recover_momenta",

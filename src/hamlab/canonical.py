@@ -7,8 +7,8 @@ provides
  - finite-difference Poisson brackets and involution matrices, which
    differentiate each observable once per call,
  - the completeness diagnostic for a family of first integrals: the Jacobian
-   of the integrals with respect to the momenta, its singular values, and a
-   numerical-rank verdict ("complete at truncation N"),
+   of the integrals with respect to the momenta and its numerical rank; the
+   family is complete at truncation N when that rank is N,
  - recovery of the momenta from given integral values by damped Newton
    iteration on that Jacobian,
  - Stormer-Verlet time stepping of separable Hamiltonians on raw (q, p)
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -154,44 +154,29 @@ class ObservableSet:
         return ObservableSet(kept)
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    """Singular-value diagnostics and the completeness verdict for the
-    momentum Jacobian J of an observable family.
+def numerical_rank(J, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, int]:
+    """The singular values of the momentum Jacobian J, in descending order,
+    and its numerical rank: the count above ``rank_tol`` times the largest.
 
-    The constructor stores the read-only singular values of J, and the rank
-    and the verdict are computed from them.  The family counts as complete
-    when there are at least as many observables as momenta and the
-    numerical rank equals the momentum dimension.  ``complete`` is a
-    pointwise verdict at the evaluation state and at the truncation
-    dimension; rank deficiency at a single state (e.g. a momentum passing
-    through zero) means "not complete at this point", not a global
-    statement about the family.
+    The family behind J is complete exactly when the rank is ``J.shape[1]``,
+    the number of momenta (the rank never exceeds the number of rows).  It
+    is a pointwise verdict at the evaluation state and truncation: rank
+    deficiency at a single state (e.g. a momentum passing through zero)
+    means "not complete at this point", not a global statement.
     """
-
-    jacobian: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
-    singular_values: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        J = freeze(self, "jacobian", self.jacobian)
-        if J.ndim != 2 or J.size == 0:
-            raise ValueError(f"jacobian must be a nonempty 2-d matrix, got shape {J.shape}")
-        if finite(self, "rank_tol", self.rank_tol) <= 0:
-            raise ValueError("rank_tol must be positive")
-        freeze(self, "singular_values", np.linalg.svd(J, compute_uv=False))
-
-    @property
-    def numerical_rank(self) -> int:
-        """Singular values above ``rank_tol`` times the largest one."""
-        sigma = self.singular_values
-        smax = sigma[0]
-        return int(np.count_nonzero(sigma > self.rank_tol * smax)) if smax > 0 else 0
-
-    @property
-    def complete(self) -> bool:
-        n_obs, dim = self.jacobian.shape
-        return bool(n_obs >= dim and self.numerical_rank == dim)
+    J = np.asarray(J, dtype=float)
+    if not np.isfinite(J).all():
+        raise ValueError("jacobian entries must be finite")
+    if J.ndim != 2 or J.size == 0:
+        raise ValueError(f"jacobian must be a nonempty 2-d matrix, got shape {J.shape}")
+    rank_tol = float(rank_tol)
+    if not math.isfinite(rank_tol):
+        raise ValueError("rank_tol must be finite")
+    if rank_tol <= 0:
+        raise ValueError("rank_tol must be positive")
+    sigma = np.linalg.svd(J, compute_uv=False)
+    # a zero J has no singular value above 0, so its rank comes out 0
+    return sigma, int(np.count_nonzero(sigma > rank_tol * sigma[0]))
 
 
 def _checked_eval(obs: Observable, q: np.ndarray, p: np.ndarray) -> float:
@@ -340,9 +325,9 @@ def recover_momenta(
     """Solve f_i(q, p) = alpha_i for the momenta by damped Newton iteration.
 
     The Newton matrix is the completeness Jacobian; a rank-deficient
-    Jacobian at any iterate raises :class:`CompletenessError` carrying the
-    offending report.  On a residual increase the step is halved (up to 30
-    times) before the iteration counts as diverged.  The quadratic integral
+    Jacobian at any iterate raises :class:`CompletenessError` carrying its
+    numerical rank and the momentum dimension.  On a residual increase the
+    step is halved (up to 30 times) before the iteration counts as diverged.  The quadratic integral
     families this is used on have sign ambiguities, so branch selection is
     the caller's job via ``p_guess``.
 
@@ -361,11 +346,8 @@ def recover_momenta(
     if len(obs) < q.size:
         # Fewer integrals than momenta can never pin p down; report it as an
         # incompleteness with the (rectangular) Jacobian at the guess.
-        J = completeness_jacobian(obs, guess, h)
-        raise CompletenessError(
-            CompletenessReport(J, rank_tol),
-            f"{len(obs)} observables cannot determine {q.size} momenta",
-        )
+        _, rank = numerical_rank(completeness_jacobian(obs, guess, h), rank_tol)
+        raise CompletenessError(rank, q.size, f"{len(obs)} observables cannot determine {q.size} momenta")
 
     def residual(pv):
         return obs.evaluate(CanonicalState(q, pv)) - alpha
@@ -378,9 +360,9 @@ def recover_momenta(
             raise DivergenceError(rnorm, iterations)
         state = CanonicalState(q, p)
         J = completeness_jacobian(obs, state, h)
-        report = CompletenessReport(J, rank_tol)
-        if not report.complete:
-            raise CompletenessError(report, f"singular Jacobian at iteration {iterations}")
+        _, rank = numerical_rank(J, rank_tol)
+        if rank < q.size:
+            raise CompletenessError(rank, q.size, f"singular Jacobian at iteration {iterations}")
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         # Damping: halve on residual increase; the quadratic systems here
         # are well behaved once the guess is on the right branch.

@@ -24,12 +24,14 @@ class EvaluationError(HamlabError):
 class CompletenessError(HamlabError):
     """Momentum recovery failed because the observable set is not complete.
 
-    Carries the :class:`~hamlab.canonical.CompletenessReport` describing the
-    rank-deficient Jacobian at the failing point.
+    ``rank`` is the numerical rank of the momentum Jacobian at the failing
+    point and ``dim`` the number of momenta, so ``rank < dim``; the
+    experiment runner records both in report.json.
     """
 
-    def __init__(self, report, detail=""):
-        self.report = report
+    def __init__(self, rank, dim, detail=""):
+        self.rank = rank
+        self.dim = dim
         msg = "observable set is not complete at this point"
         if detail:
             msg += f": {detail}"

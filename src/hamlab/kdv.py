@@ -626,7 +626,7 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
     if np.any(lost):
         raise ConvergenceError(
             f"Jost sweep left the floating-point range at k={ks[lost][0]}; "
-            "use a narrower window"
+            "use a smaller |k| (k_max_bound) or a narrower window"
         )
     return a
 

@@ -9,7 +9,6 @@ from hamlab import (
     BlowUpError,
     CanonicalState,
     CompletenessError,
-    CompletenessReport,
     DivergenceError,
     EvaluationError,
     Observable,
@@ -19,6 +18,7 @@ from hamlab import (
     conservation_drift,
     evolve,
     involution_and_jacobian,
+    numerical_rank,
     poisson_bracket,
     poisson_bracket_analytic,
     recover_momenta,
@@ -229,71 +229,89 @@ class TestCompletenessJacobian:
         assert np.allclose(J[:, 0], 0.0, atol=FD_TOL)
 
 
-class TestCompletenessReport:
+class TestNumericalRank:
     def test_identity_complete(self):
-        rep = CompletenessReport(np.eye(4), rank_tol=1e-10)
-        assert rep.numerical_rank == 4
-        assert rep.complete
+        _, rank = numerical_rank(np.eye(4), rank_tol=1e-10)
+        assert rank == 4
 
     def test_explicit_zero_singular_value(self):
-        rep = CompletenessReport(np.diag([1.0, 1.0, 1.0, 0.0]))
-        assert rep.numerical_rank == 3
-        assert not rep.complete
-        assert rep.singular_values[-1] == pytest.approx(0.0, abs=1e-15)
+        sigma, rank = numerical_rank(np.diag([1.0, 1.0, 1.0, 0.0]))
+        assert rank == 3
+        assert sigma[-1] == pytest.approx(0.0, abs=1e-15)
 
     def test_singular_values_sorted_descending(self):
         rng = np.random.default_rng(9)
-        rep = CompletenessReport(rng.normal(size=(5, 5)))
-        assert np.all(np.diff(rep.singular_values) <= 0)
-        assert np.all(rep.singular_values >= 0)
+        sigma, _ = numerical_rank(rng.normal(size=(5, 5)))
+        assert np.all(np.diff(sigma) <= 0)
+        assert np.all(sigma >= 0)
 
     def test_removed_energy_incomplete_rank_nm1(self):
         n = 4
         s = random_state(n, seed=10)
         J = completeness_jacobian(quadratic_energies(n).without("f2"), s, H_FD)
-        rep = CompletenessReport(J)
-        assert rep.numerical_rank == n - 1
-        assert not rep.complete
+        _, rank = numerical_rank(J)
+        assert rank == n - 1 < J.shape[1]
 
     def test_full_energy_set_complete_when_p_nonzero(self):
         n = 4
         rng = np.random.default_rng(11)
         s = CanonicalState(rng.normal(size=n), rng.uniform(0.5, 1.5, size=n))
         J = completeness_jacobian(quadratic_energies(n), s, H_FD)
-        assert CompletenessReport(J).complete
+        assert numerical_rank(J)[1] == n
 
     def test_zero_momentum_point_flagged_incomplete(self):
         # p_2 = 0 makes the energy Jacobian singular at this state only.
         s = CanonicalState([0.4, 0.8, 0.1], [1.0, 0.0, 2.0])
         J = completeness_jacobian(quadratic_energies(3), s, H_FD)
-        assert not CompletenessReport(J).complete
+        assert numerical_rank(J)[1] < 3
 
     def test_wide_matrix_can_be_complete(self):
-        rep = CompletenessReport(np.vstack([np.eye(3), np.ones((1, 3))]))
-        assert rep.complete
+        # more observables than momenta: rank 3 of 3 columns
+        assert numerical_rank(np.vstack([np.eye(3), np.ones((1, 3))]))[1] == 3
+
+    def test_zero_matrix_has_rank_zero(self):
+        sigma, rank = numerical_rank(np.zeros((3, 2)))
+        assert rank == 0
+        assert np.array_equal(sigma, [0.0, 0.0])
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            CompletenessReport(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="nonempty 2-d matrix"):
+            numerical_rank(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_entry_rejected(self, bad):
+        J = np.eye(3)
+        J[1, 2] = bad
+        with pytest.raises(ValueError, match="jacobian entries must be finite"):
+            numerical_rank(J)
+
+    def test_caller_jacobian_stays_unchanged_and_writable(self):
+        rng = np.random.default_rng(12)
+        J = rng.normal(size=(4, 3))
+        given = J.copy()
+        sigma, _ = numerical_rank(J)
+        assert J.flags.writeable
+        assert np.array_equal(J, given)
+        J[0, 0] += 1.0  # the singular values do not alias J
+        assert np.array_equal(sigma, np.linalg.svd(given, compute_uv=False))
 
     @pytest.mark.parametrize("shape", [(4, 4), (5, 3), (3, 5)])
     def test_properties_agree_with_direct_svd(self, shape):
         rng = np.random.default_rng(41)
         J = rng.normal(size=shape)
         J[:, -1] = J[:, 0]  # rank one short of full
-        rep = CompletenessReport(J, rank_tol=1e-8)
-        sigma = np.linalg.svd(J, compute_uv=False)
-        assert np.array_equal(rep.singular_values, sigma)
-        rank = min(shape[0], shape[1] - 1)
-        assert rep.numerical_rank == np.count_nonzero(sigma > 1e-8 * sigma[0]) == rank
-        assert rep.complete is False
-        with pytest.raises(ValueError):
-            rep.singular_values[0] = 0.0
+        sigma, rank = numerical_rank(J, rank_tol=1e-8)
+        assert np.array_equal(sigma, np.linalg.svd(J, compute_uv=False))
+        expected = min(shape[0], shape[1] - 1)
+        assert rank == np.count_nonzero(sigma > 1e-8 * sigma[0]) == expected
+        assert type(rank) is int
+        assert rank < shape[1]  # not complete
 
     @pytest.mark.parametrize("rank_tol", [math.nan, math.inf, 0.0, -1e-8])
     def test_bad_rank_tol_rejected(self, rank_tol):
-        with pytest.raises(ValueError, match="rank_tol"):
-            CompletenessReport(np.eye(2), rank_tol=rank_tol)
+        words = "positive" if math.isfinite(rank_tol) else "finite"
+        with pytest.raises(ValueError, match=f"rank_tol must be {words}"):
+            numerical_rank(np.eye(2), rank_tol=rank_tol)
 
 
 class TestInvolutionMatrix:
@@ -371,7 +389,18 @@ class TestRecoverMomenta:
         obs = full.without("f1")
         with pytest.raises(CompletenessError) as err:
             recover_momenta(obs, alpha[1:], q, 1.1 * p_true)
-        assert err.value.report.numerical_rank < n
+        assert err.value.rank == n - 1
+        assert err.value.dim == n
+        assert "2 observables cannot determine 3 momenta" in str(err.value)
+
+    def test_singular_newton_matrix_raises_completeness_error(self):
+        # p_2 = 0 in the guess makes the energy Jacobian diag(p) singular there
+        obs = quadratic_energies(3)
+        q = np.array([0.4, 0.8, 0.1])
+        alpha = obs.evaluate(CanonicalState(q, [1.0, 0.7, 2.0]))
+        with pytest.raises(CompletenessError, match="singular Jacobian at iteration 0") as err:
+            recover_momenta(obs, alpha, q, [1.1, 0.0, 2.1])
+        assert (err.value.rank, err.value.dim) == (2, 3)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_alpha_rejected(self, bad):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hamlab
-from hamlab import Observable, ObservableSet, cli, kdv, line, string
+from hamlab import Observable, ObservableSet, canonical, cli, kdv, line, string
 from hamlab.cli import EXPERIMENTS, list_experiments_text, load_config, main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hamlab.__file__)))
@@ -410,6 +410,53 @@ class TestRunPaths:
         assert error["start_time"] == 0.0
         assert 1 < error["step"] < 20000
         assert error["last_time"] == dt * (error["step"] - 1)
+
+    def test_completeness_error_records_rank_and_dim(self, tmp_path, monkeypatch, capsys):
+        # recovery with mode 2's energy removed: 2 integrals for 3 momenta
+        def runner(p):
+            obs = string.string_observable_set(3).without("mode_energy_2")
+            canonical.recover_momenta(obs, [0.5, 0.5], [0.1, 0.2, 0.3], [1.0, 1.0, 1.0])
+
+        monkeypatch.setitem(EXPERIMENTS["string-completeness"], "runner", runner)
+        assert run_cli(tmp_path, {"experiment": "string-completeness"}) == 3
+        assert "CompletenessError" in capsys.readouterr().err
+        error = load_report(tmp_path, "string-completeness")["error"]
+        assert error["type"] == "CompletenessError"
+        assert (error["rank"], error["dim"]) == (2, 3)
+        assert "2 observables cannot determine 3 momenta" in error["message"]
+
+    @pytest.mark.parametrize(
+        "experiment, extra",
+        [
+            ("kdv-scattering", {"t_final": 0.01, "dt": 0.001}),
+            ("kdv-action-hamiltonian", {"k_max_bound": 1.0}),
+        ],
+    )
+    def test_scattering_window_follows_L_domain(self, tmp_path, experiment, extra):
+        # kappa 0.5 decays to 4e-9 at x = 20: only the window of L_domain 80 holds it
+        params = {"kappa": 0.5, "L_domain": 80, **extra}
+        assert run_cli(tmp_path, {"experiment": experiment, "parameters": params}) == 0
+        report = load_report(tmp_path, experiment)
+        assert report["overall_pass"] is True
+        assert "error" not in report
+
+    def test_actions_window_too_narrow_for_the_soliton_exits_3(self, tmp_path):
+        # kappa 1 reaches 3e-10 at x = 12; kdv-scattering's probe windows
+        # reject this L_domain too
+        payload = {"experiment": "kdv-action-hamiltonian", "parameters": {"L_domain": 24}}
+        assert run_cli(tmp_path, payload) == 3
+        error = load_report(tmp_path, "kdv-action-hamiltonian")["error"]
+        assert error["type"] == "DecayError"
+        assert "enlarge the window" in error["message"]
+
+    def test_sweep_overflow_names_both_remedies(self, tmp_path, capsys):
+        # the launch value at 35.4j is a double, but the sweep overflows at 35.35j
+        payload = {"experiment": "kdv-action-hamiltonian", "parameters": {"k_max_bound": 35.4}}
+        assert run_cli(tmp_path, payload) == 3
+        assert "ConvergenceError" in capsys.readouterr().err
+        message = load_report(tmp_path, "kdv-action-hamiltonian")["error"]["message"]
+        assert "left the floating-point range" in message
+        assert "smaller |k| (k_max_bound) or a narrower window" in message
 
     @pytest.mark.parametrize(("order", "source"), [(86, "171!"), (200, "moment of order")])
     def test_gseries_order_past_double_range_exits_3(self, tmp_path, capsys, order, source):

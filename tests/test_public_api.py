@@ -11,6 +11,8 @@ import ast
 import re
 from pathlib import Path
 
+import hamlab
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hamlab"
 MODULES = ("canonical", "string", "line", "kdv", "csvio", "cli", "errors")
@@ -79,3 +81,10 @@ def test_readme_names_every_role():
     readme = (ROOT / "README.md").read_text()
     missing = sorted(name for name in ROLES if not re.search(rf"`(\w+\.)?{name}`", readme))
     assert not missing, f"README does not name: {missing}"
+
+
+def test_every_export_resolves():
+    # a deleted public name left in __all__ would fail only `from hamlab import *`
+    missing = sorted(name for name in hamlab.__all__ if not hasattr(hamlab, name))
+    assert not missing, f"hamlab.__all__ names that do not resolve: {missing}"
+    assert len(set(hamlab.__all__)) == len(hamlab.__all__), "hamlab.__all__ repeats a name"

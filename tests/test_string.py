@@ -16,7 +16,7 @@ from hamlab import (
     poisson_bracket,
     poisson_bracket_analytic,
 )
-from hamlab.canonical import CompletenessReport
+from hamlab.canonical import numerical_rank
 from hamlab.string import (
     exact_mode_evolution,
     hj_action,
@@ -285,16 +285,15 @@ class TestStringObservables:
         rng = np.random.default_rng(37)
         s = CanonicalState(rng.normal(size=n), rng.uniform(0.5, 2.0, size=n))
         J = completeness_jacobian(string_observable_set(n), s, H_FD)
-        assert CompletenessReport(J).complete
+        assert numerical_rank(J)[1] == n
 
     def test_incomplete_with_f1_removed(self):
         n = 8
         rng = np.random.default_rng(38)
         s = CanonicalState(rng.normal(size=n), rng.uniform(0.5, 2.0, size=n))
         obs = string_observable_set(n).without("mode_energy_1")
-        rep = CompletenessReport(completeness_jacobian(obs, s, H_FD))
-        assert not rep.complete
-        assert rep.numerical_rank == n - 1
+        _, rank = numerical_rank(completeness_jacobian(obs, s, H_FD))
+        assert rank == n - 1
 
 
 class TestStringSystem:

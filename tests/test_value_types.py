@@ -5,7 +5,7 @@ scalar field is a finite float."""
 import numpy as np
 import pytest
 
-from hamlab.canonical import CanonicalState, CompletenessReport
+from hamlab.canonical import CanonicalState
 from hamlab.kdv import LinePotential, PeriodicField
 from hamlab.line import LineField, line_grid
 
@@ -18,7 +18,6 @@ def _bump(x, width):
 # arguments are fresh, writable arrays owned by the test
 VALUE_TYPES = {
     CanonicalState: lambda: ({"q": np.array([1.0, 2.0]), "p": np.array([0.5, -0.5])}, {"t": 0.0}),
-    CompletenessReport: lambda: ({"jacobian": np.eye(2)}, {"rank_tol": 1e-8}),
     PeriodicField: lambda: ({"u": _bump(np.arange(8) - 4.0, 1.0)}, {"L_domain": 8.0}),
     LinePotential: lambda: ({}, {"fn": lambda x: -_bump(x, 2.0), "x_left": -20.0, "x_right": 20.0}),
     LineField: lambda: (
@@ -31,7 +30,6 @@ ARRAY_FIELDS = [(cls, name) for cls, make in VALUE_TYPES.items() for name in mak
 
 SCALAR_FIELDS = [
     (CanonicalState, "t"),
-    (CompletenessReport, "rank_tol"),
     (PeriodicField, "L_domain"),
     (PeriodicField, "t"),
     (LinePotential, "x_left"),

@@ -40,7 +40,13 @@ and kdv-conservation to t_final 0.05 at 2 samples on 256 modes and on
 Two configs must blow up (exit 3, no checks, so their error records are
 what is compared): string-modes with dt 0.5 over 20000 steps (a Verlet
 step unstable for the upper modes) and kdv-conservation with dt 0.05 to
-t_final 5 at 2 samples (past the KdV stability guard).
+t_final 5 at 2 samples (past the KdV stability guard).  Three configs
+probe the scattering window: kdv-action-hamiltonian at kappa 0.5 with
+L_domain 80 and k_max_bound 1, and kdv-scattering at kappa 0.5 with
+L_domain 80, t_final 0.01 and dt 0.001 (a soliton too wide for the
+default 40-wide window), and kdv-action-hamiltonian with k_max_bound
+35.4 (a Jost sweep that overflows after a launch that does not
+underflow, so its error record is what is compared).
 
 The rejected set holds one config per kind of parameter rule:
 string-modes with n_modes 8.0 (a float for an integer), string-hj with an
@@ -97,6 +103,9 @@ CONFIGS = (
     + [("kdv-conservation", {"M": 1024, "L_domain": 60.0, "t_final": 0.05, "n_samples": 2})]
     + [("string-modes", {"dt": 0.5, "steps": 20000})]
     + [("kdv-conservation", {"dt": 0.05, "t_final": 5.0, "n_samples": 2})]
+    + [("kdv-action-hamiltonian", {"kappa": 0.5, "L_domain": 80, "k_max_bound": 1.0})]
+    + [("kdv-scattering", {"kappa": 0.5, "L_domain": 80, "t_final": 0.01, "dt": 0.001})]
+    + [("kdv-action-hamiltonian", {"k_max_bound": 35.4})]
 )
 REJECTED = (
     ("string-modes", {"n_modes": 8.0}),
