@@ -507,40 +507,41 @@ def schrodinger_a(pot: LinePotential, k: complex) -> complex:
 # propagators in order.  A block holds as many chunks as fit in
 # _BLOCK_ENTRIES entries per array of chunks x _CHUNK_CELLS x len(k), and at
 # least one, so the working set stays a few arrays of at most
-# max(_BLOCK_ENTRIES, _CHUNK_CELLS x len(k)) entries.  2**12 entries still
-# take a one-k sweep over a 40-wide window (63 chunks) in one block; larger
-# budgets measured slower for 15 k and more (the temporaries of a block leave
-# the cache) and raise the peak memory.
+# max(_BLOCK_ENTRIES, _CHUNK_CELLS x len(k)) entries.  Since the per-cell
+# Magnus terms are computed once per cell, a (cell, k) keeps few temporaries:
+# 2**13 entries measured faster than 2**12 for 8 to 60 k and as fast for one
+# k, while 2**14 and up raised the peak memory by 1 MB and more.
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 _MAX_CELL = 0.01
 _MAX_PHASE = 0.2
 _CHUNK_CELLS = 64
-_BLOCK_ENTRIES = 2**12
+_BLOCK_ENTRIES = 2**13
 
 
-def _magnus_cells(h, q1, q2, q3):
-    """exp(Omega) of each cell for A = [[0, 1], [q, 0]], q sampled at the
-    Gauss nodes; returns the entries (E00, E01, E10, E11).
+def _magnus_cells(h, u1, u2, u3, ksq):
+    """exp(Omega) of each cell and k for A = [[0, 1], [u - k^2, 0]], u at the
+    Gauss nodes in arrays whose last axis (length 1) broadcasts against the
+    1-d k^2; returns the entries (E00, E01, E10, E11).
 
     With a1 = h A2, a2 = (sqrt(15) h / 3)(A3 - A1) and
     a3 = (10 h / 3)(A3 - 2 A2 + A1), the sixth-order Magnus exponent is
     Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240 with
     C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1] / 60.  Here a2 and a3 are
-    [[0, 0], [d, 0]] matrices, and the commutators are expanded by hand.
+    [[0, 0], [d, 0]] matrices, free of k^2, and the commutators are expanded
+    by hand into Omega = [[w0, w1], [w2, -w0]]: w1 and the coefficients of
+    w0 and w2, affine in q2 = u2 - k^2, are computed once per cell.
     Omega is traceless and real, so with s^2 = -det(Omega) the exponential
     is cosh(s) I + sinh(s)/s Omega (cos/sin when s^2 < 0).
     """
-    d2 = (math.sqrt(15.0) * h / 3.0) * (q3 - q1)
-    d3 = (10.0 * h / 3.0) * (q3 - 2.0 * q2 + q1)
-    h2, h3 = h * h, h * h * h
-    w0 = (-20.0 * h * d2 + (4.0 / 3.0) * h3 * q2 * d2 + h2 * d2 * d3 / 30.0) / 240.0
-    w1 = h + (h3 * d2 * d2 / 15.0 - (4.0 / 3.0) * h2 * d3) / 240.0
-    w2 = h * q2 + d3 / 12.0 + (
-        (4.0 / 3.0) * h2 * q2 * d3
-        + h * d3 * d3 / 15.0
-        - 2.0 * h * d2 * d2
-        + h3 * q2 * d2 * d2 / 15.0
-    ) / 240.0
+    d2 = (math.sqrt(15.0) * h / 3.0) * (u3 - u1)
+    d3 = (10.0 * h / 3.0) * (u3 - 2.0 * u2 + u1)
+    h2, h3, d2d2 = h * h, h * h * h, d2 * d2
+    w0_0, w0_1 = (-20.0 * h + h2 * d3 / 30.0) * d2 / 240.0, ((4.0 / 3.0) * h3 / 240.0) * d2
+    w1 = h + (h3 * d2d2 / 15.0 - (4.0 / 3.0) * h2 * d3) / 240.0
+    w2_0 = d3 / 12.0 + (h * d3 * d3 / 15.0 - 2.0 * h * d2d2) / 240.0
+    w2_1 = h + ((4.0 / 3.0) * h2 * d3 + h3 * d2d2 / 15.0) / 240.0
+    q2 = u2 - ksq
+    w0, w2 = w0_0 + w0_1 * q2, w2_0 + w2_1 * q2
     s2 = w0 * w0 + w1 * w2
     s = np.sqrt(np.abs(s2))
     grow = s2 > 0.0
@@ -573,7 +574,7 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
     it overflows long before the vector does.  a(k) is read off at the
     right edge as in :func:`schrodinger_a`, the DOP853 oracle route.
 
-    The chunks are computed in blocks of up to 2**12 // (64 len(ks)) chunks
+    The chunks are computed in blocks of up to 2**13 // (64 len(ks)) chunks
     (at least one): ``pot.fn`` is called once per block, on all of its
     nodes, so a one-k sweep over a 40-wide window calls it once.
     Every k is computed independently of the others and of the blocking,
@@ -618,8 +619,8 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
         for first in range(0, n_chunks, per_block):
             starts = _CHUNK_CELLS * np.arange(first, min(first + per_block, n_chunks))
             u = np.asarray(pot.fn(x_l + h * (starts[:, None, None] + cell_nodes)), dtype=float)
-            q1, q2, q3 = (u[..., j, None] - ksq for j in range(3))
-            for p00, p01, p10, p11 in zip(*_chunk_propagators(*_magnus_cells(h, q1, q2, q3))):
+            cells = _magnus_cells(h, *(u[..., j, None] for j in range(3)), ksq)
+            for p00, p01, p10, p11 in zip(*_chunk_propagators(*cells)):
                 phi, dphi = p00 * phi + p01 * dphi, p10 * phi + p11 * dphi
         a = 0.5 * (phi + 1j * dphi / ks) * np.exp(1j * ks * x_r)
     lost = ~np.isfinite(a)
@@ -690,11 +691,12 @@ def bound_states(pot: LinePotential, k_max: float) -> np.ndarray:
     """Zeros of a(i kappa) for kappa in [0.05, k_max]: the bound-state wavenumbers.
 
     a restricted to the imaginary axis is real; one :func:`scattering_a`
-    sweep samples it on a kappa grid of step 0.05, and the Illinois method
-    refines every sign change to a bracket of at most 1e-10, moving all the
-    brackets in one sweep per iteration (:func:`_refine_roots`).  A scan
-    sample landing numerically on a zero is retried on a slightly widened
-    bracket; if the retry also degenerates the search reports failure.
+    sweep samples it on a kappa grid of step 0.05 whose last sample is k_max,
+    and the Illinois method refines every sign change to a bracket of at most
+    1e-10, moving all the brackets in one sweep per iteration
+    (:func:`_refine_roots`).  A scan sample landing numerically on a zero is
+    retried on a slightly widened bracket; if the retry also degenerates the
+    search reports failure.
 
     Only sign changes of the scan are found, and both misses are silent
     (ROADMAP item 2): two roots closer than one scan step (0.05) can share
@@ -702,7 +704,9 @@ def bound_states(pot: LinePotential, k_max: float) -> np.ndarray:
     """
     if k_max <= _K_MIN:
         return np.array([])
-    grid = np.arange(_K_MIN, k_max + _SCAN_STEP / 2.0, _SCAN_STEP)
+    # the steps below k_max, then k_max itself: no sample lies above it
+    steps = math.ceil((k_max - _K_MIN) / _SCAN_STEP - 1e-9)
+    grid = np.append(_K_MIN + _SCAN_STEP * np.arange(steps), k_max)
     vals = scattering_a(pot, 1j * grid).real
     scale = max(1.0, float(np.max(np.abs(vals))))
     floor = 1e-13 * scale

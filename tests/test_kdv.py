@@ -476,9 +476,10 @@ class TestScatteringA:
         assert np.all(a.imag == 0.0)
         assert np.max(np.abs(a.real - (kappas - 1.0) / (kappas + 1.0))) < 1e-11
 
-    @pytest.mark.parametrize("k", [10.0, 20.0, 20j])
+    @pytest.mark.parametrize("k", [10.0, 20.0, 20j, 30.0, 30j])
     def test_far_from_origin(self, sech_pot, k):
-        # at kappa = 20 a product of all cell propagators would overflow
+        # at kappa = 20 a product of all cell propagators would overflow;
+        # past |k| = 20 the phase limit, not _MAX_CELL, sets the cell width
         a = scattering_a(sech_pot, [k])[0]
         assert np.isfinite(a)
         assert abs(a - analytic_soliton_a(k, [1.0])) < 1e-11
@@ -559,6 +560,51 @@ class TestScatteringA:
         assert len(calls) <= 2
 
 
+class TestMagnusCells:
+    """The cell kernel on constant-u cells, where Omega = h [[0, 1], [q, 0]]
+    exactly and exp(Omega) is known independently."""
+
+    @pytest.mark.parametrize("h", [0.01, 0.2 / 30.0])
+    def test_constant_cells_match_the_matrix_exponential(self, h):
+        from scipy.linalg import expm
+
+        u = np.array([-2.0, 0.0, 0.5, 3.0])[None, :, None]
+        ksq = np.array([-4.0, -0.25, 0.25, 1.0, 9.0])  # k = 2j, 0.5j, 0.5, 1, 3
+        got = np.stack(kdv._magnus_cells(h, u, u, u, ksq), axis=-1).reshape(u.size, ksq.size, 2, 2)
+        for i, ui in enumerate(u.ravel()):
+            for j, q in enumerate(ui - ksq):
+                assert np.max(np.abs(got[i, j] - expm(h * np.array([[0.0, 1.0], [q, 0.0]])))) < 1e-15
+
+    @pytest.mark.parametrize("h", [0.3, 1.0])
+    def test_hand_expansion_matches_the_commutator_formula(self, h):
+        # wide cells and varying u, so every term of Omega counts
+        from scipy.linalg import expm
+
+        def comm(x, y):
+            return x @ y - y @ x
+
+        u = np.random.default_rng(5).uniform(-3.0, 3.0, size=(1, 4, 3))
+        ksq = np.array([-2.0, 0.3, 1.7])
+        got = np.stack(kdv._magnus_cells(h, *(u[..., j, None] for j in range(3)), ksq), axis=-1)
+        for i in range(u.shape[1]):
+            for j, k2 in enumerate(ksq):
+                A1, A2, A3 = (np.array([[0.0, 1.0], [v - k2, 0.0]]) for v in u[0, i])
+                a1, a2 = h * A2, (math.sqrt(15.0) * h / 3.0) * (A3 - A1)
+                a3 = (10.0 * h / 3.0) * (A3 - 2.0 * A2 + A1)
+                c1 = comm(a1, a2)
+                c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
+                omega = a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+                want = expm(omega).ravel()
+                assert np.max(np.abs(got[0, i, j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_zero_q_is_the_free_shear_bit_for_bit(self):
+        # u2 = k^2 at every node: s = 0, and exp(Omega) = [[1, h], [0, 1]]
+        h, u = 0.01, np.full((2, 3, 1), 2.25)
+        e00, e01, e10, e11 = kdv._magnus_cells(h, u, u, u, np.array([2.25, 1.0]))
+        assert np.all(e00[..., 0] == 1.0) and np.all(e01[..., 0] == h)
+        assert np.all(e10[..., 0] == 0.0) and np.all(e11[..., 0] == 1.0)
+
+
 class TestBoundStates:
     def test_soliton_bound_state(self, sech_pot):
         bk = bound_states(sech_pot, 3.0)
@@ -586,6 +632,29 @@ class TestBoundStates:
 
     def test_empty_range(self, sech_pot):
         assert bound_states(sech_pot, 0.01).size == 0
+
+    def test_no_root_above_k_max(self):
+        # a scan sample at 1.0 > 0.99 would bracket the root at 0.995
+        pot = sample_potential(sech2_potential(0.995))
+        assert bound_states(pot, 0.99).size == 0
+        bk = bound_states(pot, 1.0)
+        assert bk.size == 1
+        assert abs(bk[0] - 0.995) <= 1e-10
+
+    @pytest.mark.parametrize("k_max", [0.97, 0.99, 1.5, 2.0])
+    def test_scan_ends_at_k_max(self, sech_pot, k_max, monkeypatch):
+        sweeps = []
+        real = kdv.scattering_a
+
+        def recording(pot, ks):
+            sweeps.append(np.atleast_1d(ks).imag)
+            return real(pot, ks)
+
+        monkeypatch.setattr(kdv, "scattering_a", recording)
+        bound_states(sech_pot, k_max)
+        scan = sweeps[0]
+        assert scan[-1] == k_max
+        assert np.all(np.diff(scan) > 0) and np.max(np.diff(scan)) <= 0.05 + 1e-12
 
     @pytest.mark.parametrize("kappa", [0.95, 1.0, 1.05, 1.3])
     def test_analytic_profiles_to_round_off(self, kappa, monkeypatch):
