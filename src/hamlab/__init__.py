@@ -19,7 +19,6 @@ from .canonical import (
     Observable,
     ObservableSet,
     check_gradients,
-    completeness_jacobian,
     conservation_drift,
     evolve,
     involution_and_jacobian,
@@ -49,7 +48,6 @@ __all__ = [
     "Observable",
     "ObservableSet",
     "check_gradients",
-    "completeness_jacobian",
     "conservation_drift",
     "evolve",
     "involution_and_jacobian",

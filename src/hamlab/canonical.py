@@ -291,8 +291,7 @@ def involution_and_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DE
     both need, is shared.  Each unordered pair takes the same index-ordered
     dot products as :func:`poisson_bracket` (so B[i, j] equals it bit for
     bit) and is negated for the transpose entry, so B is exactly
-    antisymmetric with a zero diagonal.  J equals
-    :func:`completeness_jacobian` bit for bit.
+    antisymmetric with a zero diagonal.
     """
     Q = _gradients(obs.observables, s.q, s.p, h, "q")
     P = _gradients(obs.observables, s.q, s.p, h, "p")
@@ -304,11 +303,6 @@ def involution_and_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DE
             B[i, j] = b
             B[j, i] = -b
     return B, P
-
-
-def completeness_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Jacobian J[i, j] = d f_i / d p_j at ``s`` by central differences."""
-    return _gradients(obs.observables, s.q, s.p, h, "p")
 
 
 def recover_momenta(
@@ -346,7 +340,7 @@ def recover_momenta(
     if len(obs) < q.size:
         # Fewer integrals than momenta can never pin p down; report it as an
         # incompleteness with the (rectangular) Jacobian at the guess.
-        _, rank = numerical_rank(completeness_jacobian(obs, guess, h), rank_tol)
+        _, rank = numerical_rank(_gradients(obs.observables, q, p, h, "p"), rank_tol)
         raise CompletenessError(rank, q.size, f"{len(obs)} observables cannot determine {q.size} momenta")
 
     def residual(pv):
@@ -358,8 +352,7 @@ def recover_momenta(
     while rnorm >= tol:
         if iterations >= max_iter:
             raise DivergenceError(rnorm, iterations)
-        state = CanonicalState(q, p)
-        J = completeness_jacobian(obs, state, h)
+        J = _gradients(obs.observables, q, p, h, "p")
         _, rank = numerical_rank(J, rank_tol)
         if rank < q.size:
             raise CompletenessError(rank, q.size, f"singular Jacobian at iteration {iterations}")
@@ -519,22 +512,20 @@ def evolve(
     return t, q, p
 
 
-def conservation_drift(obs: ObservableSet, q, p, floor: float = 1.0) -> np.ndarray:
+def conservation_drift(obs: ObservableSet, q, p) -> np.ndarray:
     """Per-observable max drift along rows of states.
 
     ``q`` and ``p`` hold one state per row, shape (R, N), as :func:`evolve`
     and the string flows return them; row 0 is the reference:
 
-        drift_i = max_k |f_i(q_k, p_k) - f_i(q_0, p_0)| / max(|f_i(q_0, p_0)|, floor).
+        drift_i = max_k |f_i(q_k, p_k) - f_i(q_0, p_0)| / max(|f_i(q_0, p_0)|, 1).
 
-    The floor keeps near-zero integrals from reporting huge relative drift;
-    with the default floor of 1 the measure is relative for O(1) integrals
-    and absolute below that.  The observables see private, read-only rows.
+    The floor of 1 keeps near-zero integrals from reporting huge relative
+    drift: the measure is relative for integrals of size 1 and above and
+    absolute below that.  The observables see private, read-only rows.
     q and p that are not matching nonempty 2-d arrays with finite entries
     raise ``ValueError``.
     """
-    if not 0.0 < floor < math.inf:
-        raise ValueError(f"floor must be finite and positive, got {floor!r}")
     q, p = np.array(q, dtype=float), np.array(p, dtype=float)
     if q.ndim != 2 or q.shape != p.shape or q.size == 0:
         raise ValueError(
@@ -546,5 +537,5 @@ def conservation_drift(obs: ObservableSet, q, p, floor: float = 1.0) -> np.ndarr
     p.setflags(write=False)
     values = np.array([[_checked_eval(o, qk, pk) for o in obs] for qk, pk in zip(q, p)])
     ref = values[0, :]
-    denom = np.maximum(np.abs(ref), floor)
+    denom = np.maximum(np.abs(ref), 1.0)
     return np.max(np.abs(values - ref[None, :]), axis=0) / denom

@@ -694,11 +694,12 @@ def bound_states(pot: LinePotential, k_max: float) -> np.ndarray:
     sweep samples it on a kappa grid of step 0.05 whose last sample is k_max,
     and the Illinois method refines every sign change to a bracket of at most
     1e-10, moving all the brackets in one sweep per iteration
-    (:func:`_refine_roots`).  A scan sample landing numerically on a zero is
-    retried on a slightly widened bracket; if the retry also degenerates the
-    search reports failure.
+    (:func:`_refine_roots`).  A scan sample where |a(i kappa)| is below
+    1e-13 * max(1, max |a|) over the scan is a root and is returned as that
+    sample; it takes part in no sign change, so every other root is a strict
+    sign change of the scan.
 
-    Only sign changes of the scan are found, and both misses are silent
+    Between samples only sign changes are found, and both misses are silent
     (ROADMAP item 2): two roots closer than one scan step (0.05) can share
     a step and cancel, and kappa < 0.05 is not searched at all.
     """
@@ -708,18 +709,11 @@ def bound_states(pot: LinePotential, k_max: float) -> np.ndarray:
     steps = math.ceil((k_max - _K_MIN) / _SCAN_STEP - 1e-9)
     grid = np.append(_K_MIN + _SCAN_STEP * np.arange(steps), k_max)
     vals = scattering_a(pot, 1j * grid).real
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    floor = 1e-13 * scale
-    for i in np.flatnonzero(np.abs(vals) < floor):
-        grid[i] = min(grid[i] + _SCAN_STEP / 7.0, k_max)
-        vals[i] = scattering_a(pot, [1j * grid[i]])[0].real
-        if abs(vals[i]) < floor:
-            raise ConvergenceError(
-                f"scan sample at kappa={grid[i]:.6g} sits on a zero of a(i kappa) "
-                "even after widening"
-            )
+    on_zero = np.abs(vals) < 1e-13 * max(1.0, float(np.max(np.abs(vals))))
+    vals[on_zero] = 0.0
     i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-    return _refine_roots(pot, grid[i], grid[i + 1], vals[i], vals[i + 1])
+    refined = _refine_roots(pot, grid[i], grid[i + 1], vals[i], vals[i + 1])
+    return np.sort(np.concatenate([grid[on_zero], refined]))
 
 
 def continuum_actions(k_grid, a) -> np.ndarray:

@@ -38,7 +38,7 @@ def test_criterion_1_involution_and_completeness():
     max_b = float(np.max(np.abs(B)))
     _, rank_full = canonical.numerical_rank(J)
     dropped = obs.without("mode_energy_1")
-    J_drop = canonical.completeness_jacobian(dropped, state, h=1e-5)
+    J_drop = canonical.involution_and_jacobian(dropped, state, h=1e-5)[1]
     _, rank_drop = canonical.numerical_rank(J_drop)
     elapsed = time.perf_counter() - start
 

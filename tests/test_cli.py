@@ -440,6 +440,13 @@ class TestRunPaths:
         assert report["overall_pass"] is True
         assert "error" not in report
 
+    def test_bound_state_at_k_max_bound(self, tmp_path):
+        # the default soliton's kappa 1 is the last scan sample
+        payload = {"experiment": "kdv-action-hamiltonian", "parameters": {"k_max_bound": 1.0}}
+        assert run_cli(tmp_path, payload) == 0
+        bound = tmp_path / "out" / "kdv-action-hamiltonian" / "bound.csv"
+        assert bound.read_text() == "l,k_l,N_l\n1,1,1\n"
+
     def test_actions_window_too_narrow_for_the_soliton_exits_3(self, tmp_path):
         # kappa 1 reaches 3e-10 at x = 12; kdv-scattering's probe windows
         # reject this L_domain too

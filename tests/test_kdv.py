@@ -678,11 +678,39 @@ class TestBoundStates:
         assert bk.size == 1
         assert abs(bk[0] - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("kappa", [0.95, 1.0, 1.05])
+    def test_root_at_k_max_is_the_last_sample(self, kappa):
+        bk = bound_states(sample_potential(sech2_potential(kappa)), kappa)
+        assert bk.tolist() == [kappa]
+
+    @pytest.mark.parametrize("kappa", [0.95, 1.0, 1.05])
+    def test_root_on_a_scan_sample_needs_no_refinement(self, kappa, monkeypatch):
+        sweeps = []
+        real = kdv.scattering_a
+
+        def counting(pot, ks):
+            sweeps.append(np.atleast_1d(ks).imag)
+            return real(pot, ks)
+
+        monkeypatch.setattr(kdv, "scattering_a", counting)
+        bk = bound_states(sample_potential(sech2_potential(kappa)), kappa + 0.5)
+        assert len(sweeps) == 1
+        assert bk.size == 1 and bk[0] in sweeps[0]
+        assert abs(bk[0] - kappa) <= 1e-15
+
     @pytest.mark.parametrize("nu", [2, 3])
+    def test_poschl_teller_integer_levels(self, nu):
+        # -nu (nu + 1) sech^2 x binds kappa_n = nu - n, n = 0..nu-1
+        pot = sample_potential(lambda x: -nu * (nu + 1) / np.cosh(x) ** 2)
+        bk = bound_states(pot, nu + 0.5)
+        assert bk.size == nu
+        assert np.max(np.abs(bk - np.arange(1, nu + 1))) <= 1e-10
+
+    @pytest.mark.parametrize("nu", [2.33, 3.33])
     def test_poschl_teller_one_sweep_per_iteration(self, nu, monkeypatch):
-        # -nu (nu + 1) sech^2 x binds kappa_n = nu - n, n = 0..nu-1; every
-        # refinement iteration evaluates one point of each open bracket,
-        # all of them in one sweep
+        # -nu (nu + 1) sech^2 x binds kappa_n = nu - n, n = 0..ceil(nu)-1,
+        # all off the scan grid; every refinement iteration evaluates one
+        # point of each open bracket, all of them in one sweep
         sweeps, refine_from = [], []
         real_a, real_refine = kdv.scattering_a, kdv._refine_roots
 
@@ -696,13 +724,14 @@ class TestBoundStates:
 
         monkeypatch.setattr(kdv, "scattering_a", counting)
         monkeypatch.setattr(kdv, "_refine_roots", marking)
+        levels = nu - np.arange(math.ceil(nu))[::-1]
         pot = sample_potential(lambda x: -nu * (nu + 1) / np.cosh(x) ** 2)
         bk = bound_states(pot, nu + 0.5)
-        assert bk.size == nu
-        assert np.max(np.abs(bk - np.arange(1, nu + 1))) <= 1e-10
+        assert bk.size == levels.size
+        assert np.max(np.abs(bk - levels)) <= 1e-10
         # a point belongs to the bracket of its nearest root
-        brackets = [np.rint(kappas).astype(int) for kappas in sweeps[refine_from[0] :]]
-        assert brackets[0].size == nu
+        brackets = [np.argmin(np.abs(k[:, None] - levels), axis=1) for k in sweeps[refine_from[0] :]]
+        assert brackets[0].size == levels.size
         assert all(np.unique(b).size == b.size for b in brackets)
         assert len(brackets) == np.bincount(np.concatenate(brackets)).max()
 
@@ -713,13 +742,14 @@ class TestBoundStates:
         bk = bound_states(sample_potential(lambda x: -nu * (nu + 1) / np.cosh(x) ** 2), 3.0)
         assert np.allclose(bk, [0.02, 1.02], atol=1e-9)
 
-    def test_iteration_cap_names_the_open_interval(self, sech_pot, monkeypatch):
+    def test_iteration_cap_names_the_open_interval(self, monkeypatch):
+        # kappa 1.02 lies between the scan samples 1.0 and 1.05
         monkeypatch.setattr(kdv, "_REFINE_STEPS", 2)
         with pytest.raises(ConvergenceError, match="open after 2 iterations") as exc:
-            bound_states(sech_pot, 1.5)
+            bound_states(sample_potential(sech2_potential(1.02)), 1.5)
         interval = re.search(r"kappa in \[([^,]+), ([^\]]+)\]", str(exc.value))
         lo, hi = float(interval[1]), float(interval[2])
-        assert 0.95 <= lo < 1.0 < hi <= 1.05
+        assert 1.0 <= lo < 1.02 < hi <= 1.05
 
 
 class TestActionVariables:

@@ -9,7 +9,6 @@ from hamlab import (
     CanonicalState,
     check_gradients,
     DomainExitError,
-    completeness_jacobian,
     conservation_drift,
     evolve,
     involution_and_jacobian,
@@ -277,14 +276,14 @@ class TestStringObservables:
         n = 6
         rng = np.random.default_rng(36)
         s = CanonicalState(rng.normal(size=n), rng.uniform(0.5, 2.0, size=n))
-        J = completeness_jacobian(string_observable_set(n), s, H_FD)
+        J = involution_and_jacobian(string_observable_set(n), s, H_FD)[1]
         assert np.allclose(J, np.diag(s.p), atol=1e-9)
 
     def test_complete_with_nonzero_momenta(self):
         n = 8
         rng = np.random.default_rng(37)
         s = CanonicalState(rng.normal(size=n), rng.uniform(0.5, 2.0, size=n))
-        J = completeness_jacobian(string_observable_set(n), s, H_FD)
+        J = involution_and_jacobian(string_observable_set(n), s, H_FD)[1]
         assert numerical_rank(J)[1] == n
 
     def test_incomplete_with_f1_removed(self):
@@ -292,7 +291,7 @@ class TestStringObservables:
         rng = np.random.default_rng(38)
         s = CanonicalState(rng.normal(size=n), rng.uniform(0.5, 2.0, size=n))
         obs = string_observable_set(n).without("mode_energy_1")
-        _, rank = numerical_rank(completeness_jacobian(obs, s, H_FD))
+        _, rank = numerical_rank(involution_and_jacobian(obs, s, H_FD)[1])
         assert rank == n - 1
 
 

@@ -31,11 +31,12 @@ five y values over 6 steps, and at its defaults over 256 steps (a step of
 wavenumber and at that wavenumber by whole periods), kdv-scattering and
 kdv-action-hamiltonian at kappa 0.95 and 1.05, kdv-scattering with 5
 sample times (more line windows), kdv-action-hamiltonian with k_max_bound
-0.04 (no bound state: a header-only bound.csv and exit 1) and with 300 k
-(one chunk per block of the Magnus sweep), a shortened kdv-conservation at
-kappa 0.8, and kdv-conservation over one segment of 203 steps (a
-kdv_evolve call that ends in a partial block of its finiteness check),
-and kdv-conservation to t_final 0.05 at 2 samples on 256 modes and on
+0.04 (no bound state: a header-only bound.csv and exit 1), with
+k_max_bound 1 (the soliton's kappa 1 is the last scan sample) and with
+300 k (one chunk per block of the Magnus sweep), a shortened
+kdv-conservation at kappa 0.8, and kdv-conservation over one segment of
+203 steps (a kdv_evolve call that ends in a partial block of its
+finiteness check), and kdv-conservation to t_final 0.05 at 2 samples on 256 modes and on
 1024 modes over L_domain 60 (transform sizes other than 512).
 Two configs must blow up (exit 3, no checks, so their error records are
 what is compared): string-modes with dt 0.5 over 20000 steps (a Verlet
@@ -99,7 +100,8 @@ CONFIGS = (
     + [("kdv-scattering", {"kappa": kappa}) for kappa in KAPPAS]
     + [("kdv-scattering", {"n_times": 5})]
     + [("kdv-action-hamiltonian", {"kappa": kappa, "k_max_bound": kappa + 0.5}) for kappa in KAPPAS]
-    + [("kdv-action-hamiltonian", {"k_max_bound": 0.04}), ("kdv-action-hamiltonian", {"n_k": 300})]
+    + [("kdv-action-hamiltonian", {"k_max_bound": 0.04}), ("kdv-action-hamiltonian", {"k_max_bound": 1.0})]
+    + [("kdv-action-hamiltonian", {"n_k": 300})]
     + [("kdv-conservation", {"kappa": 0.8, "t_final": 0.5})]
     + [("kdv-conservation", {"t_final": 0.0203, "n_samples": 2})]
     + [("kdv-conservation", {"M": 256, "t_final": 0.05, "n_samples": 2})]
