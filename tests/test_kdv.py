@@ -656,10 +656,11 @@ class TestBoundStates:
         assert scan[-1] == k_max
         assert np.all(np.diff(scan) > 0) and np.max(np.diff(scan)) <= 0.05 + 1e-12
 
-    @pytest.mark.parametrize("kappa", [0.95, 1.0, 1.05, 1.3])
+    @pytest.mark.parametrize("kappa", [0.95, 1.0, 1.02, 1.05, 1.3, 1.33])
     def test_analytic_profiles_to_round_off(self, kappa, monkeypatch):
         # the scan plus at most 7 refinement sweeps, the count of the
-        # Brent steps this refinement replaced
+        # Brent steps this refinement replaced; 1.02 and 1.33 lie between
+        # scan samples, the others on one
         sweeps = []
         real = kdv.scattering_a
 
