@@ -311,14 +311,11 @@ def _run_kdv_conservation(p):
     return checks, artifacts
 
 
-def _scattering(p, k_max_bound):
-    """a(k) of the soliton potential of p on its k grid, the continuum
-    actions n(k) and the bound states below k_max_bound, as (k, n, kappas,
+def _scattering(p, pot, k_max_bound):
+    """a(k) of the line window pot on p's k grid, the continuum actions
+    n(k) and the bound states below k_max_bound, as (k, n, kappas,
     artifacts): scattering.csv (a(k) and n(k)) and bound.csv (kappa_l and
-    N_l = kappa_l^2).  The potential's window is the span of p's KdV field,
-    [-L_domain/2, L_domain/2].  The k grid is checked before the bound-state
-    search."""
-    pot = kdv.sample_potential(lambda x: kdv.soliton(x, p["kappa"], 0.0), p["L_domain"] / 2)
+    N_l = kappa_l^2).  The k grid is checked before the bound-state search."""
     k = np.linspace(p["k_min"], p["k_max"], p["n_k"])
     a = kdv.scattering_a(pot, k)
     n = kdv.continuum_actions(k, a)
@@ -331,9 +328,10 @@ def _scattering(p, k_max_bound):
 
 
 def _run_kdv_scattering(p):
-    a = [kdv.scattering_a(kdv.line_window(f), [p["k_probe"]])[0] for f in _kdv_flow(p, "n_times")]
+    # pot ends as the last window, the evolved field's, which the table and bound states read
+    a = [kdv.scattering_a(pot := kdv.line_window(f), [p["k_probe"]])[0] for f in _kdv_flow(p, "n_times")]
     drift = max(abs(v - a[0]) for v in a[1:])
-    _, _, kappas, artifacts = _scattering(p, p["kappa"] + 0.5)
+    _, _, kappas, artifacts = _scattering(p, pot, p["kappa"] + 0.5)
 
     checks = [
         _bounded("a-probe-drift", drift, p["drift_tol"]),
@@ -347,8 +345,9 @@ def _run_kdv_scattering(p):
 def _run_kdv_action_hamiltonian(p):
     kappa = p["kappa"]
     # the field goes first: a bad M fails before any sweep work
-    H_dir = kdv.direct_hamiltonian(kdv.soliton_field(kappa, L_domain=p["L_domain"], M=p["M"]))
-    k, n, kappas, artifacts = _scattering(p, p["k_max_bound"])
+    f = kdv.soliton_field(kappa, L_domain=p["L_domain"], M=p["M"])
+    H_dir = kdv.direct_hamiltonian(f)
+    k, n, kappas, artifacts = _scattering(p, kdv.line_window(f), p["k_max_bound"])
     H_act = kdv.hamiltonian_from_actions(k, n, kappas)
     H_closed = -32.0 / 5.0 * kappa**5
 

@@ -383,18 +383,11 @@ class LinePotential:
         if not lo < hi:
             raise ValueError("x_left must be below x_right")
         edge = float(np.max(np.abs(self.fn(np.array([lo, hi])))))
-        if edge > _DECAY_TOL:
+        if not edge <= _DECAY_TOL:
             raise DecayError(
                 f"potential reaches {edge:.3e} > {_DECAY_TOL:.1e} at the "
                 "window edge; enlarge the window or recenter the data"
             )
-
-
-def sample_potential(
-    fn: Callable[[np.ndarray], np.ndarray], half_width: float = 20.0
-) -> LinePotential:
-    """A callable potential on the symmetric window [-half_width, half_width]."""
-    return LinePotential(fn, -half_width, half_width)
 
 
 def line_window(f: PeriodicField) -> LinePotential:
@@ -703,6 +696,8 @@ def bound_states(pot: LinePotential, k_max: float) -> np.ndarray:
     (ROADMAP item 2): two roots closer than one scan step (0.05) can share
     a step and cancel, and kappa < 0.05 is not searched at all.
     """
+    if not math.isfinite(k_max):
+        raise ValueError(f"k_max must be finite, got {k_max}")
     if k_max <= _K_MIN:
         return np.array([])
     # the steps below k_max, then k_max itself: no sample lies above it
@@ -716,6 +711,19 @@ def bound_states(pot: LinePotential, k_max: float) -> np.ndarray:
     return np.sort(np.concatenate([grid[on_zero], refined]))
 
 
+def _k_table(k_grid, values, name, dtype):
+    """(k_grid, values) as arrays, both finite and 1-d of one nonempty shape, k > 0 increasing."""
+    k_grid, values = np.asarray(k_grid, dtype=float), np.asarray(values, dtype=dtype)
+    for label, v in (("k_grid", k_grid), (name, values)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{label} entries must be finite")
+    if k_grid.ndim != 1 or k_grid.shape != values.shape or k_grid.size < 1:
+        raise ValueError(f"k_grid and {name} must be matching nonempty 1-d arrays")
+    if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
+        raise ValueError("k_grid must be positive and strictly increasing")
+    return k_grid, values
+
+
 def continuum_actions(k_grid, a) -> np.ndarray:
     """The continuum actions n(k) = (2k/pi) ln |a(k)|^2 of a(k) sampled on
     a grid of positive, strictly increasing k.
@@ -724,15 +732,7 @@ def continuum_actions(k_grid, a) -> np.ndarray:
     first: |a| >= 1 on the real axis (to 1e-8) and |a| -> 1 at the largest
     sample (to 0.1).  An n(k) below -1e-10 is rejected too.
     """
-    k_grid = np.asarray(k_grid, dtype=float)
-    a = np.asarray(a, dtype=complex)
-    for name, values in (("k_grid", k_grid), ("a", a)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} entries must be finite")
-    if k_grid.ndim != 1 or k_grid.shape != a.shape or k_grid.size < 1:
-        raise ValueError("k_grid and a must be matching nonempty 1-d arrays")
-    if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
-        raise ValueError("k_grid must be positive and strictly increasing")
+    k_grid, a = _k_table(k_grid, a, "a", complex)
     mods = np.abs(a)
     if np.min(mods) < 1.0 - 1e-8:
         raise ValueError(f"|a| dips to {np.min(mods):.12f} < 1; not a real decaying potential's data")
@@ -746,30 +746,27 @@ def continuum_actions(k_grid, a) -> np.ndarray:
 
 def hamiltonian_from_actions(k_grid, n_of_k, kappas) -> float:
     """H = -(32/5) sum_l N_l^(5/2) + 8 int k^3 n(k) dk from the continuum
-    actions n(k) on k_grid (:func:`continuum_actions`) and the bound-state
-    actions N_l = kappa_l^2 of the wavenumbers ``kappas``.
+    actions n(k) on a k_grid checked as in :func:`continuum_actions` and the
+    bound-state actions N_l = kappa_l^2 of the wavenumbers ``kappas``.
 
     The integral runs over the sampled k range by trapezoid; the
     contribution of the upper half of the range estimates the unconverged
     tail and triggers a warning when it exceeds 1% of the total (or 1e-6).
     """
-    k_grid, n_of_k, kappas = (np.asarray(v, dtype=float) for v in (k_grid, n_of_k, kappas))
-    if k_grid.ndim != 1 or k_grid.shape != n_of_k.shape:
-        raise ValueError("k_grid and n_of_k must be matching 1-d arrays")
+    k_grid, n_of_k = _k_table(k_grid, n_of_k, "n_of_k", float)
+    kappas = np.asarray(kappas, dtype=float)
     if not np.all(np.isfinite(kappas) & (kappas > 0)):
         raise ValueError("bound-state wavenumbers must be positive and finite")
     discrete = -6.4 * float(np.sum(np.sort(kappas**2) ** 2.5))
-    if k_grid.size >= 2:
-        integrand = k_grid**3 * n_of_k
-        integral = 8.0 * float(np.trapezoid(integrand, k_grid))
-        half = k_grid.size // 2
-        tail = 8.0 * abs(float(np.trapezoid(integrand[half:], k_grid[half:])))
-        total = discrete + integral
-        if tail > max(1e-6, _TAIL_TOL * abs(total)):
-            warnings.warn(
-                f"upper-half k-range contributes {tail:.3e} to the action integral; "
-                "extend the k grid",
-                stacklevel=2,
-            )
-        return total
-    return discrete
+    integrand = k_grid**3 * n_of_k
+    integral = 8.0 * float(np.trapezoid(integrand, k_grid))
+    half = k_grid.size // 2
+    tail = 8.0 * abs(float(np.trapezoid(integrand[half:], k_grid[half:])))
+    total = discrete + integral
+    if tail > max(1e-6, _TAIL_TOL * abs(total)):
+        warnings.warn(
+            f"upper-half k-range contributes {tail:.3e} to the action integral; "
+            "extend the k grid",
+            stacklevel=2,
+        )
+    return total

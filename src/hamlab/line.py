@@ -65,8 +65,9 @@ def line_grid(L: float = DEFAULT_HALF_WIDTH, step: float = DEFAULT_STEP) -> np.n
     (-k) * step == -(k * step) exactly, so grid[i] == -grid[-1-i] bitwise,
     which the odd-cancellation quadrature relies on.
     """
-    if L <= 0 or step <= 0:
-        raise ValueError("L and step must be positive")
+    for name, value in (("L", L), ("step", step)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     n_half = int(round(L / step))
     if abs(n_half * step - L) > 1e-12:
         raise ValueError("step must divide the half-width L")

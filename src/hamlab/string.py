@@ -77,8 +77,10 @@ def hj_action(n: int, a: float, E_n: float) -> float:
     """
     if n < 1:
         raise ValueError("mode index must be >= 1")
-    if E_n < 0:
-        raise ValueError("E_n must be nonnegative")
+    if not 0 <= E_n < math.inf:
+        raise ValueError(f"E_n must be nonnegative and finite, got {E_n}")
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     if E_n == 0.0:
         if a != 0.0:
             raise DomainExitError(f"a={a} outside allowed region for E_n=0")

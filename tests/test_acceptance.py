@@ -169,7 +169,7 @@ def test_criterion_6_scattering_invariance():
     values = [kdv.scattering_a(kdv.line_window(f), [1.3])[0] for f in (f0, f_half, f_one)]
     a_drift = float(max(abs(v - values[0]) for v in values))
 
-    pot = kdv.sample_potential(lambda x: -2.0 / np.cosh(x) ** 2)
+    pot = kdv.LinePotential(lambda x: -2.0 / np.cosh(x) ** 2, -20.0, 20.0)
     bk = kdv.bound_states(pot, 3.0)
     bound_err = float(abs(bk[0] - 1.0)) if bk.size == 1 else math.inf
 
@@ -179,7 +179,7 @@ def test_criterion_6_scattering_invariance():
 
 
 def test_criterion_7_action_hamiltonian():
-    pot = kdv.sample_potential(lambda x: -2.0 / np.cosh(x) ** 2)
+    pot = kdv.LinePotential(lambda x: -2.0 / np.cosh(x) ** 2, -20.0, 20.0)
     k = np.linspace(0.05, 4.0, 60)
     n = kdv.continuum_actions(k, kdv.scattering_a(pot, k))
     H_act = kdv.hamiltonian_from_actions(k, n, kdv.bound_states(pot, 1.5))
@@ -223,7 +223,7 @@ def test_criterion_8_oracle_equivalence():
     exp_err = max(abs(e - o) for e, o in zip(exponents, (4, 6)))
 
     # Magnus Jost sweep against the DOP853 oracle, on and off the real axis
-    pot = kdv.sample_potential(lambda x: -2.0 / np.cosh(x) ** 2)
+    pot = kdv.LinePotential(lambda x: -2.0 / np.cosh(x) ** 2, -20.0, 20.0)
     ks = np.array([0.3, 1.3, 2.5, 0.5j, 2.0j])
     oracle = np.array([kdv.schrodinger_a(pot, k) for k in ks])
     jost_diff = float(np.max(np.abs(kdv.scattering_a(pot, ks) - oracle)))

@@ -447,6 +447,28 @@ class TestRunPaths:
         bound = tmp_path / "out" / "kdv-action-hamiltonian" / "bound.csv"
         assert bound.read_text() == "l,k_l,N_l\n1,1,1\n"
 
+    def test_scan_to_35_4_stays_in_range_on_the_field_window(self, tmp_path):
+        # the default field's window ends at 19.92, one grid step short of 20,
+        # so the sweep at 35.35j does not overflow
+        payload = {"experiment": "kdv-action-hamiltonian", "parameters": {"k_max_bound": 35.4}}
+        assert run_cli(tmp_path, payload) == 0
+        bound = tmp_path / "out" / "kdv-action-hamiltonian" / "bound.csv"
+        assert bound.read_text() == "l,k_l,N_l\n1,1,1\n"
+
+    def test_scattering_tables_read_the_evolved_field(self, tmp_path):
+        # kappa 1.02 lies between scan samples, so its bound state is refined
+        params = {"kappa": 1.02, "t_final": 0.02, "dt": 1e-3, "n_times": 2}
+        assert run_cli(tmp_path, {"experiment": "kdv-scattering", "parameters": params}) == 0
+        # the replayed flow: one segment of 20 steps
+        pot = kdv.line_window(kdv.kdv_evolve(kdv.soliton_field(1.02), 1e-3, 20))
+        k = np.linspace(0.2, 3.0, 15)
+        out = tmp_path / "out" / "kdv-scattering"
+        table = np.loadtxt(out / "scattering.csv", delimiter=",", skiprows=1)
+        bound = np.loadtxt(out / "bound.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(table[:, 0], k)
+        assert np.array_equal(table[:, 1] + 1j * table[:, 2], kdv.scattering_a(pot, k))
+        assert np.array_equal(bound[:, 1], kdv.bound_states(pot, 1.02 + 0.5))
+
     def test_actions_window_too_narrow_for_the_soliton_exits_3(self, tmp_path):
         # kappa 1 reaches 3e-10 at x = 12; kdv-scattering's probe windows
         # reject this L_domain too
@@ -457,8 +479,9 @@ class TestRunPaths:
         assert "enlarge the window" in error["message"]
 
     def test_sweep_overflow_names_both_remedies(self, tmp_path, capsys):
-        # the launch value at 35.4j is a double, but the sweep overflows at 35.35j
-        payload = {"experiment": "kdv-action-hamiltonian", "parameters": {"k_max_bound": 35.4}}
+        # the window of the 2048-point field ends at 19.98; the launch value
+        # at 35.4j is a double, but the sweep overflows at 35.35j
+        payload = {"experiment": "kdv-action-hamiltonian", "parameters": {"k_max_bound": 35.4, "M": 2048}}
         assert run_cli(tmp_path, payload) == 3
         assert "ConvergenceError" in capsys.readouterr().err
         message = load_report(tmp_path, "kdv-action-hamiltonian")["error"]["message"]
@@ -773,7 +796,7 @@ class TestColdStart:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(kdv, "solve_ivp", counting)
-        pot = kdv.sample_potential(lambda x: -2.0 / np.cosh(x) ** 2, half_width=15.0)
+        pot = kdv.LinePotential(lambda x: -2.0 / np.cosh(x) ** 2, -15.0, 15.0)
         kdv.schrodinger_a(pot, 1.0)
         assert len(calls) == 1
 

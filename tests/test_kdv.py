@@ -31,7 +31,6 @@ from hamlab.kdv import (
     periodic_integral,
     riccati_densities,
     riccati_residual,
-    sample_potential,
     scattering_a,
     schrodinger_a,
     soliton,
@@ -53,7 +52,7 @@ def generic_field():
 
 @pytest.fixture(scope="module")
 def sech_pot():
-    return sample_potential(sech2_potential())
+    return LinePotential(sech2_potential(), -20.0, 20.0)
 
 
 @pytest.fixture(scope="module")
@@ -377,7 +376,12 @@ def window_knots(f):
 class TestLinePotential:
     def test_edge_decay_enforced(self):
         with pytest.raises(DecayError):
-            sample_potential(lambda x: 0.1 * np.cos(x))
+            LinePotential(lambda x: 0.1 * np.cos(x), -20.0, 20.0)
+
+    def test_nan_edge_rejected(self):
+        # NaN fails every comparison, so it must not pass as decayed
+        with pytest.raises(DecayError, match="window edge"):
+            LinePotential(lambda x: np.full_like(x, np.nan), -1.0, 1.0)
 
     def test_window_of_non_decaying_field_rejected(self):
         x = kdv_grid()
@@ -486,7 +490,7 @@ class TestScatteringA:
 
     def test_two_well_matches_oracle(self):
         fn_a, fn_b = sech2_potential(1.0, -10.0), sech2_potential(0.5, 10.0)
-        pot = sample_potential(lambda x: fn_a(x) + fn_b(x), half_width=40.0)
+        pot = LinePotential(lambda x: fn_a(x) + fn_b(x), -40.0, 40.0)
         ks = np.array([0.2, 0.8, 1.7, 3.0, 0.3j, 0.75j, 1.2j])
         oracle = np.array([schrodinger_a(pot, k) for k in ks])
         assert np.max(np.abs(scattering_a(pot, ks) - oracle)) < 1e-9
@@ -554,7 +558,7 @@ class TestScatteringA:
             calls.append(np.shape(x))
             return sech2_potential()(x)
 
-        pot = sample_potential(fn)
+        pot = LinePotential(fn, -20.0, 20.0)
         calls.clear()
         scattering_a(pot, [1.3])
         assert len(calls) <= 2
@@ -611,6 +615,11 @@ class TestBoundStates:
         assert bk.size == 1
         assert bk[0] == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("k_max", [np.inf, np.nan])
+    def test_nonfinite_k_max_rejected(self, sech_pot, k_max):
+        with pytest.raises(ValueError, match="k_max must be finite"):
+            bound_states(sech_pot, k_max)
+
     def test_scan_deep_into_imaginary_axis(self, sech_pot):
         # a(i kappa) -> 1 far from the root; the scan must not mistake a
         # lost launch value for a zero
@@ -620,14 +629,14 @@ class TestBoundStates:
 
     def test_two_well_superposition(self):
         fn_a, fn_b = sech2_potential(1.0, -10.0), sech2_potential(0.5, 10.0)
-        pot = sample_potential(lambda x: fn_a(x) + fn_b(x), half_width=40.0)
+        pot = LinePotential(lambda x: fn_a(x) + fn_b(x), -40.0, 40.0)
         bk = bound_states(pot, 1.5)
         assert bk.size == 2
         assert np.allclose(bk, [0.5, 1.0], atol=1e-6)
 
     def test_repulsive_on_average_packet_is_empty(self):
         # positive net area keeps the shallow-well bound state away
-        pot = sample_potential(lambda x: 0.05 * np.cos(2.0 * x) * np.exp(-(x**2) / 16.0))
+        pot = LinePotential(lambda x: 0.05 * np.cos(2.0 * x) * np.exp(-(x**2) / 16.0), -20.0, 20.0)
         assert bound_states(pot, 1.0).size == 0
 
     def test_empty_range(self, sech_pot):
@@ -635,7 +644,7 @@ class TestBoundStates:
 
     def test_no_root_above_k_max(self):
         # a scan sample at 1.0 > 0.99 would bracket the root at 0.995
-        pot = sample_potential(sech2_potential(0.995))
+        pot = LinePotential(sech2_potential(0.995), -20.0, 20.0)
         assert bound_states(pot, 0.99).size == 0
         bk = bound_states(pot, 1.0)
         assert bk.size == 1
@@ -669,7 +678,7 @@ class TestBoundStates:
             return real(pot, ks)
 
         monkeypatch.setattr(kdv, "scattering_a", counting)
-        bk = bound_states(sample_potential(sech2_potential(kappa)), kappa + 0.5)
+        bk = bound_states(LinePotential(sech2_potential(kappa), -20.0, 20.0), kappa + 0.5)
         assert bk.size == 1
         assert abs(bk[0] - kappa) <= 2e-12
         assert len(sweeps) <= 8
@@ -681,7 +690,7 @@ class TestBoundStates:
 
     @pytest.mark.parametrize("kappa", [0.95, 1.0, 1.05])
     def test_root_at_k_max_is_the_last_sample(self, kappa):
-        bk = bound_states(sample_potential(sech2_potential(kappa)), kappa)
+        bk = bound_states(LinePotential(sech2_potential(kappa), -20.0, 20.0), kappa)
         assert bk.tolist() == [kappa]
 
     @pytest.mark.parametrize("kappa", [0.95, 1.0, 1.05])
@@ -694,7 +703,7 @@ class TestBoundStates:
             return real(pot, ks)
 
         monkeypatch.setattr(kdv, "scattering_a", counting)
-        bk = bound_states(sample_potential(sech2_potential(kappa)), kappa + 0.5)
+        bk = bound_states(LinePotential(sech2_potential(kappa), -20.0, 20.0), kappa + 0.5)
         assert len(sweeps) == 1
         assert bk.size == 1 and bk[0] in sweeps[0]
         assert abs(bk[0] - kappa) <= 1e-15
@@ -702,7 +711,7 @@ class TestBoundStates:
     @pytest.mark.parametrize("nu", [2, 3])
     def test_poschl_teller_integer_levels(self, nu):
         # -nu (nu + 1) sech^2 x binds kappa_n = nu - n, n = 0..nu-1
-        pot = sample_potential(lambda x: -nu * (nu + 1) / np.cosh(x) ** 2)
+        pot = LinePotential(lambda x: -nu * (nu + 1) / np.cosh(x) ** 2, -20.0, 20.0)
         bk = bound_states(pot, nu + 0.5)
         assert bk.size == nu
         assert np.max(np.abs(bk - np.arange(1, nu + 1))) <= 1e-10
@@ -726,7 +735,7 @@ class TestBoundStates:
         monkeypatch.setattr(kdv, "scattering_a", counting)
         monkeypatch.setattr(kdv, "_refine_roots", marking)
         levels = nu - np.arange(math.ceil(nu))[::-1]
-        pot = sample_potential(lambda x: -nu * (nu + 1) / np.cosh(x) ** 2)
+        pot = LinePotential(lambda x: -nu * (nu + 1) / np.cosh(x) ** 2, -20.0, 20.0)
         bk = bound_states(pot, nu + 0.5)
         assert bk.size == levels.size
         assert np.max(np.abs(bk - levels)) <= 1e-10
@@ -740,14 +749,14 @@ class TestBoundStates:
     def test_poschl_teller_level_below_the_scan(self):
         # -nu (nu + 1) sech^2 x with nu = 1.02 binds kappa = 1.02 and 0.02
         nu = 1.02
-        bk = bound_states(sample_potential(lambda x: -nu * (nu + 1) / np.cosh(x) ** 2), 3.0)
+        bk = bound_states(LinePotential(lambda x: -nu * (nu + 1) / np.cosh(x) ** 2, -20.0, 20.0), 3.0)
         assert np.allclose(bk, [0.02, 1.02], atol=1e-9)
 
     def test_iteration_cap_names_the_open_interval(self, monkeypatch):
         # kappa 1.02 lies between the scan samples 1.0 and 1.05
         monkeypatch.setattr(kdv, "_REFINE_STEPS", 2)
         with pytest.raises(ConvergenceError, match="open after 2 iterations") as exc:
-            bound_states(sample_potential(sech2_potential(1.02)), 1.5)
+            bound_states(LinePotential(sech2_potential(1.02), -20.0, 20.0), 1.5)
         interval = re.search(r"kappa in \[([^,]+), ([^\]]+)\]", str(exc.value))
         lo, hi = float(interval[1]), float(interval[2])
         assert 1.0 <= lo < 1.02 < hi <= 1.05
@@ -823,7 +832,7 @@ class TestActionVariables:
         assert np.array_equal(n, kept)
 
     def test_oscillating_packet_has_positive_density(self):
-        pot = sample_potential(lambda x: 0.05 * np.cos(2.0 * x) * np.exp(-(x**2) / 16.0))
+        pot = LinePotential(lambda x: 0.05 * np.cos(2.0 * x) * np.exp(-(x**2) / 16.0), -20.0, 20.0)
         k = np.linspace(0.1, 3.0, 30)
         n = continuum_actions(k, scattering_a(pot, k))
         assert np.min(n) > -1e-10
@@ -845,7 +854,7 @@ class TestHamiltonianFromActions:
     def test_two_soliton_value(self, two_soliton_run):
         f0, _ = two_soliton_run
         fn_a, fn_b = sech2_potential(1.0, -10.0), sech2_potential(0.5, 10.0)
-        pot = sample_potential(lambda x: fn_a(x) + fn_b(x), half_width=40.0)
+        pot = LinePotential(lambda x: fn_a(x) + fn_b(x), -40.0, 40.0)
         k = np.linspace(0.05, 4.0, 80)
         n = continuum_actions(k, scattering_a(pot, k))
         H = hamiltonian_from_actions(k, n, bound_states(pot, 1.5))
@@ -866,5 +875,24 @@ class TestHamiltonianFromActions:
 
     def test_mismatched_actions_rejected(self):
         # a one-entry n(k) would broadcast over the whole grid
-        with pytest.raises(ValueError, match="matching 1-d arrays"):
+        with pytest.raises(ValueError, match="matching nonempty 1-d arrays"):
             hamiltonian_from_actions([1.0, 2.0, 3.0], [0.5], [])
+
+    @pytest.mark.parametrize(
+        "k, n, match",
+        [
+            ([1.0, 2.0], [0.1, np.nan], "n_of_k entries must be finite"),
+            ([1.0, np.inf], [0.1, 0.1], "k_grid entries must be finite"),
+            ([2.0, 1.0], [0.1, 0.1], "positive and strictly increasing"),
+            ([0.0, 1.0], [0.1, 0.1], "positive and strictly increasing"),
+            ([], [], "matching nonempty 1-d arrays"),
+        ],
+        ids=["nan-action", "inf-k", "decreasing", "zero-k", "empty"],
+    )
+    def test_k_table_checked_as_in_continuum_actions(self, k, n, match):
+        # each of these returned a number before: NaN, or an integral of the wrong sign
+        with pytest.raises(ValueError, match=match):
+            hamiltonian_from_actions(k, n, [1.0])
+
+    def test_one_sample_grid_gives_the_discrete_part(self):
+        assert hamiltonian_from_actions([1.0], [0.3], [1.0]) == -6.4

@@ -21,13 +21,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamlab.kdv import (
+    LinePotential,
     PeriodicField,
     analytic_soliton_a,
     bound_states,
     kdv_evolve,
     kdv_grid,
     periodic_integral,
-    sample_potential,
     scattering_a,
 )
 
@@ -67,7 +67,7 @@ def check(pot, kappas):
 @SETTINGS
 @given(KAPPA)
 def test_one_soliton(kappa):
-    check(sample_potential(lambda x: -2.0 * kappa**2 / np.cosh(kappa * x) ** 2), [kappa])
+    check(LinePotential(lambda x: -2.0 * kappa**2 / np.cosh(kappa * x) ** 2, -20.0, 20.0), [kappa])
 
 
 @SETTINGS
@@ -75,13 +75,13 @@ def test_one_soliton(kappa):
 def test_two_soliton_tau_profile(k1, k2):
     # two zeros inside one bound-state scan step would not be bracketed
     assume(abs(k1 - k2) > 0.1)
-    check(sample_potential(tau_profile((k1, k2))), [k1, k2])
+    check(LinePotential(tau_profile((k1, k2)), -20.0, 20.0), [k1, k2])
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: both roots fall in one scan step")
 def test_two_soliton_pair_closer_than_the_scan_step():
     kappas = (1.01, 1.04)
-    bk = bound_states(sample_potential(tau_profile(kappas)), max(kappas) + 0.5)
+    bk = bound_states(LinePotential(tau_profile(kappas), -20.0, 20.0), max(kappas) + 0.5)
     assert np.allclose(bk, kappas, atol=1e-9)
 
 

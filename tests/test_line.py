@@ -56,6 +56,14 @@ class TestLineField:
             assert np.array_equal(f.grid, x)
             assert f.h == step and f.L == x[-1]
 
+    @pytest.mark.parametrize(
+        "L, step, name",
+        [(math.inf, 0.5, "L"), (math.nan, 0.5, "L"), (1.0, math.inf, "step"), (1.0, math.nan, "step")],
+    )
+    def test_nonfinite_grid_argument_rejected(self, L, step, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            line_grid(L, step)
+
     def test_decay_violation_rejected(self):
         with pytest.raises(DecayError):
             sample_line_field(lambda x: np.exp(-(x**2) / 400.0))

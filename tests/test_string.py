@@ -141,6 +141,14 @@ class TestHJAction:
         with pytest.raises(DomainExitError):
             hj_action(2, 2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "a, E_n, name",
+        [(math.nan, 1.0, "a"), (math.inf, 1.0, "a"), (0.1, math.nan, "E_n"), (0.1, math.inf, "E_n")],
+    )
+    def test_nonfinite_argument_rejected(self, a, E_n, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            hj_action(1, a, E_n)
+
     def test_zero_energy(self):
         assert hj_action(1, 0.0, 0.0) == 0.0
         with pytest.raises(DomainExitError):

@@ -46,11 +46,14 @@ probe the scattering window: kdv-action-hamiltonian at kappa 0.5 with
 L_domain 80 and k_max_bound 1, and kdv-scattering at kappa 0.5 with
 L_domain 80, t_final 0.01 and dt 0.001 (a soliton too wide for the
 default 40-wide window), and kdv-action-hamiltonian with k_max_bound
-35.4 (a Jost sweep that overflows after a launch that does not
-underflow, so its error record is what is compared).  Two run the Jost
-sweep on cells narrowed by the phase limit |k| h <= 0.2:
-kdv-action-hamiltonian with k_max_bound 25 (a scan of 500 kappa) and
-with k_max 30 (a real-k table).
+35.4 (a passing scan to 35.4: the field's window ends at 19.92, where
+the sweep stays in range).  Two more end at exit 3, so their error
+records are what is compared: kdv-action-hamiltonian with k_max_bound
+35.4 on M 2048 (its window ends at 19.98, and the Jost sweep overflows
+after a launch that does not underflow) and with k_max_bound 35.45 (a
+launch value that underflows).  Two run the Jost sweep on cells
+narrowed by the phase limit |k| h <= 0.2: kdv-action-hamiltonian with
+k_max_bound 25 (a scan of 500 kappa) and with k_max 30 (a real-k table).
 
 The rejected set holds one config per kind of parameter rule:
 string-modes with n_modes 8.0 (a float for an integer), string-hj with an
@@ -111,6 +114,7 @@ CONFIGS = (
     + [("kdv-action-hamiltonian", {"kappa": 0.5, "L_domain": 80, "k_max_bound": 1.0})]
     + [("kdv-scattering", {"kappa": 0.5, "L_domain": 80, "t_final": 0.01, "dt": 0.001})]
     + [("kdv-action-hamiltonian", {"k_max_bound": 35.4})]
+    + [("kdv-action-hamiltonian", {"k_max_bound": 35.4, "M": 2048}), ("kdv-action-hamiltonian", {"k_max_bound": 35.45})]
     + [("kdv-action-hamiltonian", {"k_max_bound": 25.0}), ("kdv-action-hamiltonian", {"k_max": 30.0})]
 )
 REJECTED = (
