@@ -5,7 +5,8 @@ States live in a finite truncation of a countably-infinite canonical system:
 provides
 
  - finite-difference Poisson brackets and involution matrices, which
-   differentiate each observable once per call,
+   evaluate a family once per perturbed state and differentiate each
+   member once per call,
  - the completeness diagnostic for a family of first integrals: the Jacobian
    of the integrals with respect to the momenta and its numerical rank; the
    family is complete at truncation N when that rank is N,
@@ -116,9 +117,19 @@ def _require_observables(named):
 @dataclass(frozen=True)
 class ObservableSet:
     """An ordered family of first-integral candidates, each an
-    :class:`Observable`, with distinct names."""
+    :class:`Observable`, with distinct names.
+
+    ``values(q, p)``, when given, returns every member's value in index
+    order as a 1-d array of ``len(set)`` floats, and each member's ``fn``
+    must return its entry; without it the set composes its members'
+    ``fn``s.  Every set-level operation (:meth:`evaluate`, the
+    finite-difference stencil of :func:`involution_and_jacobian` and
+    :func:`recover_momenta`, and :func:`conservation_drift`) evaluates the
+    family once per state.
+    """
 
     observables: Sequence[Observable]
+    values: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         obs = tuple(self.observables)
@@ -127,6 +138,7 @@ class ObservableSet:
         if len(set(names)) != len(names):
             raise ValueError(f"observable names must be distinct, got {names}")
         object.__setattr__(self, "observables", obs)
+        object.__setattr__(self, "_at", _family(obs, self.values))
 
     def __len__(self) -> int:
         return len(self.observables)
@@ -140,18 +152,23 @@ class ObservableSet:
 
     def evaluate(self, s: CanonicalState) -> np.ndarray:
         """Evaluate all observables at ``s`` in index order."""
-        out = np.empty(len(self.observables))
-        for i, o in enumerate(self.observables):
-            out[i] = _checked_eval(o, s.q, s.p)
-        return out
+        return self._at(s.q, s.p)
 
     def without(self, *names: str) -> "ObservableSet":
-        """Drop the named observables (used for incompleteness demos)."""
+        """Drop the named observables (used for incompleteness demos); a
+        given ``values`` is kept, with the dropped entries left out.
+        Dropping none gives the set itself."""
         missing = set(names) - set(self.names)
         if missing:
             raise ValueError(f"unknown observable(s): {sorted(missing)}")
-        kept = [o for o in self.observables if o.name not in names]
-        return ObservableSet(kept)
+        if not names:
+            return self
+        keep = [i for i, o in enumerate(self.observables) if o.name not in names]
+        kept = [self.observables[i] for i in keep]
+        if self.values is None:
+            return ObservableSet(kept)
+        full = self.values
+        return ObservableSet(kept, lambda q, p: np.asarray(full(q, p))[keep])
 
 
 def numerical_rank(J, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, int]:
@@ -180,29 +197,60 @@ def numerical_rank(J, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, i
 
 
 def _checked_eval(obs: Observable, q: np.ndarray, p: np.ndarray) -> float:
-    """``obs.fn(q, p)`` as a float; an overflow or a non-finite value raises
+    """``obs.fn(q, p)`` as a float; an overflow raises
     :class:`EvaluationError` naming the observable."""
     try:
-        v = float(obs.fn(q, p))
+        return float(obs.fn(q, p))
     except (OverflowError, FloatingPointError) as exc:
         raise EvaluationError(obs.name, str(exc)) from exc
-    if not math.isfinite(v):
-        raise EvaluationError(obs.name)
-    return v
 
 
-def _gradients(
-    observables: Sequence[Observable], q: np.ndarray, p: np.ndarray, h: float, wrt: str
-) -> np.ndarray:
-    """Central-difference gradients with respect to q or p, one row per
-    observable: the one stencil of the bracket, the involution matrix, the
-    completeness Jacobian and the gradient check.
+def _family(members: Sequence[Observable], values=None):
+    """The checked evaluation function ``(q, p) -> values`` of ``members``:
+    ``values`` when given, else the members' ``fn``s in index order.
 
-    Each evaluation gets a private, read-only copy of one side with entry
-    k moved by +h or -h, and the other side as given; the perturbed copies
-    are built once per call and shared by the observables.  An evaluation
+    It returns a new float array of ``len(members)`` entries.  A result of
+    another shape raises ``ValueError`` naming the set; a non-finite entry
+    raises :class:`EvaluationError` naming its member, and so does an
+    overflow inside a member's ``fn``; an overflow inside ``values`` names
+    the set.
+    """
+    members = tuple(members)
+    names = [o.name for o in members]
+    label = str(names if len(names) <= 3 else [names[0], "...", names[-1]])
+    if values is None:
+
+        def values(q, p):
+            return [_checked_eval(o, q, p) for o in members]
+
+    def at(q, p):
+        try:
+            v = np.array(values(q, p), dtype=float)
+        except (OverflowError, FloatingPointError) as exc:
+            raise EvaluationError(label, str(exc)) from exc
+        if v.shape != (len(names),):
+            raise ValueError(
+                f"observable set {label} returned values of shape {v.shape}, expected ({len(names)},)"
+            )
+        finite = np.isfinite(v)
+        if not finite.all():
+            raise EvaluationError(names[int(np.argmin(finite))])
+        return v
+
+    return at
+
+
+def _gradients(at, names: Sequence[str], q: np.ndarray, p: np.ndarray, h: float, wrt: str) -> np.ndarray:
+    """Central-difference gradients with respect to q or p of the family
+    evaluated by ``at`` (see :func:`_family`), one row per member, named
+    by ``names``: the one stencil of the bracket, the involution matrix,
+    the completeness Jacobian and the gradient check.
+
+    The family is evaluated once per perturbed state, 2 len(q) times per
+    call.  Each evaluation gets a private, read-only copy of one side with
+    entry k moved by +h or -h, and the other side as given.  An evaluation
     that overflows or comes out non-finite, or a row whose differences
-    overflow, raises :class:`EvaluationError` naming its observable.
+    overflow, raises :class:`EvaluationError` naming its member.
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"fd step h must be finite and positive, got {h!r}")
@@ -215,18 +263,17 @@ def _gradients(
     minus[range(n), range(n)] -= h
     plus.setflags(write=False)
     minus.setflags(write=False)
-    plus, minus = list(plus), list(minus)
-    G = np.empty((len(observables), n))
-    for i, o in enumerate(observables):
-        for k in range(n):
-            if wrt == "q":
-                fp, fm = _checked_eval(o, plus[k], p), _checked_eval(o, minus[k], p)
-            else:
-                fp, fm = _checked_eval(o, q, plus[k]), _checked_eval(o, q, minus[k])
-            G[i, k] = (fp - fm) / (2.0 * h)
-        # two finite values can still differ by more than the largest float
-        if not np.all(np.isfinite(G[i])):
-            raise EvaluationError(o.name, f"non-finite {wrt}-gradient in the stencil")
+    if wrt == "q":
+        fp, fm = [at(x, p) for x in plus], [at(x, p) for x in minus]
+    else:
+        fp, fm = [at(q, x) for x in plus], [at(q, x) for x in minus]
+    # two finite values can still differ by more than the largest float;
+    # rows made contiguous keep the dot products of the callers bitwise
+    with np.errstate(over="ignore"):
+        G = np.ascontiguousarray((np.array(fp) - np.array(fm)).T) / (2.0 * h)
+    finite = np.isfinite(G).all(axis=1)
+    if not finite.all():
+        raise EvaluationError(names[int(np.argmin(finite))], f"non-finite {wrt}-gradient in the stencil")
     return G
 
 
@@ -238,8 +285,9 @@ def poisson_bracket(f: Observable, g: Observable, s: CanonicalState, h: float = 
     exactly antisymmetric under swapping f and g.
     """
     _require_observables({"f": f, "g": g})
-    fq, gq = _gradients((f, g), s.q, s.p, h, "q")
-    fp, gp = _gradients((f, g), s.q, s.p, h, "p")
+    at, names = _family((f, g)), (f.name, g.name)
+    fq, gq = _gradients(at, names, s.q, s.p, h, "q")
+    fp, gp = _gradients(at, names, s.q, s.p, h, "p")
     return float(np.dot(fq, gp) - np.dot(fp, gq))
 
 
@@ -266,7 +314,7 @@ def check_gradients(o: Observable, s: CanonicalState) -> float:
     gradients at ``s``; ``ValueError`` when they disagree beyond 1e-6 or an
     analytic gradient is NaN."""
     analytic = [d(s.q, s.p) for d in _analytic_gradients(o)]
-    fd = [_gradients([o], s.q, s.p, DEFAULT_FD_STEP, wrt)[0] for wrt in "qp"]
+    fd = [_gradients(_family([o]), [o.name], s.q, s.p, DEFAULT_FD_STEP, wrt)[0] for wrt in "qp"]
     worst = float(np.max(np.abs(np.concatenate(fd) - np.concatenate(analytic))))
     if not worst <= _GRADIENT_TOL:
         raise ValueError(
@@ -293,8 +341,8 @@ def involution_and_jacobian(obs: ObservableSet, s: CanonicalState, h: float = DE
     bit) and is negated for the transpose entry, so B is exactly
     antisymmetric with a zero diagonal.
     """
-    Q = _gradients(obs.observables, s.q, s.p, h, "q")
-    P = _gradients(obs.observables, s.q, s.p, h, "p")
+    Q = _gradients(obs._at, obs.names, s.q, s.p, h, "q")
+    P = _gradients(obs._at, obs.names, s.q, s.p, h, "p")
     n = len(obs)
     B = np.zeros((n, n))
     for i in range(n):
@@ -340,7 +388,7 @@ def recover_momenta(
     if len(obs) < q.size:
         # Fewer integrals than momenta can never pin p down; report it as an
         # incompleteness with the (rectangular) Jacobian at the guess.
-        _, rank = numerical_rank(_gradients(obs.observables, q, p, h, "p"), rank_tol)
+        _, rank = numerical_rank(_gradients(obs._at, obs.names, q, p, h, "p"), rank_tol)
         raise CompletenessError(rank, q.size, f"{len(obs)} observables cannot determine {q.size} momenta")
 
     def residual(pv):
@@ -352,7 +400,7 @@ def recover_momenta(
     while rnorm >= tol:
         if iterations >= max_iter:
             raise DivergenceError(rnorm, iterations)
-        J = _gradients(obs.observables, q, p, h, "p")
+        J = _gradients(obs._at, obs.names, q, p, h, "p")
         _, rank = numerical_rank(J, rank_tol)
         if rank < q.size:
             raise CompletenessError(rank, q.size, f"singular Jacobian at iteration {iterations}")
@@ -535,7 +583,7 @@ def conservation_drift(obs: ObservableSet, q, p) -> np.ndarray:
         raise ValueError("q and p entries must be finite")
     q.setflags(write=False)
     p.setflags(write=False)
-    values = np.array([[_checked_eval(o, qk, pk) for o in obs] for qk, pk in zip(q, p)])
+    values = np.array([obs._at(qk, pk) for qk, pk in zip(q, p)])
     ref = values[0, :]
     denom = np.maximum(np.abs(ref), 1.0)
     return np.max(np.abs(values - ref[None, :]), axis=0) / denom

@@ -537,10 +537,18 @@ def _magnus_cells(h, u1, u2, u3, ksq):
     w0, w2 = w0_0 + w0_1 * q2, w2_0 + w2_1 * q2
     s2 = w0 * w0 + w1 * w2
     s = np.sqrt(np.abs(s2))
+    # each entry takes one pair of transcendentals: cosh/sinh or cos/sin
+    # (a NaN s2 falls to cos/sin, which keep it)
     grow = s2 > 0.0
-    c = np.where(grow, np.cosh(s), np.cos(s))
-    sh = np.where(grow, np.sinh(s), np.sin(s)) / np.where(s > 0.0, s, 1.0)
-    sh = np.where(s > 0.0, sh, 1.0)
+    turn = ~grow
+    c, sh = np.empty_like(s), np.empty_like(s)
+    np.cosh(s, where=grow, out=c)
+    np.sinh(s, where=grow, out=sh)
+    np.cos(s, where=turn, out=c)
+    np.sin(s, where=turn, out=sh)
+    moves = s > 0.0
+    np.divide(sh, s, where=moves, out=sh)
+    sh[~moves] = 1.0
     return c + sh * w0, sh * w1, sh * w2, c - sh * w0
 
 
@@ -577,6 +585,8 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
     A k whose launch value underflows (k = i kappa with kappa x_left below
     about -708) raises ConvergenceError before the sweep calls ``pot.fn``;
     a vector that leaves the double range during the sweep raises it after.
+    A potential that is not finite at a node raises ValueError naming the
+    first such x.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     if ks.ndim != 1 or ks.size == 0:
@@ -611,7 +621,11 @@ def scattering_a(pot: LinePotential, ks) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_chunks, per_block):
             starts = _CHUNK_CELLS * np.arange(first, min(first + per_block, n_chunks))
-            u = np.asarray(pot.fn(x_l + h * (starts[:, None, None] + cell_nodes)), dtype=float)
+            x = x_l + h * (starts[:, None, None] + cell_nodes)
+            u = np.asarray(pot.fn(x), dtype=float)
+            bad = ~np.isfinite(u)
+            if np.any(bad):
+                raise ValueError(f"potential is not finite at x={x[bad][0]:.6g}")
             cells = _magnus_cells(h, *(u[..., j, None] for j in range(3)), ksq)
             for p00, p01, p10, p11 in zip(*_chunk_propagators(*cells)):
                 phi, dphi = p00 * phi + p01 * dphi, p10 * phi + p11 * dphi

@@ -154,15 +154,22 @@ def hj_trajectory(E, beta) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
 def string_observable_set(N: int) -> ObservableSet:
     """Mode energies f_n as observables over (q, p) = (a, a').
 
+    The family is one array expression, 0.5 (p**2 + (n q)**2) over the N
+    modes, and the set-level operations evaluate it once per state; each
+    member's ``fn`` returns its entry, so every energy has one formula.
     Analytic gradients are attached: grad_q f_n = n**2 q_n e_n and
     grad_p f_n = p_n e_n.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    modes = np.arange(1, N + 1, dtype=float)
+
+    def values(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return 0.5 * (p**2 + (modes * q) ** 2)
 
     def make(n):
         def fn(q: np.ndarray, p: np.ndarray) -> float:
-            return 0.5 * (p[n - 1] ** 2 + (n * q[n - 1]) ** 2)
+            return values(q, p)[n - 1]
 
         def gq(q: np.ndarray, p: np.ndarray) -> np.ndarray:
             g = np.zeros(q.size)
@@ -176,7 +183,7 @@ def string_observable_set(N: int) -> ObservableSet:
 
         return Observable(f"mode_energy_{n}", fn, grad_q=gq, grad_p=gp)
 
-    return ObservableSet([make(n) for n in range(1, N + 1)])
+    return ObservableSet([make(n) for n in range(1, N + 1)], values)
 
 
 def string_hamiltonian(N: int) -> Observable:

@@ -115,6 +115,50 @@ class TestObservableSet:
             ObservableSet([coord(0), energy])
 
 
+class TestFamily:
+    """A set's family function: one evaluation per state, checked."""
+
+    def test_wrong_length_rejected(self):
+        obs = ObservableSet([coord(0), momentum(0)], lambda q, p: np.array([q[0]]))
+        with pytest.raises(ValueError, match=r"observable set \['q1', 'p1'\] returned values of shape \(1,\)"):
+            obs.evaluate(random_state(1, seed=5))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda obs, s: obs.evaluate(s),
+            lambda obs, s: involution_and_jacobian(obs, s, H_FD),
+            lambda obs, s: conservation_drift(obs, s.q[None], s.p[None]),
+            lambda obs, s: recover_momenta(obs, [1.0, 1.0], s.q, s.p),
+        ],
+        ids=["evaluate", "involution_and_jacobian", "conservation_drift", "recover_momenta"],
+    )
+    def test_non_finite_entry_names_its_member(self, call):
+        obs = ObservableSet([coord(0), momentum(0)], lambda q, p: np.array([q[0], math.nan]))
+        with pytest.raises(EvaluationError, match="'p1'"):
+            call(obs, random_state(1, seed=6))
+
+    def test_overflow_inside_the_family_raises_evaluation_error(self):
+        obs = ObservableSet([coord(0)], lambda q, p: [math.exp(1e3 * q[0])])
+        with pytest.raises(EvaluationError, match="math range error"):
+            obs.evaluate(CanonicalState([1.0], [0.0]))
+
+    def test_stencil_calls_the_family_once_per_state(self):
+        states = []
+
+        def values(q, p):
+            states.append((q, p))
+            return np.array([q[0] * p[1], q[1] * p[0]])
+
+        members = [Observable("a", lambda q, p: q[0] * p[1]), Observable("b", lambda q, p: q[1] * p[0])]
+        obs = ObservableSet(members, values)
+        B, J = involution_and_jacobian(obs, random_state(2, seed=7), H_FD)
+        # 2 entries x (+h, -h) x (q side, p side), each on private read-only rows
+        assert len(states) == 8
+        assert not any(x.flags.writeable for state in states for x in state)
+        assert B[0, 1] == poisson_bracket(*members, random_state(2, seed=7), H_FD)
+
+
 class TestEvaluate:
     # math.exp raises OverflowError where numpy would return inf
     @pytest.mark.parametrize(
@@ -147,6 +191,11 @@ class TestPoissonBracket:
         want = 1.0 if i == j else 0.0
         assert poisson_bracket(coord(i), momentum(j), s, H_FD) == pytest.approx(want, abs=FD_TOL)
         assert poisson_bracket(momentum(i), momentum(j), s, H_FD) == pytest.approx(0.0, abs=FD_TOL)
+
+    def test_self_bracket_is_zero(self):
+        # the stencil takes the pair as given: two equal names are fine
+        f = Observable("f", lambda q, p: math.sin(q[0]) * p[1] + q[1] ** 3)
+        assert poisson_bracket(f, f, random_state(2, seed=9), H_FD) == 0.0
 
     def test_antisymmetry_bit_exact(self):
         s = random_state(3, seed=4)

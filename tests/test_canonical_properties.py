@@ -21,6 +21,7 @@ from hamlab.canonical import (
     CanonicalState,
     Observable,
     ObservableSet,
+    _family,
     _gradients,
     evolve,
     involution_and_jacobian,
@@ -79,7 +80,7 @@ def test_involution_matrix_equals_pairwise_bracket(case):
 def test_jacobian_is_the_p_gradients(case):
     obs, s, grads = make_case(*case)
     J = involution_and_jacobian(obs, s, H_FD)[1]
-    rows = np.stack([_gradients([o], s.q, s.p, H_FD, "p")[0] for o in obs])
+    rows = np.stack([_gradients(_family([o]), [o.name], s.q, s.p, H_FD, "p")[0] for o in obs])
     assert np.array_equal(J, rows)
     dim = s.dim
     assert np.max(np.abs(J - grads[:, dim:])) < 1e-7

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hamlab
-from hamlab import Observable, ObservableSet, canonical, cli, kdv, line, string
+from hamlab import ObservableSet, canonical, cli, kdv, line, string
 from hamlab.cli import EXPERIMENTS, list_experiments_text, load_config, main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hamlab.__file__)))
@@ -36,21 +36,20 @@ def run_cli(tmp_path, payload, *extra):
     return main(["run", cfg, "--output-dir", str(tmp_path / "out"), *extra])
 
 
-def count_mode_energy_calls(monkeypatch):
-    """Make string_observable_set count every mode-energy evaluation; returns
-    the list the observables' names are appended to."""
+def count_family_calls(monkeypatch):
+    """Make string_observable_set count every evaluation of its mode-energy
+    family; returns the list each call's state is appended to."""
     calls = []
     real = string.string_observable_set
 
     def counting(n):
-        def wrap(o):
-            def fn(q, p):
-                calls.append(o.name)
-                return o.fn(q, p)
+        obs = real(n)
 
-            return Observable(o.name, fn)
+        def values(q, p):
+            calls.append((q, p))
+            return obs.values(q, p)
 
-        return ObservableSet([wrap(o) for o in real(n)])
+        return ObservableSet(obs.observables, values)
 
     monkeypatch.setattr(string, "string_observable_set", counting)
     return calls
@@ -351,6 +350,17 @@ class TestRunPaths:
         assert check["pass"] is True
         assert check["value"] == 7.0
 
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_odd_modes_commute_but_are_incomplete(self, tmp_path, n):
+        # an infinite family in involution need not be complete: the odd
+        # mode energies commute exactly and determine only half the momenta
+        params = {"n_modes": n, "remove": list(range(2, n + 1, 2))}
+        assert run_cli(tmp_path, {"experiment": "string-completeness", "parameters": params}) == 0
+        checks = {c["name"]: c for c in load_report(tmp_path, "string-completeness")["checks"]}
+        assert checks["involution-max"]["value"] == 0.0
+        assert checks["expects-incomplete"]["value"] == n // 2
+        assert checks["expects-incomplete"]["pass"] is True
+
     def test_kdv_conservation_short_run_passes(self, tmp_path):
         code = run_cli(
             tmp_path,
@@ -585,11 +595,11 @@ class TestRunPaths:
         assert len(calls) == 1
 
     def test_string_hj_evaluates_each_mode_energy_once(self, tmp_path, monkeypatch):
-        # the HJ constants are the mode-energy observables' own values
-        calls = count_mode_energy_calls(monkeypatch)
+        # the HJ constants are the mode-energy family's own values, taken once
+        calls = count_family_calls(monkeypatch)
         payload = {"experiment": "string-hj", "parameters": {"n_modes": 5}}
         assert run_cli(tmp_path, payload) == 0
-        assert sorted(calls) == [f"mode_energy_{n}" for n in range(1, 6)]
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "params", [{}, {"seed": 99, "n_modes": 16}, {"n_modes": 1, "samples": 1000, "t_final": 50.0}]
@@ -615,11 +625,11 @@ class TestRunPaths:
         assert report["checks"][0]["value"] == max(want)
 
     def test_string_completeness_differences_each_side_once(self, tmp_path, monkeypatch):
-        # 24 observables x 24 entries x (+h, -h) x (q side, p side)
-        calls = count_mode_energy_calls(monkeypatch)
+        # one family call per perturbed state: 24 entries x (+h, -h) x (q side, p side)
+        calls = count_family_calls(monkeypatch)
         payload = {"experiment": "string-completeness", "parameters": {"n_modes": 24}}
         assert run_cli(tmp_path, payload) == 0
-        assert len(calls) == 2304
+        assert len(calls) == 96
 
     def test_seed_override_changes_artifacts(self, tmp_path):
         payload = {"experiment": "string-hj", "parameters": {"samples": 3}}

@@ -564,6 +564,28 @@ class TestScatteringA:
         assert len(calls) <= 2
 
 
+def holed_sech2_window():
+    """The kappa = 1 sech^2 window with NaN for |x - 0.3| < 0.01."""
+    well = sech2_potential()
+    return LinePotential(lambda x: np.where(np.abs(x - 0.3) < 0.01, np.nan, well(x)), -20.0, 20.0)
+
+
+class TestNonFiniteWindow:
+    """A NaN inside the window is named as such, not as an overflow."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda pot: scattering_a(pot, [1.0]), lambda pot: bound_states(pot, 1.5)],
+        ids=["real-k", "bound-state-scan"],
+    )
+    def test_first_non_finite_x_named(self, call):
+        with pytest.raises(ValueError, match="potential is not finite at x=") as info:
+            call(holed_sech2_window())
+        # the hole's first node: cells are at most 0.01 wide
+        x = float(re.search(r"x=(\S+)", str(info.value)).group(1))
+        assert 0.29 < x < 0.3
+
+
 class TestMagnusCells:
     """The cell kernel on constant-u cells, where Omega = h [[0, 1], [q, 0]]
     exactly and exp(Omega) is known independently."""

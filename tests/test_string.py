@@ -294,6 +294,19 @@ class TestStringObservables:
         J = involution_and_jacobian(string_observable_set(n), s, H_FD)[1]
         assert numerical_rank(J)[1] == n
 
+    @pytest.mark.parametrize("n", [1, 8, 24])
+    def test_family_equals_the_members_bit_for_bit(self, n):
+        obs = string_observable_set(n)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            q, p = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), (2, n))
+            family = obs.values(q, p)
+            assert np.array_equal(family, [o.fn(q, p) for o in obs])
+            drop = [f"mode_energy_{k}" for k in range(2, n + 1, 2)]
+            kept = obs.without(*drop)
+            want = [o.fn(q, p) for o in obs if o.name not in drop]
+            assert np.array_equal(kept.evaluate(CanonicalState(q, p)), want)
+
     def test_incomplete_with_f1_removed(self):
         n = 8
         rng = np.random.default_rng(38)

@@ -21,7 +21,9 @@ steps at stride 1000 (two recorded rows, from one block shorter than the
 stride), string-hj
 at seed 1, at seed 99 with 16 modes and with one mode, string-hj with 1000
 sample times to t_final 50 and string-modes with 101 exact samples (the
-flows on an array of times past the default sizes), line-gseries at
+flows on an array of times past the default sizes), string-completeness
+with 24 modes (the benchmark's size) and with 16 modes and every even
+mode removed (the odd energies: in involution, not complete), line-gseries at
 seeds 0-3 at defaults and with order 8 and sign -1, line-gseries at order
 1 (a one-entry g) and at order 85 (the highest order whose factorials fit
 a double), line-velocity-moments over 8 steps at y 0.25 and 3, with the
@@ -91,6 +93,8 @@ CONFIGS = (
     + [("string-modes", {"steps": 7, "stride": 1000})]
     + [("string-hj", {"seed": 1}), ("string-hj", {"seed": 99, "n_modes": 16}), ("string-hj", {"n_modes": 1})]
     + [("string-hj", {"samples": 1000, "t_final": 50}), ("string-modes", {"exact_samples": 101})]
+    + [("string-completeness", {"n_modes": 24})]
+    + [("string-completeness", {"n_modes": 16, "remove": list(range(2, 17, 2))})]
     + [
         ("line-gseries", {"seed": seed, **extra})
         for seed in range(4)
